@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
@@ -37,6 +37,8 @@ class JointDistribution:
     """Probability table p(x, z) over {0..nx-1} x {0..nz-1}."""
 
     probs: tuple[tuple[float, ...], ...]
+    # family -> family_statistics(self, family); filled on first use.
+    _family_stats: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(float(v) for v in row) for row in self.probs)
@@ -158,15 +160,25 @@ class HashFamilySpec:
         return worst <= Fraction(1, self.output_size), worst
 
 
-def family_mutual_informations(joint: JointDistribution, family: HashFamilySpec) -> list[float]:
-    """I(f(X); Z) in nats for every member of the family."""
+def family_statistics(
+    joint: JointDistribution, family: HashFamilySpec
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(I(f(X); Z), H(f(X) | Z)) in nats for every member of the family.
+
+    Neither depends on rho, so the result is computed once per
+    (joint, family) pair and cached on the joint.
+    """
+    cached = joint._family_stats.get(family)
+    if cached is not None:
+        return cached
     if family.domain_size != joint.nx:
         raise ValueError(
             f"family domain {family.domain_size} != joint |X| = {joint.nx}"
         )
     pz = joint.marginal_z()
     log = math.log
-    out = []
+    mis = []
+    ents = []
     for fmap in family.maps:
         table = [[0.0] * joint.nz for _ in range(family.output_size)]
         for x in range(joint.nx):
@@ -177,44 +189,18 @@ def family_mutual_informations(joint: JointDistribution, family: HashFamilySpec)
                 trow[z] += row[z]
         ps = [sum(trow) for trow in table]
         mi = 0.0
-        for s in range(family.output_size):
-            if ps[s] <= 0:
-                continue
-            for z in range(joint.nz):
-                p = table[s][z]
-                if p > 0:
-                    mi += p * log(p / (ps[s] * pz[z]))
-        out.append(max(mi, 0.0))
-    return out
-
-
-def family_conditional_entropies(
-    joint: JointDistribution, family: HashFamilySpec
-) -> list[float]:
-    """H(f(X) | Z) in nats for every member of the family."""
-    if family.domain_size != joint.nx:
-        raise ValueError(
-            f"family domain {family.domain_size} != joint |X| = {joint.nx}"
-        )
-    pz = joint.marginal_z()
-    log = math.log
-    out = []
-    for fmap in family.maps:
-        table = [[0.0] * joint.nz for _ in range(family.output_size)]
-        for x in range(joint.nx):
-            row = joint.probs[x]
-            s = fmap[x]
-            trow = table[s]
-            for z in range(joint.nz):
-                trow[z] += row[z]
         h = 0.0
         for s in range(family.output_size):
             for z in range(joint.nz):
                 p = table[s][z]
                 if p > 0:
+                    mi += p * log(p / (ps[s] * pz[z]))
                     h -= p * log(p / pz[z])
-        out.append(max(h, 0.0))
-    return out
+        mis.append(max(mi, 0.0))
+        ents.append(max(h, 0.0))
+    stats = (tuple(mis), tuple(ents))
+    joint._family_stats[family] = stats
+    return stats
 
 
 def verify_hashed_mi_bound(
@@ -226,7 +212,7 @@ def verify_hashed_mi_bound(
     """Check E_f exp(rho I(f(X);Z)) <= 1 + |S|^rho E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
-    mis = family_mutual_informations(joint, family)
+    mis = family_statistics(joint, family)[0]
     lhs = sum(math.exp(rho * mi) for mi in mis) / len(mis)
     rhs = 1.0 + family.output_size**rho * joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
@@ -241,7 +227,7 @@ def verify_hashed_entropy_bound(
     """Check E_f exp(-rho H(f(X)|Z)) <= |S|^-rho + E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
-    ents = family_conditional_entropies(joint, family)
+    ents = family_statistics(joint, family)[1]
     lhs = sum(math.exp(-rho * h) for h in ents) / len(ents)
     rhs = family.output_size ** (-rho) + joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}

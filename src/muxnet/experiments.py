@@ -260,7 +260,6 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
         realize_eavesdropper(model, plan.network, plan.coding, layout, eve_rng)
         for _ in range(plan.trials_b)
     ]
-    observation = draws[0].matrix.mul_vector(word)
     subsets = all_nonempty_subsets(layout.T)
     profiles = [leakage_profile(layout, L, em.matrix, subsets) for em in draws]
 
@@ -321,7 +320,7 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
         "mu": model.mu,
         "k": list(layout.k),
         "eavesdropper": model.kind,
-        "eve_symbols": len(observation),
+        "eve_symbols": draws[0].matrix.nrows,
         "decodable": decodable,
         "decode_ok": decode_ok,
         "C_E": (

@@ -18,10 +18,12 @@ DEFAULT_GL_ENUM_CAP = 100_000
 class FieldMatrix:
     """A rows x cols matrix with entries canonical in the given field.
 
-    Treated as immutable: operations return new matrices.
+    Treated as immutable: operations return new matrices, and `inverse`
+    caches its result on the matrix, which is only sound because the
+    entries never change after construction.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_inverse")
 
     def __init__(self, field: FieldSpec, rows, ncols: int | None = None):
         data = [list(r) for r in rows]
@@ -39,6 +41,7 @@ class FieldMatrix:
                 if not 0 <= v < q:
                     raise ValueError(f"entry {v!r} not canonical in GF({q})")
         self._rows = data
+        self._inverse = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -235,6 +238,10 @@ class FieldMatrix:
         return FieldMatrix(f, cols, ncols=len(basis))
 
     def inverse(self) -> "FieldMatrix":
+        """The inverse, computed on the first call and cached; a singular
+        matrix raises `SingularMatrix` on every call."""
+        if self._inverse is not None:
+            return self._inverse
         if self.nrows != self.ncols:
             raise ShapeError("only square matrices can be inverted")
         n = self.nrows
@@ -247,7 +254,8 @@ class FieldMatrix:
         rows, pivots = aug._rref_rows()
         if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
             raise SingularMatrix(f"matrix of rank {self.rank()} < {n} has no inverse")
-        return FieldMatrix(self.field, [r[n:] for r in rows], ncols=n)
+        self._inverse = FieldMatrix(self.field, [r[n:] for r in rows], ncols=n)
+        return self._inverse
 
     def solve(self, vec) -> list[int]:
         """Solution x of self @ x = vec for square invertible self."""

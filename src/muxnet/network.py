@@ -215,11 +215,6 @@ class EavesdropMatrix:
     matrix: FieldMatrix
     provenance: tuple[tuple[str, ...], ...] | None = None
 
-    def __post_init__(self):
-        mu_m = self.matrix.nrows
-        if self.matrix.rank() > mu_m:
-            raise ValueError("observation rank exceeds the row count")
-
 
 def global_coding_vectors(
     net: Network, coding: LocalCoding, slot: int

@@ -30,9 +30,9 @@ from muxnet import (
     verify_hashed_mi_bound,
     worst_case_leakage,
 )
-from muxnet.bounds import rho_grid_argmin
+from muxnet.bounds import family_statistics, rho_grid_argmin
 from muxnet.errors import DomainError
-from muxnet.verification import hand_instance_family, hand_instance_joint
+from muxnet.verification import VerifyOptions, hand_instance_family, hand_instance_joint
 
 LN2 = math.log(2)
 
@@ -89,13 +89,33 @@ def test_entropy_bound_constant_hash():
 
 
 def test_bounds_hold_on_random_joints():
+    # The verify battery's two families, plus a second one on |X| = 4 so that
+    # a joint caches statistics for two families, over the default rho grid.
+    # Both bounds hold, and a joint that has cached its family statistics
+    # gives the same floats as a fresh joint with the same table.
     rng = random.Random(2)
-    fam = hand_instance_family()
-    for _ in range(50):
-        joint = JointDistribution.dirichlet(4, rng.randrange(2, 9), rng)
-        for rho in (0.1, 0.5, 1.0):
-            assert verify_hashed_mi_bound(joint, fam, rho)["holds"]
-            assert verify_hashed_entropy_bound(joint, fam, rho)["holds"]
+    families = (
+        hand_instance_family(),
+        HashFamilySpec.projection_family(
+            MultiplexLayout(GF(2), 1, 2, 1, (2, 0)), SubsetIndex({1})
+        ),
+        HashFamilySpec.projection_family(
+            MultiplexLayout(GF(2), 1, 3, 1, (1, 2)), SubsetIndex({1})
+        ),
+    )
+    for nx, n_joints in ((4, 50), (8, 5)):
+        same_domain = [fam for fam in families if fam.domain_size == nx]
+        for _ in range(n_joints):
+            joint = JointDistribution.dirichlet(nx, rng.randrange(2, 9), rng)
+            for rho in VerifyOptions().rho_grid:
+                for fam in same_domain:
+                    mi = verify_hashed_mi_bound(joint, fam, rho)
+                    ent = verify_hashed_entropy_bound(joint, fam, rho)
+                    assert mi["holds"] and ent["holds"]
+                    assert mi == verify_hashed_mi_bound(JointDistribution(joint.probs), fam, rho)
+                    assert ent == verify_hashed_entropy_bound(JointDistribution(joint.probs), fam, rho)
+            for fam in same_domain:
+                assert family_statistics(joint, fam) is family_statistics(joint, fam)
 
 
 def test_projection_family_is_two_universal():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: determinism, formats, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -300,6 +301,9 @@ def test_verify_default_config_exits_zero(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "check,instance,lhs,rhs,holds"
     assert all(line.endswith("true") for line in lines[1:])
+    # The report bytes are pinned: speed-ups must not change a single digit.
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "4ec2d82bb3967d6b3ff0e538b5908b9ebcdb2c8a95a1c33a9161cf25a6f23c71"
 
 
 def test_verify_fast_config_exits_zero(tmp_path, capsys):

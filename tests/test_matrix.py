@@ -84,8 +84,11 @@ def test_inverse_unipotent():
 
 
 def test_singular_matrix_raises():
+    singular = FieldMatrix(GF(2), [[1, 0], [1, 0]])
     with pytest.raises(SingularMatrix):
-        FieldMatrix(GF(2), [[1, 0], [1, 0]]).inverse()
+        singular.inverse()
+    with pytest.raises(SingularMatrix):  # a failure is never cached
+        singular.inverse()
     with pytest.raises(SingularMatrix):
         FieldMatrix(GF(3), [[1, 2], [2, 1]]).solve([1, 0])
 
@@ -101,6 +104,9 @@ def test_inverse_roundtrip_random():
             eye = FieldMatrix.identity(f, n)
             assert M @ Minv == eye
             assert Minv @ M == eye
+            # cached on the matrix, and equal to a fresh copy's inverse
+            assert M.inverse() is Minv
+            assert FieldMatrix(f, M.rows_list()).inverse() == Minv
 
 
 def test_solve_matches_inverse():
