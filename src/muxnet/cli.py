@@ -28,15 +28,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    sub.add_argument("--seed", type=int, metavar="N", help="override the config seed")
+def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
+    if config:
+        sub.add_argument("--config", metavar="PATH", help="JSON experiment config")
+        sub.add_argument("--seed", type=int, metavar="N", help="override the config seed")
     sub.add_argument("--out", metavar="PATH", help="write the report here (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="worker processes (used by sweep points)",
-    )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,9 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--values", required=True, metavar="LIST", help="comma-separated numeric values"
     )
+    p_sweep.add_argument(
+        "--parallel", type=_positive_int, default=1, metavar="N",
+        help="worker processes, at most one per value",
+    )
 
     p_cap = subs.add_parser("capacity", help="rate-tuple membership and leakage-rate floors")
-    _add_common(p_cap)
+    _add_common(p_cap, config=False)
     p_cap.add_argument("--rates", required=True, metavar="LIST", help="comma-separated rates")
     p_cap.add_argument("--n", required=True, type=int, help="symbols per slot")
     p_cap.add_argument("--mu", type=int, default=1, help="tapped links per slot")

@@ -372,11 +372,13 @@ def _sweep_point(args: tuple[str, str, object]) -> list[dict]:
 
 
 def run_sweep(config: dict, param: str, values, parallel: int = 1) -> list[dict]:
-    """One simulate per value, rows assembled in ascending value order."""
+    """One simulate per value, rows assembled in ascending value order; up
+    to `parallel` worker processes, never more than there are values."""
     values = sorted(values)
     jobs = [(json.dumps(config, sort_keys=True), param, v) for v in values]
-    if parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:
         results = [_sweep_point(job) for job in jobs]

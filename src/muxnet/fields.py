@@ -319,9 +319,6 @@ class FieldSpec:
             return pow(a, -1, self.p)
         return self._exp[-self._log[a] % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             return self.pow(self.inv(a), -k)
@@ -336,16 +333,8 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
-    def validate_element(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not a canonical GF({self.q}) element")
-        return a
-
     def rand(self, rng: random.Random) -> int:
         return rng.randrange(self.q)
-
-    def rand_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.q)
 
     # -- identity ------------------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Dense matrices over a FieldSpec: exact rank, kernel, inverse, sampling.
 
-Elimination always picks the leftmost column and the topmost nonzero row,
-so reduced forms, kernels and inverses are identical across runs.
+Every elimination runs through one reduced echelon basis, `_Echelon`.  The
+reduced row echelon form of a matrix is unique, so reduced forms, kernels
+and inverses are identical across runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
-from fractions import Fraction
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from .fields import FieldSpec
@@ -82,30 +83,14 @@ class FieldMatrix:
 
     # -- access ---------------------------------------------------------------
 
-    def row(self, i: int) -> list[int]:
-        return list(self._rows[i])
-
-    def entry(self, i: int, j: int) -> int:
-        return self._rows[i][j]
-
     def rows_list(self) -> list[list[int]]:
         return [list(r) for r in self._rows]
 
     def as_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)
 
-    def copy(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self._rows, ncols=self.ncols)
-
     def take_rows(self, indices) -> "FieldMatrix":
         return FieldMatrix(self.field, [self._rows[i] for i in indices], ncols=self.ncols)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
-            self.field,
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -157,62 +142,17 @@ class FieldMatrix:
             out.append(acc)
         return out
 
-    def scale(self, c: int) -> "FieldMatrix":
-        f = self.field
-        return FieldMatrix(
-            f, [[f.mul(c, v) for v in row] for row in self._rows], ncols=self.ncols
-        )
-
-    def add_matrix(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols or self.field != other.field:
-            raise ShapeError("matrix addition shape mismatch")
-        f = self.field
-        return FieldMatrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
-            ncols=self.ncols,
-        )
-
     # -- elimination -----------------------------------------------------------------
 
     def _rref_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form of a copy; returns (rows, pivot columns)."""
-        f = self.field
-        mul, sub, inv = f.mul, f.sub, f.inv
-        rows = [list(r) for r in self._rows]
-        nrows, ncols = self.nrows, self.ncols
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pr = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            piv = rows[r][c]
-            if piv != 1:
-                s = inv(piv)
-                rows[r] = [mul(s, v) for v in rows[r]]
-            prow = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    fac = rows[i][c]
-                    rows[i] = [sub(v, mul(fac, pv)) for v, pv in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return rows, pivots
-
-    def rref(self) -> tuple["FieldMatrix", tuple[int, ...]]:
-        rows, pivots = self._rref_rows()
-        return FieldMatrix(self.field, rows, ncols=self.ncols), tuple(pivots)
+        """Reduced row echelon form as (rows, pivot columns); zero rows last."""
+        ech = _Echelon(self.field)
+        for row in self._rows:
+            if len(ech.pivots) == self.ncols:
+                break  # every later row lies in the span
+            ech.insert(row)
+        zeros = [[0] * self.ncols for _ in range(self.nrows - len(ech.rows))]
+        return ech.rows + zeros, ech.pivots
 
     def rank(self) -> int:
         return len(self._rref_rows()[1])
@@ -224,18 +164,25 @@ class FieldMatrix:
         their free coordinate, so results are deterministic.
         """
         rows, pivots = self._rref_rows()
-        f = self.field
+        neg = self.field.neg
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for j in free:
-            vec = [0] * self.ncols
-            vec[j] = 1
-            for i, pc in enumerate(pivots):
-                vec[pc] = f.neg(rows[i][j])
-            basis.append(vec)
-        cols = [[basis[t][r] for t in range(len(basis))] for r in range(self.ncols)]
-        return FieldMatrix(f, cols, ncols=len(basis))
+        # Free coordinate j of basis vector j is 1; pivot coordinate pc of
+        # it is minus the entry of pc's reduced row in column j.
+        out = [[int(c == j) for j in free] for c in range(self.ncols)]
+        for row, pc in zip(rows, pivots):
+            out[pc] = [neg(row[j]) for j in free]
+        return FieldMatrix(self.field, out, ncols=len(free))
+
+    def _solve_right(self, rhs: list[list[int]]) -> list[list[int]] | None:
+        """X with self @ X = rhs for square self, read off the reduced
+        [self | rhs]; None when self is singular."""
+        n = self.nrows
+        aug = FieldMatrix(self.field, [row + extra for row, extra in zip(self._rows, rhs)])
+        rows, pivots = aug._rref_rows()
+        if pivots[:n] != list(range(n)):
+            return None
+        return [r[n:] for r in rows]
 
     def inverse(self) -> "FieldMatrix":
         """The inverse, computed on the first call and cached; a singular
@@ -245,16 +192,10 @@ class FieldMatrix:
         if self.nrows != self.ncols:
             raise ShapeError("only square matrices can be inverted")
         n = self.nrows
-        aug_rows = []
-        for i, row in enumerate(self._rows):
-            ext = list(row) + [0] * n
-            ext[n + i] = 1
-            aug_rows.append(ext)
-        aug = FieldMatrix(self.field, aug_rows, ncols=2 * n)
-        rows, pivots = aug._rref_rows()
-        if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+        inv = self._solve_right(FieldMatrix.identity(self.field, n)._rows)
+        if inv is None:
             raise SingularMatrix(f"matrix of rank {self.rank()} < {n} has no inverse")
-        self._inverse = FieldMatrix(self.field, [r[n:] for r in rows], ncols=n)
+        self._inverse = FieldMatrix(self.field, inv, ncols=n)
         return self._inverse
 
     def solve(self, vec) -> list[int]:
@@ -263,16 +204,10 @@ class FieldMatrix:
             raise ShapeError("solve requires a square matrix")
         if len(vec) != self.nrows:
             raise ShapeError(f"rhs length {len(vec)} != {self.nrows}")
-        n = self.nrows
-        aug = FieldMatrix(
-            self.field,
-            [list(row) + [vec[i]] for i, row in enumerate(self._rows)],
-            ncols=n + 1,
-        )
-        rows, pivots = aug._rref_rows()
-        if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+        x = self._solve_right([[v] for v in vec])
+        if x is None:
             raise SingularMatrix("coefficient matrix is singular")
-        return [rows[i][n] for i in range(n)]
+        return [r[0] for r in x]
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -295,6 +230,9 @@ class FieldMatrix:
             field = GF(doc["q"])
         elif field.q != doc["q"]:
             raise ValueError(f"document field GF({doc['q']}) != GF({field.q})")
+        for v in doc["entries"]:
+            if type(v) is not int:  # bool is an int subclass; reject it too
+                raise ValueError(f"matrix entry {v!r} is not an integer")
         return cls.from_flat(field, doc["rows"], doc["cols"], doc["entries"])
 
 
@@ -309,38 +247,65 @@ def random_matrix(field: FieldSpec, nrows: int, ncols: int, rng: random.Random) 
     )
 
 
-class _SpanTracker:
-    """Incremental echelon basis used to test span membership by elimination."""
+class _Echelon:
+    """Reduced row echelon basis of a growing row space: the one elimination
+    engine behind sampling, enumeration, rank, kernel, inverse and solve.
 
-    def __init__(self, field: FieldSpec, width: int):
+    Rows are normalized (pivot entry 1) and kept in pivot-column order, and
+    every pivot column is zero in every other row, so inserting a matrix's
+    rows one by one leaves exactly its reduced row echelon form.  Rows are
+    replaced, never changed in place, so a copy may share them.
+    """
+
+    __slots__ = ("field", "rows", "pivots")
+
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.width = width
-        self.echelon: list[tuple[int, list[int]]] = []  # (pivot col, normalized row)
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
 
-    def reduce(self, vec: list[int]) -> list[int]:
+    def copy(self) -> "_Echelon":
+        other = _Echelon(self.field)
+        other.rows, other.pivots = list(self.rows), list(self.pivots)
+        return other
+
+    def insert(self, vec) -> bool:
+        """Add vec to the basis; False, leaving the basis unchanged, when vec
+        already lies in the span."""
         f = self.field
         mul, sub = f.mul, f.sub
         vec = list(vec)
-        for pc, row in self.echelon:
+        # A basis row is zero left of its pivot, so only the columns right
+        # of the pivot change.
+        for pc, row in zip(self.pivots, self.rows):
             c = vec[pc]
             if c:
-                vec = [sub(v, mul(c, rv)) for v, rv in zip(vec, row)]
-        return vec
-
-    def contains(self, vec: list[int]) -> bool:
-        return not any(self.reduce(vec))
-
-    def add(self, vec: list[int]) -> None:
-        f = self.field
-        red = self.reduce(vec)
-        pc = next((i for i, v in enumerate(red) if v), None)
-        if pc is None:
-            raise ValueError("vector already in span")
-        if red[pc] != 1:
-            s = f.inv(red[pc])
-            red = [f.mul(s, v) for v in red]
-        self.echelon.append((pc, red))
-        self.echelon.sort(key=lambda t: t[0])
+                vec[pc] = 0
+                vec[pc + 1:] = [
+                    sub(v, mul(c, rv)) if rv else v
+                    for v, rv in zip(vec[pc + 1:], row[pc + 1:])
+                ]
+        for p, lead in enumerate(vec):
+            if lead:
+                break
+        else:
+            return False
+        if lead != 1:
+            s = f.inv(lead)
+            vec[p] = 1
+            vec[p + 1:] = [mul(s, v) if v else 0 for v in vec[p + 1:]]
+        tail = vec[p + 1:]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            c = row[p]
+            if c:
+                rows[i] = row[:p] + [0] + [
+                    sub(v, mul(c, nv)) if nv else v for v, nv in zip(row[p + 1:], tail)
+                ]
+        at = bisect.bisect(self.pivots, p)
+        self.pivots.insert(at, p)
+        rows.insert(at, vec)
+        return True
 
 
 def sample_full_rank(
@@ -355,14 +320,12 @@ def sample_full_rank(
     if nrows > ncols:
         raise ShapeError(f"no full-rank {nrows}x{ncols} matrix exists")
     q = field.q
-    tracker = _SpanTracker(field, ncols)
+    ech = _Echelon(field)
     rows = []
     while len(rows) < nrows:
         cand = [rng.randrange(q) for _ in range(ncols)]
-        if tracker.contains(cand):
-            continue
-        tracker.add(cand)
-        rows.append(cand)
+        if ech.insert(cand):
+            rows.append(cand)
     return FieldMatrix(field, rows, ncols=ncols)
 
 
@@ -390,28 +353,19 @@ def enumerate_gl(
     q = field.q
     out: list[FieldMatrix] = []
 
-    def all_vectors():
-        for idx in range(q**dim):
-            yield [(idx // q**i) % q for i in range(dim)]
+    vectors = [[(idx // q**i) % q for i in range(dim)] for idx in range(q**dim)]
 
-    def extend(rows: list[list[int]], tracker: _SpanTracker) -> None:
+    def extend(rows: list[list[int]], ech: _Echelon) -> None:
         if len(rows) == dim:
-            out.append(FieldMatrix(field, [list(r) for r in rows], ncols=dim))
+            out.append(FieldMatrix(field, rows, ncols=dim))
             return
-        for cand in all_vectors():
-            if tracker.contains(cand):
-                continue
-            sub = _SpanTracker(field, dim)
-            sub.echelon = list(tracker.echelon)
-            sub.add(cand)
-            rows.append(cand)
-            extend(rows, sub)
-            rows.pop()
+        for cand in vectors:
+            grown = ech.copy()
+            if grown.insert(cand):
+                rows.append(cand)
+                extend(rows, grown)
+                rows.pop()
 
-    extend([], _SpanTracker(field, dim))
+    extend([], _Echelon(field))
     assert len(out) == total
     return out
-
-
-def gl_uniform_probability(dim: int, q: int) -> Fraction:
-    return Fraction(1, gl_order(dim, q))

@@ -204,9 +204,7 @@ def iter_message_vectors(layout: MultiplexLayout, cap: int = DEFAULT_ENUMERATION
     return itertools.product(range(layout.q), repeat=layout.mn)
 
 
-def hash_collision_probability(
-    layout: MultiplexLayout, subset: SubsetIndex, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Fraction:
+def hash_collision_probability(layout: MultiplexLayout, subset: SubsetIndex) -> Fraction:
     """Worst-case collision probability of the projected random bijection.
 
     For distinct words x1, x2 a collision means the projection of
@@ -215,9 +213,6 @@ def hash_collision_probability(
     (#nonzero vectors killed by the projection) / (q^mn - 1), the same
     for every d.  Returned as an exact rational.
     """
-    total = layout.q ** layout.mn
-    if total > cap:
-        raise EnumerationTooLarge(f"q^mn = {total} exceeds cap {cap}")
     k_sub = layout.subset_length(subset)
     kernel_size = layout.q ** (layout.mn - k_sub)
-    return Fraction(kernel_size - 1, total - 1)
+    return Fraction(kernel_size - 1, layout.q ** layout.mn - 1)

@@ -440,12 +440,14 @@ def coding_from_json(
         return LocalCoding.random(net, field, n, m, rng)
     coeffs: dict = {}
     for link_id, inner in doc.items():
-        net.link(link_id)
+        from_source = net.link(link_id).tail == net.source
         parsed = {}
         for key, val in inner.items():
-            if net.link(link_id).tail == net.source:
-                parsed[int(key)] = int(val)
-            else:
-                parsed[str(key)] = int(val)
+            # bool is an int subclass; a coefficient must be a plain integer
+            if type(val) is not int or not 0 <= val < field.q:
+                raise ValueError(
+                    f"coding[{link_id!r}][{key!r}] = {val!r} is not an element of GF({field.q})"
+                )
+            parsed[int(key) if from_source else str(key)] = val
         coeffs[link_id] = parsed
     return LocalCoding.constant(field, n, coeffs, m)

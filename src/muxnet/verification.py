@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 
 from .bounds import (
@@ -87,19 +87,7 @@ class VerifyOptions:
         opts = cls()
         if not doc:
             return opts
-        known = {
-            "seed",
-            "tolerance",
-            "oracle_tolerance",
-            "joint_trials",
-            "rho_grid",
-            "oracle_b_per_shape",
-            "oracle_l_samples",
-            "guarantee_l_trials",
-            "gl_chi2_samples",
-            "enum_cap",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in dataclass_fields(cls)}
         if unknown:
             raise ConfigError(f"unknown verify option(s): {sorted(unknown)}")
         for key, val in doc.items():

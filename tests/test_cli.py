@@ -72,6 +72,22 @@ def test_cli_exit_code_on_missing_config(capsys):
     assert main(["simulate", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--parallel", "2"],
+    ["capacity", "--rates", "1,1", "--n", "2", "--config", "x"],
+    ["sweep", "--param", "m", "--values", "1,2", "--parallel", "0"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("run_verify", "run_sweep", "run_capacity", "run_simulate"):
+        monkeypatch.setattr(f"muxnet.cli.{name}", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------
 # simulate
 # ---------------------------------------------------------
@@ -139,6 +155,14 @@ def test_network_from_file(tmp_path):
     assert meta["decodable"] and meta["C_E"] == 2
     # tapping e1 observes the first source input directly
     assert rows[0]["rank_B"] == 1
+    # a non-integer coefficient is a config error naming the link and key
+    for val in (1.5, True, "1", 2):
+        net_doc["coding"]["e2"]["1"] = val
+        net_path.write_text(json.dumps(net_doc))
+        with pytest.raises(ConfigError, match="coding\\['e2'\\]\\['1'\\]"):
+            build_plan(config)
+        cfg = write_config(tmp_path, config)
+        assert main(["simulate", "--config", cfg]) == 2
 
 
 def test_random_coding_network_inline():

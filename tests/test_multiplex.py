@@ -9,6 +9,7 @@ import pytest
 from muxnet import (
     GF,
     FieldMatrix,
+    HashFamilySpec,
     MessageTuple,
     MultiplexLayout,
     SubsetIndex,
@@ -22,6 +23,7 @@ from muxnet import (
 )
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from muxnet.multiplex import iter_message_vectors
+from muxnet.verification import _enumerate_layouts
 
 
 def enumerate_layouts(q, mn, m=1):
@@ -228,6 +230,17 @@ def test_collision_probability_matches_gl_enumeration_oracle():
                     hits += 1
             worst = max(worst, Fraction(hits, len(mats)))
         assert worst == hash_collision_probability(layout, sub)
+    # The closed form against the enumerated projection family, for every
+    # layout verify checks whose GL(mn, q) has at most 168 elements.
+    pairs = 0
+    for q, max_mn in ((2, 3), (3, 2)):
+        for mn in range(1, max_mn + 1):
+            for layout in _enumerate_layouts(q, mn):
+                for sub in all_nonempty_subsets(layout.T):
+                    family = HashFamilySpec.projection_family(layout, sub)
+                    assert family.is_two_universal()[1] == hash_collision_probability(layout, sub)
+                    pairs += 1
+    assert pairs == 220
 
 
 def test_two_universal_all_small_layouts():
@@ -242,8 +255,6 @@ def test_two_universal_all_small_layouts():
 
 def test_enumeration_cap():
     layout = MultiplexLayout(GF(2), 5, 4, 1, (10, 10))
-    with pytest.raises(EnumerationTooLarge):
-        hash_collision_probability(layout, SubsetIndex({1}), cap=1 << 10)
     with pytest.raises(EnumerationTooLarge):
         list(iter_message_vectors(layout, cap=1 << 10))
 

@@ -319,6 +319,14 @@ def test_network_json_roundtrip_and_coding_parse():
         1,
     )
     assert global_coding_vectors(back, coding, 0)["e7"] == (1, 1)
+    # coefficients must be canonical field elements, never coerced
+    for link_id, key in (("e1", "0"), ("e7", "e3")):
+        for val in (1.5, 1.0, True, "1", 2, -1):
+            with pytest.raises(ValueError) as exc:
+                coding_from_json(back, {link_id: {key: val}}, GF(2), 2, 1)
+            assert repr(link_id) in str(exc.value) and repr(key) in str(exc.value)
+    with pytest.raises(ValueError, match="GF\\(3\\)"):
+        coding_from_json(back, {"e1": {"0": 7}}, GF(3), 2, 1)
 
 
 def test_random_coding_from_json_is_seeded():
