@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ConfigError, MuxnetError
@@ -100,16 +101,21 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_values(raw: str) -> list[float]:
+def _parse_values(raw: str, flag: str) -> list[float]:
     out = []
     for piece in raw.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        num = float(piece)
+        try:
+            num = float(piece)
+        except ValueError:
+            raise ConfigError(f"{flag}: {piece!r} is not a number") from None
+        if not math.isfinite(num):
+            raise ConfigError(f"{flag}: {piece!r} is not a finite number")
         out.append(int(num) if num == int(num) else num)
     if not out:
-        raise ConfigError("--values is empty")
+        raise ConfigError(f"{flag} is empty")
     return out
 
 
@@ -139,7 +145,8 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             config = _load_config(args)
-            rows = run_sweep(config, args.param, _parse_values(args.values), parallel=args.parallel)
+            values = _parse_values(args.values, "--values")
+            rows = run_sweep(config, args.param, values, parallel=args.parallel)
             if args.format == "json":
                 _emit(report_to_json({"rows": rows}), args.out)
             else:
@@ -147,7 +154,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "capacity":
-            report = run_capacity(_parse_values(args.rates), args.n, args.mu)
+            report = run_capacity(_parse_values(args.rates, "--rates"), args.n, args.mu)
             if args.format == "json":
                 _emit(report_to_json(report), args.out)
             else:
@@ -163,9 +170,6 @@ def main(argv=None) -> int:
     except MuxnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     raise AssertionError("unreachable")
 
 

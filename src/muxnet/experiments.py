@@ -86,9 +86,48 @@ DEFAULT_CONFIG: dict = {
 
 
 def _require_keys(doc: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _json_int(value, where: str) -> int:
+    if type(value) is not int:  # bool is an int subclass; reject it too
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _tap_set(doc, mu: int, where: str) -> tuple[str, ...]:
+    """A list of mu distinct link ids; whether the network has them is
+    checked once the network is built."""
+    if not isinstance(doc, list):
+        raise ConfigError(f"{where} must be a list of link ids, got {doc!r}")
+    for i, link in enumerate(doc):
+        if not isinstance(link, str):
+            raise ConfigError(f"{where}[{i}] = {link!r} is not a link id")
+        if link in doc[:i]:
+            raise ConfigError(f"{where}[{i}] = {link!r} repeats a link")
+    if len(doc) != mu:
+        raise ConfigError(f"{where} has {len(doc)} links, but mu = {mu}")
+    return tuple(doc)
+
+
+def _distribution(doc, mu: int) -> tuple[tuple[tuple[str, ...], float], ...]:
+    if not isinstance(doc, list):
+        raise ConfigError(f"eavesdropper.distribution must be a list, got {doc!r}")
+    out = []
+    for i, entry in enumerate(doc):
+        where = f"eavesdropper.distribution[{i}]"
+        _require_keys(entry, {"links", "p"}, where)
+        p = entry.get("p")
+        if type(p) not in (int, float) or not math.isfinite(p) or p < 0:
+            raise ConfigError(f"{where}.p = {p!r} is not a finite non-negative number")
+        out.append((_tap_set(entry.get("links"), mu, f"{where}.links"), float(p)))
+    if sum(p for _, p in out) == 0:
+        raise ConfigError("eavesdropper.distribution weights sum to 0")
+    return tuple(out)
 
 
 @dataclass
@@ -115,9 +154,7 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
         {"id", "field", "layout", "network", "eavesdropper", "bounds", "seed", "trials", "sweep", "verify"},
         "config",
     )
-    seed = config.get("seed", DEFAULT_CONFIG["seed"])
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = _json_int(config.get("seed", DEFAULT_CONFIG["seed"]), "seed")
 
     if "layout" not in config:
         if require_experiment:
@@ -148,21 +185,21 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
     if eav_doc is None:
         raise ConfigError("config is missing the eavesdropper section")
     _require_keys(eav_doc, {"kind", "mu", "links", "distribution"}, "eavesdropper")
+    mu = _json_int(eav_doc.get("mu", 1), "eavesdropper.mu")
+    links = eav_doc.get("links")
+    if links is not None:
+        links = _tap_set(links, mu, "eavesdropper.links")
+    distribution = eav_doc.get("distribution")
+    if distribution is not None:
+        distribution = _distribution(distribution, mu)
     try:
         model = EavesdropperModel(
-            kind=eav_doc.get("kind", "traditional"),
-            mu=eav_doc.get("mu", 1),
-            links=tuple(eav_doc["links"]) if "links" in eav_doc else None,
-            distribution=(
-                tuple((tuple(entry["links"]), float(entry["p"])) for entry in eav_doc["distribution"])
-                if "distribution" in eav_doc and eav_doc["distribution"] is not None
-                else None
-            ),
+            kind=eav_doc.get("kind", "traditional"), mu=mu, links=links, distribution=distribution
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad eavesdropper section: {exc}") from exc
     if model.mu > layout.n:
-        raise ConfigError(f"mu = {model.mu} exceeds n = {layout.n}")
+        raise ConfigError(f"eavesdropper.mu = {model.mu} exceeds layout.n = {layout.n}")
 
     network = None
     coding = None
@@ -197,6 +234,14 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
             raise ConfigError(f"bad network section: {exc}") from exc
         if len(network.out_links(network.source)) < layout.n:
             raise ConfigError("network source cannot emit n symbols per slot")
+        known = set(network.link_ids())
+        tap_sets = [("eavesdropper.links", model.links)] if model.links is not None else []
+        for i, (links, _) in enumerate(model.distribution or ()):
+            tap_sets.append((f"eavesdropper.distribution[{i}].links", links))
+        for where, links in tap_sets:
+            for i, link in enumerate(links):
+                if link not in known:
+                    raise ConfigError(f"{where}[{i}] = {link!r} is not a link of the network")
 
     bounds_doc = config.get("bounds", {})
     _require_keys(bounds_doc, {"rho", "C1", "C2"}, "bounds")
@@ -212,8 +257,8 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
 
     trials_doc = config.get("trials", {})
     _require_keys(trials_doc, {"L", "B"}, "trials")
-    trials_l = int(trials_doc.get("L", 40))
-    trials_b = int(trials_doc.get("B", 40))
+    trials_l = _json_int(trials_doc.get("L", 40), "trials.L")
+    trials_b = _json_int(trials_doc.get("B", 40), "trials.B")
     if trials_l < 1 or trials_b < 1:
         raise ConfigError("trial counts must be at least 1")
 

@@ -14,6 +14,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import operator
 import random
 
 MAX_FIELD_SIZE = 1 << 16
@@ -226,21 +227,8 @@ class FieldSpec:
                 if (a >> e) & 1:
                     a ^= m
             return r
-        da = _digits(a, p, e)
-        db = _digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, av in enumerate(da):
-            if av == 0:
-                continue
-            for j, bv in enumerate(db):
-                prod[i + j] = (prod[i + j] + av * bv) % p
-        mod = self.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(e + 1):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return _undigits(prod[:e], p)
+        prod = _poly_mul(_digits(a, p, e), _digits(b, p, e), p)
+        return _undigits(_poly_mod(prod, self.modulus, p), p)
 
     def _pow_raw(self, a: int, k: int) -> int:
         r = 1
@@ -358,10 +346,13 @@ _FIELD_CACHE: dict[tuple[int, tuple[int, ...] | None], FieldSpec] = {}
 
 
 def GF(q: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
-    """Shared FieldSpec for GF(q); the default modulus is deterministic."""
-    spec = FieldSpec(q, tuple(modulus) if modulus is not None else None)
-    key = (spec.q, spec.modulus)
-    cached = _FIELD_CACHE.get(key)
-    if cached is None:
-        _FIELD_CACHE[key] = cached = spec
-    return cached
+    """Shared FieldSpec for GF(q), built on the first call only; the default
+    modulus is deterministic."""
+    q = operator.index(q)  # TypeError for 4.0, which would hit GF(4)'s key
+    key = (q, tuple(modulus) if modulus is not None else None)
+    spec = _FIELD_CACHE.get(key)
+    if spec is None:
+        spec = FieldSpec(q, key[1])
+        spec = _FIELD_CACHE.setdefault((spec.q, spec.modulus), spec)  # canonical key
+        _FIELD_CACHE[key] = spec
+    return spec

@@ -1,14 +1,13 @@
 """Exact information leakage of message subsets to an eavesdropper.
 
-For an observation matrix B and encoding map L, the posterior of the
-concatenated messages given the observation is uniform on a coset of
-ker(B L^-1).  The leakage about a subset of blocks is therefore
+The messages are s = L x for a uniform word x, and the eavesdropper sees
+z = B x.  Subset I's blocks are L_I x, so its leakage is
 
-    (k_I - dim proj_I(ker(B L^-1))) * ln q   nats,
+    (k_I - rank(L_I reduced modulo rowspace B)) * ln q   nats,
 
-always an integer multiple of ln q.  `brute_force_leakage` recomputes the
-same quantity from the full joint distribution and serves as the
-independent oracle for `exact_leakage`.
+an integer multiple of ln q.  That rank, rank [B; L_I] - rank B, equals
+dim proj_I(ker(B L^-1)).  `brute_force_leakage`, the independent oracle,
+recomputes the leakage from the full joint distribution.
 """
 
 from __future__ import annotations
@@ -19,11 +18,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import EnumerationTooLarge, ShapeError
-from .matrix import FieldMatrix
+from .matrix import FieldMatrix, _Echelon
 from .multiplex import (
     DEFAULT_ENUMERATION_CAP,
     MultiplexLayout,
     SubsetIndex,
+    _check_map,
     iter_message_vectors,
 )
 from .network import (
@@ -52,15 +52,10 @@ class LeakageResult:
         return self.nats / math.log(2)
 
 
-def _posterior_kernel(layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
-    """Basis of ker(B L^-1); columns span the eavesdropper's ambiguity space."""
-    if L.nrows != layout.mn or L.ncols != layout.mn:
-        raise ShapeError(f"L must be {layout.mn}x{layout.mn}")
-    if B.ncols != layout.mn:
-        raise ShapeError(f"B has {B.ncols} columns, expected m*n = {layout.mn}")
-    if B.field != layout.field or L.field != layout.field:
-        raise ShapeError("operands disagree on the field")
-    return (B @ L.inverse()).kernel()
+def _check_operands(layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix) -> None:
+    _check_map(layout, L)
+    if B.field != layout.field or B.ncols != layout.mn:
+        raise ShapeError(f"B must have m*n = {layout.mn} columns over GF({layout.q})")
 
 
 def leakage_profile(
@@ -69,14 +64,20 @@ def leakage_profile(
     B: FieldMatrix,
     subsets,
 ) -> dict[str, LeakageResult]:
-    """exact_leakage for several subsets, computing the kernel once."""
-    kernel = _posterior_kernel(layout, L, B)
-    rank_b = layout.mn - kernel.ncols
+    """exact_leakage for several subsets, reducing L modulo B's row space once."""
+    _check_operands(layout, L, B)
+    L.inverse()  # raises SingularMatrix for a singular L; cached on L
+    basis = _Echelon(layout.field)
+    for row in B.rows_list():
+        basis.insert(row)
+    rank_b = len(basis.pivots)
+    residues = [basis.reduce(row) for row in L.rows_list()]
     lnq = math.log(layout.q)
     out: dict[str, LeakageResult] = {}
     for subset in subsets:
         coords = layout.subset_coordinates(subset)
-        kernel_dim = kernel.take_rows(coords).rank()
+        rows = [residues[i] for i in coords]
+        kernel_dim = FieldMatrix(layout.field, rows, ncols=layout.mn).rank()
         k_sub = layout.subset_length(subset)
         out[subset.label] = LeakageResult(
             subset=subset,
@@ -92,7 +93,7 @@ def leakage_profile(
 def exact_leakage(
     layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix, subset: SubsetIndex
 ) -> LeakageResult:
-    """Closed-form leakage from the projected kernel dimension."""
+    """Closed-form leakage from the rank of L_I reduced modulo rowspace B."""
     return leakage_profile(layout, L, B, [subset])[subset.label]
 
 
@@ -107,15 +108,12 @@ def brute_force_leakage(
 
     Enumerates all q^(m*n) equiprobable message vectors s, tabulates the
     joint distribution of (subset blocks of s, B L^-1 s), and sums
-    p * ln(p / (p_a p_z)).  Independent of the kernel-based path.
+    p * ln(p / (p_a p_z)).  Independent of the rank-based path.
     """
     total = layout.q ** layout.mn
     if total > cap:
         raise EnumerationTooLarge(f"q^mn = {total} exceeds cap {cap}")
-    if L.nrows != layout.mn or L.ncols != layout.mn:
-        raise ShapeError(f"L must be {layout.mn}x{layout.mn}")
-    if B.ncols != layout.mn:
-        raise ShapeError(f"B has {B.ncols} columns, expected m*n = {layout.mn}")
+    _check_operands(layout, L, B)
     coords = layout.subset_coordinates(subset)
     C = B @ L.inverse()
     joint: dict[tuple, int] = {}

@@ -89,9 +89,6 @@ class FieldMatrix:
     def as_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)
 
-    def take_rows(self, indices) -> "FieldMatrix":
-        return FieldMatrix(self.field, [self._rows[i] for i in indices], ncols=self.ncols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
@@ -249,7 +246,8 @@ def random_matrix(field: FieldSpec, nrows: int, ncols: int, rng: random.Random) 
 
 class _Echelon:
     """Reduced row echelon basis of a growing row space: the one elimination
-    engine behind sampling, enumeration, rank, kernel, inverse and solve.
+    engine behind sampling, enumeration, rank, kernel, inverse, solve and
+    leakage.
 
     Rows are normalized (pivot entry 1) and kept in pivot-column order, and
     every pivot column is zero in every other row, so inserting a matrix's
@@ -269,11 +267,9 @@ class _Echelon:
         other.rows, other.pivots = list(self.rows), list(self.pivots)
         return other
 
-    def insert(self, vec) -> bool:
-        """Add vec to the basis; False, leaving the basis unchanged, when vec
-        already lies in the span."""
-        f = self.field
-        mul, sub = f.mul, f.sub
+    def reduce(self, vec) -> list[int]:
+        """vec reduced modulo the span, as a new list; all zero iff vec lies in it."""
+        mul, sub = self.field.mul, self.field.sub
         vec = list(vec)
         # A basis row is zero left of its pivot, so only the columns right
         # of the pivot change.
@@ -285,13 +281,20 @@ class _Echelon:
                     sub(v, mul(c, rv)) if rv else v
                     for v, rv in zip(vec[pc + 1:], row[pc + 1:])
                 ]
+        return vec
+
+    def insert(self, vec) -> bool:
+        """Add vec to the basis; False, leaving the basis unchanged, when vec
+        already lies in the span."""
+        mul, sub = self.field.mul, self.field.sub
+        vec = self.reduce(vec)
         for p, lead in enumerate(vec):
             if lead:
                 break
         else:
             return False
         if lead != 1:
-            s = f.inv(lead)
+            s = self.field.inv(lead)
             vec[p] = 1
             vec[p + 1:] = [mul(s, v) if v else 0 for v in vec[p + 1:]]
         tail = vec[p + 1:]

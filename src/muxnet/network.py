@@ -438,8 +438,12 @@ def coding_from_json(
         if rng is None:
             raise ValueError("random coding needs an rng")
         return LocalCoding.random(net, field, n, m, rng)
+    if not isinstance(doc, dict):
+        raise ValueError(f'coding = {doc!r} is neither "random" nor an object')
     coeffs: dict = {}
     for link_id, inner in doc.items():
+        if not isinstance(inner, dict):
+            raise ValueError(f"coding[{link_id!r}] = {inner!r} is not an object")
         from_source = net.link(link_id).tail == net.source
         parsed = {}
         for key, val in inner.items():

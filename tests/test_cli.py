@@ -60,16 +60,81 @@ def test_inconsistent_layout_rejected():
         build_plan(bad)
 
 
-def test_cli_exit_code_on_config_error(tmp_path, capsys):
-    bad = json.loads(json.dumps(DEFAULT_CONFIG))
-    bad["eavesdropper"]["mu"] = 9
-    path = write_config(tmp_path, bad)
-    assert main(["simulate", "--config", path]) == 2
-    assert "config error" in capsys.readouterr().err
+def inline_network(coding):
+    return {"inline": {
+        "nodes": ["s", "t"],
+        "source": "s",
+        "sinks": ["t"],
+        "links": [{"id": "e1", "tail": "s", "head": "t"}, {"id": "e2", "tail": "s", "head": "t"}],
+        "coding": coding,
+    }}
+
+
+def statistical(distribution):
+    return {"kind": "statistical", "mu": 1, "distribution": distribution}
+
+
+@pytest.mark.parametrize("section, value, path", [
+    pytest.param("eavesdropper", {"kind": "traditional", "mu": 9}, "eavesdropper.mu",
+                 id="mu-exceeds-n"),
+    pytest.param("network", inline_network({"e1": 5}), "coding['e1']", id="coding-entry"),
+    pytest.param("network", inline_network(5), "coding = 5", id="coding-doc"),
+    pytest.param("eavesdropper", statistical(
+        [{"links": ["zz"], "p": -1}, {"links": ["e7"], "p": 2}]),
+        "eavesdropper.distribution[0].p", id="negative-p"),
+    pytest.param("eavesdropper", statistical([{"links": ["zz"], "p": 1}]),
+                 "eavesdropper.distribution[0].links[0]", id="unknown-link-in-distribution"),
+    pytest.param("eavesdropper", statistical([{"links": ["e7"], "p": True}]),
+                 "eavesdropper.distribution[0].p", id="bool-p"),
+    pytest.param("eavesdropper", statistical([{"links": ["e7"], "p": "0.5"}]),
+                 "eavesdropper.distribution[0].p", id="string-p"),
+    pytest.param("eavesdropper", statistical([{"links": ["e7"], "p": math.inf}]),
+                 "eavesdropper.distribution[0].p", id="infinite-p"),
+    pytest.param("eavesdropper", statistical([{"links": ["e7"], "p": 0}]),
+                 "eavesdropper.distribution", id="zero-total-weight"),
+    pytest.param("eavesdropper", statistical([5]),
+                 "eavesdropper.distribution[0]", id="entry-not-object"),
+    pytest.param("eavesdropper", statistical([{"links": ["e1", "e2"], "p": 1}]),
+                 "eavesdropper.distribution[0].links", id="tap-set-not-mu-sized"),
+    pytest.param("eavesdropper", {"kind": "traditional", "mu": 1, "links": ["zz"]},
+                 "eavesdropper.links[0]", id="unknown-link"),
+    pytest.param("eavesdropper", {"kind": "traditional", "mu": 2, "links": ["e7", "e7"]},
+                 "eavesdropper.links[1]", id="repeated-link"),
+    pytest.param("eavesdropper", {"kind": "traditional", "mu": 1, "links": "e7"},
+                 "eavesdropper.links", id="tap-set-not-list"),
+    pytest.param("eavesdropper", {"kind": "traditional", "mu": True},
+                 "eavesdropper.mu", id="bool-mu"),
+    pytest.param("trials", {"L": "x"}, "trials.L", id="string-trials"),
+    pytest.param("trials", {"B": 2.0}, "trials.B", id="float-trials"),
+    pytest.param("trials", {"L": True}, "trials.L", id="bool-trials"),
+    pytest.param("trials", 5, "trials", id="trials-not-object"),
+])
+def test_cli_exit_code_on_config_error(section, value, path, tmp_path, capsys):
+    # The message names the offending JSON path, and no traceback escapes.
+    config = json.loads(json.dumps(BUTTERFLY_CONFIG))
+    config[section] = value
+    assert main(["simulate", "--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and path in err
 
 
 def test_cli_exit_code_on_missing_config(capsys):
     assert main(["simulate", "--config", "/nonexistent/cfg.json"]) == 2
+
+
+def test_cli_bad_sweep_value_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BUTTERFLY_CONFIG)
+    assert main(["sweep", "--config", cfg, "--param", "C1", "--values", "2,abc"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
+def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug inside the library")
+
+    monkeypatch.setattr("muxnet.cli.run_simulate", broken)
+    with pytest.raises(ValueError, match="a bug inside the library"):
+        main(["simulate", "--config", write_config(tmp_path, BUTTERFLY_CONFIG)])
 
 
 @pytest.mark.parametrize("argv", [

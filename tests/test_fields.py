@@ -1,8 +1,11 @@
 """Field arithmetic: pinned examples, axioms, and inverse properties."""
 
+import hashlib
+import json
+
 import pytest
 
-from muxnet import GF
+from muxnet import GF, fields
 from muxnet.fields import FieldSpec, _factor_prime_power, _poly_is_irreducible
 
 
@@ -157,6 +160,30 @@ def test_pow_matches_repeated_multiplication():
             acc = f.mul(acc, a)
 
 
-def test_gf_cache_shares_instances():
+def test_gf_cache_shares_instances(monkeypatch):
     assert GF(16) is GF(16)
     assert GF(4, (1, 1, 1)) is GF(4)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    builds = []
+    build_tables = FieldSpec._build_tables
+    monkeypatch.setattr(
+        FieldSpec, "_build_tables", lambda self: builds.append(self.q) or build_tables(self)
+    )
+    # Every spelling of the default modulus, in either order, is one field.
+    assert GF(4, (1, 1, 1)) is GF(4) is GF(4, [1, 1, 1])
+    assert GF(9) is GF(9, GF(9).modulus)
+    # A repeat call is a lookup: only the first call of a spelling builds.
+    builds.clear()
+    for _ in range(3):
+        GF(4), GF(4, (1, 1, 1)), GF(9), GF(81), GF(2)
+    assert builds == [81]
+    with pytest.raises(TypeError):
+        GF(4.0)
+
+
+def test_odd_extension_exp_tables_are_pinned():
+    # The exp tables (powers of each field's generator) fix every product;
+    # pinned so a change to the raw multiplication cannot move them.
+    tables = [GF(q)._exp for q in (9, 25, 27, 81, 243, 6561)]
+    digest = hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+    assert digest == "4c849669c5137a784fa9c835d1fae2437de535374e635ef9abc49927d634a125"

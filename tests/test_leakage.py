@@ -12,10 +12,12 @@ from muxnet import (
     LocalCoding,
     MultiplexLayout,
     SubsetIndex,
+    all_nonempty_subsets,
     average_leakage,
     brute_force_leakage,
     butterfly_coding,
     butterfly_network,
+    eavesdrop_matrix,
     enumerate_gl,
     exact_leakage,
     leakage_floor,
@@ -23,7 +25,7 @@ from muxnet import (
     sample_gl,
     worst_case_leakage,
 )
-from muxnet.errors import EnumerationTooLarge, ShapeError
+from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from muxnet.leakage import leakage_profile
 
 LN2 = math.log(2)
@@ -149,6 +151,15 @@ def test_shape_validation():
             layout,
             FieldMatrix.identity(GF(2), 2),
             FieldMatrix.zeros(GF(2), 1, 3),
+            SubsetIndex({1}),
+        )
+    # A singular map is refused before any leakage is reported, even when
+    # the observation is empty.
+    with pytest.raises(SingularMatrix):
+        exact_leakage(
+            layout,
+            FieldMatrix.zeros(GF(2), 2, 2),
+            FieldMatrix.zeros(GF(2), 0, 2),
             SubsetIndex({1}),
         )
 
@@ -332,8 +343,6 @@ def test_worst_case_over_butterfly_taps_matches_oracle():
     coding = butterfly_coding(f, 1)
     sub = SubsetIndex({1})
     rng = random.Random(9)
-    from muxnet import eavesdrop_matrix
-
     for _ in range(5):
         L = sample_gl(2, f, rng)
         res = worst_case_leakage(layout, L, net, coding, 1, sub)
@@ -380,3 +389,64 @@ def test_profile_matches_exact_leakage():
     prof = leakage_profile(layout, L, B, subsets)
     for sub in subsets:
         assert prof[sub.label] == exact_leakage(layout, L, B, sub)
+
+
+# ---------------------------------------------------------
+# the kernel formula as a reference for leakage_profile
+# ---------------------------------------------------------
+
+def projected_kernel_dim(layout, L, B, subset):
+    """dim proj_I(ker(B L^-1)): the rank of the kernel basis's rows at the
+    subset's coordinates."""
+    kernel = (B @ L.inverse()).kernel()
+    rows = kernel.rows_list()
+    coords = layout.subset_coordinates(subset)
+    return FieldMatrix(L.field, [rows[c] for c in coords], ncols=kernel.ncols).rank()
+
+
+def random_layout(f, m, n, rng):
+    T = rng.randint(1, 3)
+    cuts = sorted(rng.randint(0, m * n) for _ in range(T))
+    k = [b - a for a, b in zip([0] + cuts, cuts + [m * n])]
+    return MultiplexLayout(f, m, n, T, tuple(k))
+
+
+def random_observation(f, mn, rng):
+    """0 to mn + 1 rows, some of them repeats of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(0, mn + 1)):
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append([rng.randrange(f.q) for _ in range(mn)])
+    return FieldMatrix(f, rows, ncols=mn)
+
+
+def butterfly_observation(f, m, rng):
+    """Block-diagonal B of the butterfly network under a per-slot random
+    coding, one or two tapped links per slot."""
+    net = butterfly_network()
+    coding = LocalCoding.random(net, f, 2, m, rng, slot_constant=False)
+    mu = rng.randint(1, 2)
+    taps = [rng.sample(net.link_ids(), mu) for _ in range(m)]
+    return eavesdrop_matrix(net, coding, taps, MultiplexLayout(f, m, 2, 1, (m, m))).matrix
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 256, 65536])
+def test_profile_kernel_dim_equals_projected_kernel_rank(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for trial in range(48):
+        if trial % 3 == 2:
+            m, n = rng.choice([1, 2, 3, 4, 16]), 2
+            B = butterfly_observation(f, m, rng)
+        else:
+            m, n = rng.choice([(1, 1), (1, 3), (2, 2), (2, 3), (3, 4), (4, 4), (4, 8)])
+            B = random_observation(f, m * n, rng)
+        layout = random_layout(f, m, n, rng)
+        L = sample_gl(m * n, f, rng)
+        subsets = all_nonempty_subsets(layout.T)
+        prof = leakage_profile(layout, L, B, subsets)
+        for sub in subsets:
+            assert prof[sub.label].kernel_dim == projected_kernel_dim(layout, L, B, sub)
+            assert prof[sub.label].rank_b == B.rank()
