@@ -59,16 +59,17 @@ from .multiplex import (
     projection_matrix,
 )
 from .network import (
-    EavesdropMatrix,
     EavesdropperModel,
     LocalCoding,
     Network,
     butterfly_coding,
     butterfly_network,
     check_decodability,
+    constant_tap_observations,
     eavesdrop_matrix,
     enumerate_eavesdropper_sets,
     global_coding_vectors,
+    observation_support,
     parallel_coding,
     parallel_network,
     realize_eavesdropper,

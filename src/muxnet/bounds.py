@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .matrix import FieldMatrix, enumerate_gl, sample_gl
 from .multiplex import MultiplexLayout, SubsetIndex, all_nonempty_subsets
-from .network import LocalCoding, Network, eavesdrop_matrix, enumerate_eavesdropper_sets
+from .network import LocalCoding, Network, constant_tap_observations
 from .leakage import leakage_profile
 
 DEFAULT_FAMILY_CAP = 100_000
@@ -378,8 +378,7 @@ def guarantee_experiment(
     1 - 2(2^T - 1)/C1 in expectation.
     """
     params.validate_for(layout.T)
-    sets = enumerate_eavesdropper_sets(net, mu, cap=enum_cap)
-    mats = [eavesdrop_matrix(net, coding, [s] * layout.m, layout).matrix for s in sets]
+    mats = [B for _, B in constant_tap_observations(net, coding, mu, layout, enum_cap)]
     subsets = all_nonempty_subsets(layout.T)
     per_subset = {
         sub.label: {
@@ -434,16 +433,13 @@ def certify_universal_zero(
     every constant tap set; the first violation is returned as a witness.
     """
     params.validate_for(layout.T)
-    sets = enumerate_eavesdropper_sets(net, mu, cap=enum_cap)
-    mats = [
-        (s, eavesdrop_matrix(net, coding, [s] * layout.m, layout).matrix) for s in sets
-    ]
+    observed = constant_tap_observations(net, coding, mu, layout, enum_cap)
     subsets = all_nonempty_subsets(layout.T)
     lnq = math.log(layout.q)
     gated = [sub for sub in subsets if ub8_bound(layout, sub, mu, params) < lnq]
     worst = {sub.label: -1.0 for sub in subsets}
     argmax: dict[str, tuple[str, ...]] = {}
-    for s, B in mats:
+    for s, B in observed:
         profile = leakage_profile(layout, L, B, subsets)
         for sub in subsets:
             nats = profile[sub.label].nats

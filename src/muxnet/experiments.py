@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 from .bounds import (
     BoundParams,
@@ -99,6 +99,23 @@ def _json_int(value, where: str) -> int:
     return value
 
 
+def _json_number(value, where: str):
+    """A finite JSON number (bool rejected), returned unchanged."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def _json_ints(doc, where: str) -> list[int]:
+    if not isinstance(doc, list):
+        raise ConfigError(f"{where} must be a list of integers, got {doc!r}")
+    return [_json_int(v, f"{where}[{i}]") for i, v in enumerate(doc)]
+
+
 def _tap_set(doc, mu: int, where: str) -> tuple[str, ...]:
     """A list of mu distinct link ids; whether the network has them is
     checked once the network is built."""
@@ -121,13 +138,36 @@ def _distribution(doc, mu: int) -> tuple[tuple[tuple[str, ...], float], ...]:
     for i, entry in enumerate(doc):
         where = f"eavesdropper.distribution[{i}]"
         _require_keys(entry, {"links", "p"}, where)
-        p = entry.get("p")
-        if type(p) not in (int, float) or not math.isfinite(p) or p < 0:
-            raise ConfigError(f"{where}.p = {p!r} is not a finite non-negative number")
+        p = _json_number(entry.get("p"), f"{where}.p")
+        if p < 0:
+            raise ConfigError(f"{where}.p = {p!r} is negative")
         out.append((_tap_set(entry.get("links"), mu, f"{where}.links"), float(p)))
     if sum(p for _, p in out) == 0:
         raise ConfigError("eavesdropper.distribution weights sum to 0")
     return tuple(out)
+
+
+def _network_document(doc, where: str) -> dict:
+    """Check the JSON types of a network document; `where` prefixes each path."""
+    _require_keys(doc, {"nodes", "source", "sinks", "links", "coding"}, where.rstrip(".: "))
+    for key in ("nodes", "source", "sinks", "links"):
+        if key not in doc:
+            raise ConfigError(f"{where}{key} is required")
+    if not isinstance(doc["source"], str):
+        raise ConfigError(f"{where}source must be a node name, got {doc['source']!r}")
+    for key in ("nodes", "sinks", "links"):
+        if not isinstance(doc[key], list):
+            raise ConfigError(f"{where}{key} must be a list, got {doc[key]!r}")
+    for key in ("nodes", "sinks"):
+        for i, name in enumerate(doc[key]):
+            if not isinstance(name, str):
+                raise ConfigError(f"{where}{key}[{i}] = {name!r} is not a node name")
+    for i, link in enumerate(doc["links"]):
+        _require_keys(link, {"id", "tail", "head"}, f"{where}links[{i}]")
+        for key in ("id", "tail", "head"):
+            if not isinstance(link.get(key), str):
+                raise ConfigError(f"{where}links[{i}].{key} = {link.get(key)!r} is not a string")
+    return doc
 
 
 @dataclass
@@ -161,25 +201,34 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
             raise ConfigError("config is missing the layout section")
         return None
 
+    field_doc = config.get("field", {})
+    _require_keys(field_doc, {"q", "modulus"}, "field")
+    layout_doc = config["layout"]
+    _require_keys(layout_doc, {"q", "m", "n", "T", "k"}, "layout")
+    for key in ("m", "n", "k"):
+        if key not in layout_doc:
+            raise ConfigError(f"layout.{key} is required")
+    field_q = _json_int(field_doc["q"], "field.q") if "q" in field_doc else None
+    q = _json_int(layout_doc["q"], "layout.q") if "q" in layout_doc else field_q
+    if q is None:
+        raise ConfigError("layout.q (or field.q) is required")
+    if field_q not in (None, q):
+        raise ConfigError(f"field.q = {field_q} but layout.q = {q}")
+    modulus = None
+    if "modulus" in field_doc:
+        modulus = tuple(_json_ints(field_doc["modulus"], "field.modulus"))
+    k = tuple(_json_ints(layout_doc["k"], "layout.k"))
+    m = _json_int(layout_doc["m"], "layout.m")
+    n = _json_int(layout_doc["n"], "layout.n")
+    T = _json_int(layout_doc.get("T", len(k) - 1), "layout.T")
     try:
-        field_doc = config.get("field", {})
-        _require_keys(field_doc, {"q", "modulus"}, "field")
-        layout_doc = dict(config["layout"])
-        _require_keys(layout_doc, {"q", "m", "n", "T", "k"}, "layout")
-        q = layout_doc.get("q", field_doc.get("q"))
-        if q is None:
-            raise ConfigError("layout.q (or field.q) is required")
-        if "q" in field_doc and field_doc["q"] != q:
-            raise ConfigError(f"field.q = {field_doc['q']} but layout.q = {q}")
-        modulus = tuple(field_doc["modulus"]) if "modulus" in field_doc else None
         field = GF(q, modulus)
-        k = tuple(layout_doc["k"])
-        T = layout_doc.get("T", len(k) - 1)
-        layout = MultiplexLayout(field, layout_doc["m"], layout_doc["n"], T, k)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad layout section: {exc}") from exc
+        layout = MultiplexLayout(field, m, n, T, k)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if modulus is not None and field.modulus != modulus:
+        i = next(i for i, (a, b) in enumerate(zip(modulus, field.modulus)) if a != b)
+        raise ConfigError(f"field.modulus[{i}] = {modulus[i]} is not an element of GF({field.p})")
 
     eav_doc = config.get("eavesdropper")
     if eav_doc is None:
@@ -215,14 +264,18 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
                 if layout.n != 2:
                     raise ConfigError("the butterfly preset has n = 2")
                 coding = butterfly_coding(field, layout.m)
-            elif isinstance(net_doc, dict) and set(net_doc) <= {"path", "inline"}:
+            elif isinstance(net_doc, dict) and len(net_doc) == 1 and set(net_doc) <= {"path", "inline"}:
                 if "path" in net_doc:
-                    with open(net_doc["path"], "r", encoding="utf-8") as fh:
+                    path = net_doc["path"]
+                    if not isinstance(path, str):
+                        raise ConfigError(f"network.path must be a string, got {path!r}")
+                    with open(path, "r", encoding="utf-8") as fh:
                         doc = json.load(fh)
+                    where = f"network document {path!r}: "
                 else:
                     doc = net_doc["inline"]
-                _require_keys(doc, {"nodes", "source", "sinks", "links", "coding"}, "network document")
-                network = Network.from_json(doc)
+                    where = "network.inline."
+                network = Network.from_json(_network_document(doc, where))
                 coding = coding_from_json(
                     network, doc.get("coding", "random"), field, layout.n, layout.m, coding_rng
                 )
@@ -230,7 +283,7 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
                 raise ConfigError(f"unrecognized network source {net_doc!r}")
         except ConfigError:
             raise
-        except (OSError, ValueError, KeyError, MuxnetError) as exc:
+        except (OSError, ValueError, MuxnetError) as exc:
             raise ConfigError(f"bad network section: {exc}") from exc
         if len(network.out_links(network.source)) < layout.n:
             raise ConfigError("network source cannot emit n symbols per slot")
@@ -248,9 +301,9 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
     defaults = BoundParams.defaults(layout.T)
     try:
         params = BoundParams(
-            C1=float(bounds_doc.get("C1", defaults.C1)),
-            C2=float(bounds_doc.get("C2", defaults.C2)),
-            rho=float(bounds_doc.get("rho", defaults.rho)),
+            C1=float(_json_number(bounds_doc.get("C1", defaults.C1), "bounds.C1")),
+            C2=float(_json_number(bounds_doc.get("C2", defaults.C2), "bounds.C2")),
+            rho=float(_json_number(bounds_doc.get("rho", defaults.rho), "bounds.rho")),
         ).validate_for(layout.T)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -306,7 +359,7 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
         for _ in range(plan.trials_b)
     ]
     subsets = all_nonempty_subsets(layout.T)
-    profiles = [leakage_profile(layout, L, em.matrix, subsets) for em in draws]
+    profiles = [leakage_profile(layout, L, B, subsets) for B in draws]
 
     guarantee = None
     if plan.network is not None and plan.coding is not None:
@@ -365,7 +418,7 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
         "mu": model.mu,
         "k": list(layout.k),
         "eavesdropper": model.kind,
-        "eve_symbols": draws[0].matrix.nrows,
+        "eve_symbols": draws[0].nrows,
         "decodable": decodable,
         "decode_ok": decode_ok,
         "C_E": (
@@ -387,25 +440,29 @@ def apply_sweep_value(config: dict, param: str, value) -> dict:
     """New config with one swept parameter applied."""
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"cannot sweep {param!r}; choose one of {SWEEPABLE_PARAMS}")
+    if param in ("m", "mu", "q"):
+        if value != int(value):
+            raise ConfigError(f"swept {param} must be an integer, got {value}")
+        value = int(value)
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
     out = json.loads(json.dumps(config))
+    name = {"m": "layout", "q": "layout", "mu": "eavesdropper"}.get(param, "bounds")
+    section = out.setdefault(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
     if param == "m":
-        base = out["layout"]
-        if base["m"] != 1:
+        if section.get("m") != 1:
             raise ConfigError("m sweeps need a base layout with m = 1 (per-slot sizes)")
-        if value < 1 or value != int(value):
+        if value < 1:
             raise ConfigError(f"swept m must be a positive integer, got {value}")
-        m = int(value)
-        base["m"] = m
-        base["k"] = [ki * m for ki in base["k"]]
-    elif param == "mu":
-        out.setdefault("eavesdropper", {})["mu"] = int(value)
-    elif param == "q":
-        out["layout"]["q"] = int(value)
-        if "field" in out:
-            out["field"].pop("q", None)
-            out["field"].pop("modulus", None)
-    else:  # C1, C2, rho
-        out.setdefault("bounds", {})[param if param != "rho" else "rho"] = value
+        section["m"] = value
+        section["k"] = [ki * value for ki in _json_ints(section.get("k"), "layout.k")]
+    else:
+        section[param] = value
+    if param == "q" and isinstance(out.get("field"), dict):
+        out["field"].pop("q", None)
+        out["field"].pop("modulus", None)
     return out
 
 
@@ -468,10 +525,36 @@ def run_capacity(rates, n: int, mu: int) -> dict:
 # verify
 # ---------------------------------------------------------------------------
 
+def _verify_options(doc) -> VerifyOptions:
+    """Options of the "verify" section: counts are integers >= 1, seed an
+    integer, tolerances finite numbers, rho_grid a non-empty list in [0, 1]."""
+    opts = VerifyOptions()
+    if doc is None:
+        return opts
+    _require_keys(doc, {f.name for f in dataclass_fields(VerifyOptions)}, "verify")
+    for key, val in doc.items():
+        where = f"verify.{key}"
+        if key == "rho_grid":
+            if not isinstance(val, list) or not val:
+                raise ConfigError(f"{where} must be a non-empty list of numbers, got {val!r}")
+            for i, rho in enumerate(val):
+                if not 0 <= _json_number(rho, f"{where}[{i}]") <= 1:
+                    raise ConfigError(f"{where}[{i}] = {rho!r} is outside [0, 1]")
+            val = tuple(val)
+        elif key in ("tolerance", "oracle_tolerance"):
+            _json_number(val, where)
+        else:
+            _json_int(val, where)
+            if key != "seed" and val < 1:  # every other option is a count
+                raise ConfigError(f"{where} must be at least 1, got {val}")
+        setattr(opts, key, val)
+    return opts
+
+
 def run_verify(config: dict | None) -> tuple[list[dict], bool]:
-    if config:
+    if config is not None:
         build_plan(config, require_experiment=False)
-        opts = VerifyOptions.from_config(config.get("verify"))
+        opts = _verify_options(config.get("verify"))
         if "seed" in config:
             opts.seed = config["seed"]
     else:

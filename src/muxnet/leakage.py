@@ -12,7 +12,6 @@ recomputes the leakage from the full joint distribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,8 +29,8 @@ from .network import (
     EavesdropperModel,
     LocalCoding,
     Network,
-    eavesdrop_matrix,
-    enumerate_eavesdropper_sets,
+    constant_tap_observations,
+    observation_support,
     realize_eavesdropper,
 )
 
@@ -152,45 +151,15 @@ def average_leakage(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    samples: list[float] = []
-    weights: list[float] = []
-    exhaustive = False
-
-    def leak_for(B: FieldMatrix) -> float:
-        return exact_leakage(layout, L, B, subset).nats
-
-    if model.kind == "traditional" and net is not None and coding is not None:
-        exhaustive = True
-        if model.links is not None:
-            sets = [tuple(model.links)]
-        else:
-            sets = enumerate_eavesdropper_sets(net, model.mu, cap=enum_cap)
-        for s in sets:
-            B = eavesdrop_matrix(net, coding, [s] * layout.m, layout).matrix
-            samples.append(leak_for(B))
-            weights.append(1.0 / len(sets))
-    elif (
-        model.kind == "statistical"
-        and net is not None
-        and coding is not None
-        and _statistical_support_size(model, net, layout) <= enum_cap
-    ):
-        exhaustive = True
-        per_slot = _statistical_slot_support(model, net)
-        for combo in itertools.product(per_slot, repeat=layout.m):
-            sets = [c[0] for c in combo]
-            w = 1.0
-            for c in combo:
-                w *= c[1]
-            B = eavesdrop_matrix(net, coding, sets, layout).matrix
-            samples.append(leak_for(B))
-            weights.append(w)
-    else:
-        for _ in range(trials):
-            B = realize_eavesdropper(model, net, coding, layout, rng).matrix
-            samples.append(leak_for(B))
-            weights.append(1.0 / trials)
-
+    support = observation_support(model, net, coding, layout, enum_cap)
+    exhaustive = support is not None
+    if support is None:
+        support = [
+            (realize_eavesdropper(model, net, coding, layout, rng), 1.0 / trials)
+            for _ in range(trials)
+        ]
+    samples = [exact_leakage(layout, L, B, subset).nats for B, _ in support]
+    weights = [w for _, w in support]
     mean = sum(w * x for w, x in zip(weights, samples))
     mean_exp = sum(w * math.exp(rho * x) for w, x in zip(weights, samples))
     return {
@@ -200,24 +169,6 @@ def average_leakage(
         "weights": weights,
         "exhaustive": exhaustive,
     }
-
-
-def _statistical_slot_support(model: EavesdropperModel, net: Network):
-    if model.distribution is not None:
-        total = sum(w for _, w in model.distribution)
-        return [(tuple(s), w / total) for s, w in model.distribution]
-    sets = enumerate_eavesdropper_sets(net, model.mu)
-    return [(s, 1.0 / len(sets)) for s in sets]
-
-
-def _statistical_support_size(
-    model: EavesdropperModel, net: Network, layout: MultiplexLayout
-) -> int:
-    if model.distribution is not None:
-        base = len(model.distribution)
-    else:
-        base = math.comb(len(net.links), model.mu)
-    return base ** layout.m
 
 
 def worst_case_leakage(
@@ -230,10 +181,9 @@ def worst_case_leakage(
     enum_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict:
     """Maximum leakage over every constant tap set of size mu."""
-    sets = enumerate_eavesdropper_sets(net, mu, cap=enum_cap)
-    per_set = []
-    for s in sets:
-        B = eavesdrop_matrix(net, coding, [s] * layout.m, layout).matrix
-        per_set.append((s, exact_leakage(layout, L, B, subset).nats))
+    per_set = [
+        (s, exact_leakage(layout, L, B, subset).nats)
+        for s, B in constant_tap_observations(net, coding, mu, layout, enum_cap)
+    ]
     best = max(per_set, key=lambda t: t[1])
     return {"max_nats": best[1], "argmax": best[0], "per_set": per_set}

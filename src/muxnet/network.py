@@ -206,14 +206,12 @@ class EavesdropperModel:
             if len(links) != self.mu:
                 raise ValueError(f"fixed tap set has {len(links)} links, mu = {self.mu}")
             object.__setattr__(self, "links", links)
-
-
-@dataclass(frozen=True)
-class EavesdropMatrix:
-    """Observation matrix together with the tap sets that produced it."""
-
-    matrix: FieldMatrix
-    provenance: tuple[tuple[str, ...], ...] | None = None
+        if self.distribution is not None:
+            entries = tuple((tuple(s), w) for s, w in self.distribution)
+            for links, _ in entries:
+                if len(set(links)) != len(links) or len(links) != self.mu:
+                    raise DuplicateLink(f"distribution entry {links} is not a mu-subset")
+            object.__setattr__(self, "distribution", entries)
 
 
 def global_coding_vectors(
@@ -267,8 +265,11 @@ def check_decodability(net: Network, coding: LocalCoding, sink: str, slot: int) 
 
 def eavesdrop_matrix(
     net: Network, coding: LocalCoding, slots, layout: MultiplexLayout
-) -> EavesdropMatrix:
-    """Block-diagonal observation matrix for the given per-slot tap sets."""
+) -> FieldMatrix:
+    """Block-diagonal observation matrix for the given per-slot tap sets.
+
+    Global coding vectors are computed once per run of equal slot maps.
+    """
     if layout.n != coding.n:
         raise ShapeError(f"layout n = {layout.n} but coding n = {coding.n}")
     slots = [tuple(s) for s in slots]
@@ -276,20 +277,21 @@ def eavesdrop_matrix(
         raise WrongSlotCount(f"got {len(slots)} tap sets for m = {layout.m} slots")
     mu = len(slots[0]) if slots else 0
     rows = []
+    vecs = None
     for t, tapped in enumerate(slots):
         if len(set(tapped)) != len(tapped):
             raise DuplicateLink(f"slot {t} taps {tapped}, which repeats a link")
         if len(tapped) != mu:
             raise WrongSlotCount(f"slot {t} taps {len(tapped)} links, expected {mu}")
-        vecs = global_coding_vectors(net, coding, t)
+        if vecs is None or coding.slot_map(t) != coding.slot_map(t - 1):
+            vecs = global_coding_vectors(net, coding, t)
         for link_id in tapped:
             net.link(link_id)
             row = [0] * layout.mn
             gv = vecs[link_id]
             row[t * layout.n:(t + 1) * layout.n] = list(gv)
             rows.append(row)
-    mat = FieldMatrix(layout.field, rows, ncols=layout.mn)
-    return EavesdropMatrix(mat, provenance=tuple(slots))
+    return FieldMatrix(layout.field, rows, ncols=layout.mn)
 
 
 def enumerate_eavesdropper_sets(
@@ -314,7 +316,7 @@ def sample_eavesdropper(
     """Draw one eavesdropper realization.
 
     Returns a list of m tap sets for the traditional and statistical kinds,
-    or an EavesdropMatrix for kind "direct".
+    or the observation matrix for kind "direct".
     """
     if model.mu > layout.n:
         raise InfeasibleMu(f"mu = {model.mu} exceeds n = {layout.n}")
@@ -323,12 +325,11 @@ def sample_eavesdropper(
             mats = [m for m, _ in model.matrices]
             weights = [w for _, w in model.matrices]
             pick = rng.choices(range(len(mats)), weights=weights)[0]
-            return EavesdropMatrix(mats[pick], provenance=None)
+            return mats[pick]
         mu_m = model.mu * layout.m
         if mu_m > layout.mn:
             raise InfeasibleMu(f"mu*m = {mu_m} rows exceed m*n = {layout.mn} columns")
-        mat = sample_full_rank(layout.field, mu_m, layout.mn, rng)
-        return EavesdropMatrix(mat, provenance=None)
+        return sample_full_rank(layout.field, mu_m, layout.mn, rng)
     if net is None:
         raise ValueError(f"{model.kind} model requires a network")
     ids = sorted(net.link_ids())
@@ -346,13 +347,10 @@ def sample_eavesdropper(
         if model.distribution is None:
             out.append(tuple(sorted(rng.sample(ids, model.mu))))
         else:
-            sets = [tuple(s) for s, _ in model.distribution]
+            sets = [s for s, _ in model.distribution]
             weights = [w for _, w in model.distribution]
             pick = rng.choices(range(len(sets)), weights=weights)[0]
-            chosen = sets[pick]
-            if len(set(chosen)) != len(chosen) or len(chosen) != model.mu:
-                raise DuplicateLink(f"distribution entry {chosen} is not a mu-subset")
-            out.append(chosen)
+            out.append(sets[pick])
     return out
 
 
@@ -362,14 +360,60 @@ def realize_eavesdropper(
     coding: LocalCoding | None,
     layout: MultiplexLayout,
     rng: random.Random,
-) -> EavesdropMatrix:
+) -> FieldMatrix:
     """Draw a realization and materialize its observation matrix."""
     drawn = sample_eavesdropper(model, net, layout, rng)
-    if isinstance(drawn, EavesdropMatrix):
+    if isinstance(drawn, FieldMatrix):
         return drawn
     if net is None or coding is None:
         raise ValueError("tap-set models need a network and its coding")
     return eavesdrop_matrix(net, coding, drawn, layout)
+
+
+def constant_tap_observations(
+    net: Network, coding: LocalCoding, mu: int, layout: MultiplexLayout, cap: int = DEFAULT_SET_ENUM_CAP
+) -> list[tuple[tuple[str, ...], FieldMatrix]]:
+    """(tap set, observation matrix) for every mu-subset tapped in all slots."""
+    return [
+        (s, eavesdrop_matrix(net, coding, [s] * layout.m, layout))
+        for s in enumerate_eavesdropper_sets(net, mu, cap=cap)
+    ]
+
+
+def observation_support(
+    model: EavesdropperModel,
+    net: Network | None,
+    coding: LocalCoding | None,
+    layout: MultiplexLayout,
+    cap: int = DEFAULT_SET_ENUM_CAP,
+) -> list[tuple[FieldMatrix, float]] | None:
+    """The distribution of the observation matrix, as (B, probability) pairs.
+
+    None where it must be sampled: a direct model, no network or coding, or
+    more than `cap` statistical tap schedules.  A uniform traditional model
+    over more than `cap` tap sets raises EnumerationTooLarge.
+    """
+    if model.kind == "direct" or net is None or coding is None:
+        return None
+    if model.kind == "traditional":
+        if model.links is not None:
+            return [(eavesdrop_matrix(net, coding, [model.links] * layout.m, layout), 1.0)]
+        taps = constant_tap_observations(net, coding, model.mu, layout, cap)
+        return [(B, 1.0 / len(taps)) for _, B in taps]
+    dist = model.distribution
+    size = len(dist) if dist is not None else math.comb(len(net.links), model.mu)
+    if size ** layout.m > cap:
+        return None
+    if dist is None:
+        sets = enumerate_eavesdropper_sets(net, model.mu)
+        per_slot = [(s, 1.0 / len(sets)) for s in sets]
+    else:
+        total = sum(w for _, w in dist)
+        per_slot = [(s, w / total) for s, w in dist]
+    return [
+        (eavesdrop_matrix(net, coding, [s for s, _ in combo], layout), math.prod(p for _, p in combo))
+        for combo in itertools.product(per_slot, repeat=layout.m)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -78,21 +78,6 @@ class VerifyOptions:
     oracle_l_samples: int = 12
     guarantee_l_trials: int = 60
     gl_chi2_samples: int = 6000
-    enum_cap: int = 1 << 16
-
-    @classmethod
-    def from_config(cls, doc: dict | None) -> "VerifyOptions":
-        from .errors import ConfigError
-
-        opts = cls()
-        if not doc:
-            return opts
-        unknown = set(doc) - {f.name for f in dataclass_fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown verify option(s): {sorted(unknown)}")
-        for key, val in doc.items():
-            setattr(opts, key, tuple(val) if key == "rho_grid" else val)
-        return opts
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +311,15 @@ def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
 
     layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
     coding2 = butterfly_coding(f, 2)
-    em = eavesdrop_matrix(net, coding2, [("e7",), ("e7",)], layout)
+    B = eavesdrop_matrix(net, coding2, [("e7",), ("e7",)], layout)
     expect = FieldMatrix(f, [[1, 1, 0, 0], [0, 0, 1, 1]])
     out.append(
         CheckResult(
             "eavesdrop_block_structure",
             "constant tap on e7, m=2",
-            float(em.matrix == expect),
+            float(B == expect),
             1.0,
-            em.matrix == expect,
+            B == expect,
         )
     )
     rng = derive_rng(opts.seed, "verify:eavesdrop_rank")
@@ -342,8 +327,7 @@ def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
     sets = enumerate_eavesdropper_sets(net, 2)
     for _ in range(40):
         slots = [sets[rng.randrange(len(sets))] for _ in range(layout.m)]
-        em = eavesdrop_matrix(net, coding2, slots, layout)
-        if em.matrix.rank() > 2 * layout.m:
+        if eavesdrop_matrix(net, coding2, slots, layout).rank() > 2 * layout.m:
             bad += 1
     out.append(CheckResult("eavesdrop_rank_bound", "40 random tap schedules", bad, 0, bad == 0))
 

@@ -74,6 +74,12 @@ def statistical(distribution):
     return {"kind": "statistical", "mu": 1, "distribution": distribution}
 
 
+def with_inline(key, value):
+    doc = inline_network("random")
+    doc["inline"][key] = value
+    return doc
+
+
 @pytest.mark.parametrize("section, value, path", [
     pytest.param("eavesdropper", {"kind": "traditional", "mu": 9}, "eavesdropper.mu",
                  id="mu-exceeds-n"),
@@ -108,11 +114,44 @@ def statistical(distribution):
     pytest.param("trials", {"B": 2.0}, "trials.B", id="float-trials"),
     pytest.param("trials", {"L": True}, "trials.L", id="bool-trials"),
     pytest.param("trials", 5, "trials", id="trials-not-object"),
+    pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], m=1.0), "layout.m", id="float-m"),
+    pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], k=[1.5, 0.5]), "layout.k[0]",
+                 id="float-k"),
+    pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], n=True), "layout.n", id="bool-n"),
+    pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], q="2"), "layout.q", id="string-q"),
+    pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], T=1.0), "layout.T", id="float-T"),
+    pytest.param("field", {"q": 2.0}, "field.q", id="float-field-q"),
+    pytest.param("field", {"modulus": [1.5, 1, 1]}, "field.modulus[0]", id="float-modulus"),
+    pytest.param("field", {"modulus": [5, 1, 1]}, "field.modulus[0]", id="modulus-out-of-range"),
+    pytest.param("bounds", {"rho": True}, "bounds.rho", id="bool-rho"),
+    pytest.param("bounds", {"C1": "9"}, "bounds.C1", id="string-C1"),
+    pytest.param("bounds", {"C2": None}, "bounds.C2", id="null-C2"),
+    pytest.param("network", with_inline("links", ["e1", "e2"]), "network.inline.links[0]",
+                 id="links-not-objects"),
+    pytest.param("network", with_inline("links", [{"id": 5, "tail": "s", "head": "t"}]),
+                 "network.inline.links[0].id", id="link-id-not-string"),
+    pytest.param("network", with_inline("links", [{"id": "e1", "tail": "s"}]),
+                 "network.inline.links[0].head", id="link-without-head"),
+    pytest.param("network", with_inline("nodes", 5), "network.inline.nodes", id="nodes-not-list"),
+    pytest.param("network", with_inline("nodes", ["s", 5]), "network.inline.nodes[1]",
+                 id="node-not-string"),
+    pytest.param("network", with_inline("sinks", 5), "network.inline.sinks", id="sinks-not-list"),
+    pytest.param("network", with_inline("source", []), "network.inline.source",
+                 id="source-not-string"),
+    pytest.param("network", {"inline": {"nodes": ["s"]}}, "network.inline.source",
+                 id="missing-source"),
+    # {"path": 0} used to read stdin as the network document, {"path": 1}
+    # to close stdout on exit.
+    pytest.param("network", {"path": 0}, "network.path", id="path-zero"),
+    pytest.param("network", {"path": 1}, "network.path", id="path-one"),
+    pytest.param("network", {"path": True}, "network.path", id="path-bool"),
 ])
 def test_cli_exit_code_on_config_error(section, value, path, tmp_path, capsys):
     # The message names the offending JSON path, and no traceback escapes.
     config = json.loads(json.dumps(BUTTERFLY_CONFIG))
     config[section] = value
+    if section == "field":
+        config["layout"]["q"] = 4  # an extension field, which takes a modulus
     assert main(["simulate", "--config", write_config(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and path in err
@@ -126,6 +165,11 @@ def test_cli_bad_sweep_value_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, BUTTERFLY_CONFIG)
     assert main(["sweep", "--config", cfg, "--param", "C1", "--values", "2,abc"]) == 2
     assert "'abc'" in capsys.readouterr().err
+    # swept integers are never truncated
+    for param, value in (("mu", "1.5"), ("q", "2.5"), ("m", "1.5")):
+        assert main(["sweep", "--config", cfg, "--param", param, "--values", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"swept {param}" in err and value in err
 
 
 def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
@@ -437,3 +481,28 @@ def test_verify_tampered_tolerance_fails_and_names_check(tmp_path, capsys):
 def test_verify_unknown_option_rejected(tmp_path):
     cfg = write_config(tmp_path, {"verify": {"bogus": 1}})
     assert main(["verify", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("options, path", [
+    pytest.param({"enum_cap": 5}, "enum_cap", id="enum-cap-removed"),
+    pytest.param({"joint_trials": "x"}, "verify.joint_trials", id="string-count"),
+    pytest.param({"gl_chi2_samples": 0}, "verify.gl_chi2_samples", id="zero-count"),
+    pytest.param({"guarantee_l_trials": 2.0}, "verify.guarantee_l_trials", id="float-count"),
+    pytest.param({"seed": True}, "verify.seed", id="bool-seed"),
+    pytest.param({"rho_grid": 5}, "verify.rho_grid", id="rho-grid-not-list"),
+    pytest.param({"rho_grid": []}, "verify.rho_grid", id="rho-grid-empty"),
+    pytest.param({"rho_grid": [0.5, 1.5]}, "verify.rho_grid[1]", id="rho-outside-unit"),
+    pytest.param({"rho_grid": ["x"]}, "verify.rho_grid[0]", id="rho-not-number"),
+    pytest.param({"tolerance": "x"}, "verify.tolerance", id="string-tolerance"),
+    pytest.param({"oracle_tolerance": None}, "verify.oracle_tolerance", id="null-tolerance"),
+    pytest.param([], "verify", id="section-not-object"),
+])
+def test_verify_options_checked_at_the_boundary(options, path, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verification started before the options were checked")
+
+    monkeypatch.setattr("muxnet.experiments.run_verification", no_work)
+    cfg = write_config(tmp_path, {"verify": options})
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and path in err

@@ -248,7 +248,7 @@ def test_average_degenerate_single_observation():
     res = average_leakage(layout, L, model, net, coding, sub, random.Random(0), 5)
     from muxnet import eavesdrop_matrix
 
-    B = eavesdrop_matrix(net, coding, [("e7",)], layout).matrix
+    B = eavesdrop_matrix(net, coding, [("e7",)], layout)
     assert res["mean_nats"] == pytest.approx(exact_leakage(layout, L, B, sub).nats)
     assert res["exhaustive"]
 
@@ -286,7 +286,7 @@ def test_average_exhaustive_matches_manual_mean():
 
     manual = []
     for s in enumerate_eavesdropper_sets(net, 1):
-        B = eavesdrop_matrix(net, coding, [s], layout).matrix
+        B = eavesdrop_matrix(net, coding, [s], layout)
         manual.append(exact_leakage(layout, L, B, sub).nats)
     assert res["exhaustive"]
     assert res["mean_nats"] == pytest.approx(sum(manual) / len(manual))
@@ -321,7 +321,7 @@ def test_average_statistical_exhaustive_matches_manual_product():
     sets = [("e1",), ("e2",)]
     manual = []
     for combo in itertools.product(sets, repeat=2):
-        B = eavesdrop_matrix(net, coding, list(combo), layout).matrix
+        B = eavesdrop_matrix(net, coding, list(combo), layout)
         manual.append(exact_leakage(layout, L, B, sub).nats)
     assert res["mean_nats"] == pytest.approx(sum(manual) / 4)
 
@@ -348,7 +348,7 @@ def test_worst_case_over_butterfly_taps_matches_oracle():
         res = worst_case_leakage(layout, L, net, coding, 1, sub)
         manual = max(
             brute_force_leakage(
-                layout, L, eavesdrop_matrix(net, coding, [s], layout).matrix, sub
+                layout, L, eavesdrop_matrix(net, coding, [s], layout), sub
             )
             for s, _ in res["per_set"]
         )
@@ -429,7 +429,7 @@ def butterfly_observation(f, m, rng):
     coding = LocalCoding.random(net, f, 2, m, rng, slot_constant=False)
     mu = rng.randint(1, 2)
     taps = [rng.sample(net.link_ids(), mu) for _ in range(m)]
-    return eavesdrop_matrix(net, coding, taps, MultiplexLayout(f, m, 2, 1, (m, m))).matrix
+    return eavesdrop_matrix(net, coding, taps, MultiplexLayout(f, m, 2, 1, (m, m)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 256, 65536])

@@ -152,9 +152,8 @@ def test_eavesdrop_block_diagonal_placement():
     # source link e1 carries (1,1) when it combines both inputs
     coding = LocalCoding.constant(f, 2, {"e1": {0: 1, 1: 1}, "e2": {1: 1}}, 2)
     layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
-    em = eavesdrop_matrix(net, coding, [("e1",), ("e1",)], layout)
-    assert em.matrix.as_tuples() == ((1, 1, 0, 0), (0, 0, 1, 1))
-    assert em.provenance == (("e1",), ("e1",))
+    B = eavesdrop_matrix(net, coding, [("e1",), ("e1",)], layout)
+    assert B.as_tuples() == ((1, 1, 0, 0), (0, 0, 1, 1))
 
 
 def test_eavesdrop_unit_vector_rows():
@@ -162,8 +161,8 @@ def test_eavesdrop_unit_vector_rows():
     f = GF(2)
     coding = parallel_coding(f, 2, 3)
     layout = MultiplexLayout(f, 3, 2, 1, (3, 3))
-    em = eavesdrop_matrix(net, coding, [("e2",)] * 3, layout)
-    assert em.matrix.as_tuples() == (
+    B = eavesdrop_matrix(net, coding, [("e2",)] * 3, layout)
+    assert B.as_tuples() == (
         (0, 1, 0, 0, 0, 0),
         (0, 0, 0, 1, 0, 0),
         (0, 0, 0, 0, 0, 1),
@@ -178,8 +177,8 @@ def test_eavesdrop_zero_vector_link_gives_rank_deficit():
     coeffs["e2"] = {1: 1}
     coding = LocalCoding.constant(f, 2, coeffs, 1)
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
-    em = eavesdrop_matrix(net, coding, [("e7",)], layout)
-    assert em.matrix.rank() == 0
+    B = eavesdrop_matrix(net, coding, [("e7",)], layout)
+    assert B.rank() == 0
 
 
 def test_eavesdrop_matrix_errors():
@@ -198,10 +197,37 @@ def test_traditional_block_diagonal_identical_blocks():
     f = GF(4)
     coding = butterfly_coding(f, 3)
     layout = MultiplexLayout(f, 3, 2, 1, (3, 3))
-    em = eavesdrop_matrix(net, coding, [("e3",)] * 3, layout)
-    rows = em.matrix.rows_list()
+    rows = eavesdrop_matrix(net, coding, [("e3",)] * 3, layout).rows_list()
     blocks = [rows[t][2 * t:2 * t + 2] for t in range(3)]
     assert blocks[0] == blocks[1] == blocks[2]
+
+
+def _butterfly_alternating_coding(f, m):
+    """Slot maps A, A, B, A: e7 sums its inputs, except in slot 2."""
+    a = butterfly_coding(f, 1).slot_map(0)
+    b = dict(a, e7={"e3": 1, "e4": 2})
+    return LocalCoding(f, 2, [a, a, b, a][:m])
+
+
+@pytest.mark.parametrize("which", ["per-slot-random", "A-A-B-A"])
+def test_eavesdrop_blocks_follow_each_slot_map(which):
+    net = butterfly_network()
+    f = GF(3)
+    m = 4
+    if which == "per-slot-random":
+        coding = LocalCoding.random(net, f, 2, m, random.Random(5), slot_constant=False)
+    else:
+        coding = _butterfly_alternating_coding(f, m)
+        assert global_coding_vectors(net, coding, 2) != global_coding_vectors(net, coding, 1)
+    layout = MultiplexLayout(f, m, 2, 1, (m, m))
+    taps = [("e7", "e8"), ("e7", "e8"), ("e7", "e8"), ("e5", "e9")]
+    rows = eavesdrop_matrix(net, coding, taps, layout).rows_list()
+    for t, tapped in enumerate(taps):
+        vecs = global_coding_vectors(net, coding, t)
+        for i, link_id in enumerate(tapped):
+            row = rows[2 * t + i]
+            assert tuple(row[2 * t:2 * t + 2]) == vecs[link_id]
+            assert not any(row[:2 * t] + row[2 * t + 2:])
 
 
 # ---------------------------------------------------------
@@ -233,6 +259,12 @@ def test_statistical_sampling_uniform_chi2():
     assert chi2 <= CHI2_CRIT_DF1
 
 
+def test_distribution_entry_must_be_a_mu_subset():
+    for entry in (("e1", "e1"), ("e1",), ("e1", "e2", "e3")):
+        with pytest.raises(DuplicateLink, match="not a mu-subset"):
+            EavesdropperModel("statistical", 2, distribution=((("e1", "e2"), 1.0), (entry, 1.0)))
+
+
 def test_statistical_weighted_distribution():
     net = parallel_network(2)
     f = GF(2)
@@ -248,9 +280,9 @@ def test_direct_sampling_rank_invariant():
     model = EavesdropperModel("direct", 1)
     rng = random.Random(8)
     for _ in range(40):
-        em = sample_eavesdropper(model, None, layout, rng)
-        assert em.matrix.nrows == 2 and em.matrix.ncols == 4
-        assert em.matrix.rank() <= 2
+        B = sample_eavesdropper(model, None, layout, rng)
+        assert B.nrows == 2 and B.ncols == 4
+        assert B.rank() <= 2
 
 
 def test_mu_validation():
@@ -273,8 +305,8 @@ def test_realize_traditional_matches_eavesdrop_matrix():
     coding = butterfly_coding(f, 2)
     layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
     model = EavesdropperModel("traditional", 1, links=("e7",))
-    em = realize_eavesdropper(model, net, coding, layout, random.Random(0))
-    assert em.matrix == eavesdrop_matrix(net, coding, [("e7",)] * 2, layout).matrix
+    B = realize_eavesdropper(model, net, coding, layout, random.Random(0))
+    assert B == eavesdrop_matrix(net, coding, [("e7",)] * 2, layout)
 
 
 # ---------------------------------------------------------
