@@ -202,13 +202,6 @@ def test_traditional_block_diagonal_identical_blocks():
     assert blocks[0] == blocks[1] == blocks[2]
 
 
-def _butterfly_alternating_coding(f, m):
-    """Slot maps A, A, B, A: e7 sums its inputs, except in slot 2."""
-    a = butterfly_coding(f, 1).slot_map(0)
-    b = dict(a, e7={"e3": 1, "e4": 2})
-    return LocalCoding(f, 2, [a, a, b, a][:m])
-
-
 @pytest.mark.parametrize("which", ["per-slot-random", "A-A-B-A"])
 def test_eavesdrop_blocks_follow_each_slot_map(which):
     net = butterfly_network()
@@ -216,8 +209,9 @@ def test_eavesdrop_blocks_follow_each_slot_map(which):
     m = 4
     if which == "per-slot-random":
         coding = LocalCoding.random(net, f, 2, m, random.Random(5), slot_constant=False)
-    else:
-        coding = _butterfly_alternating_coding(f, m)
+    else:  # slot maps A, A, B, A: e7 sums its inputs, except in slot 2
+        a = butterfly_coding(f, 1).slot_map(0)
+        coding = LocalCoding(f, 2, [a, a, dict(a, e7={"e3": 1, "e4": 2}), a])
         assert global_coding_vectors(net, coding, 2) != global_coding_vectors(net, coding, 1)
     layout = MultiplexLayout(f, m, 2, 1, (m, m))
     taps = [("e7", "e8"), ("e7", "e8"), ("e7", "e8"), ("e5", "e9")]
