@@ -42,6 +42,7 @@ from .fields import GF, FieldSpec
 from .leakage import (
     LeakageResult,
     average_leakage,
+    average_over_support,
     brute_force_leakage,
     exact_leakage,
     leakage_profile,

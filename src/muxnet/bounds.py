@@ -21,10 +21,9 @@ from fractions import Fraction
 from .errors import DomainError
 from .matrix import FieldMatrix, enumerate_gl, sample_gl
 from .multiplex import MultiplexLayout, SubsetIndex, all_nonempty_subsets
-from .network import LocalCoding, Network, constant_tap_observations
-from .leakage import leakage_profile
+from .network import EavesdropperModel, LocalCoding, Network, observation_support
+from .leakage import average_over_support, worst_case_leakage
 
-DEFAULT_FAMILY_CAP = 100_000
 REAL_TOLERANCE = 1e-12
 
 
@@ -116,12 +115,7 @@ class HashFamilySpec:
         return len(self.maps[0])
 
     @classmethod
-    def projection_family(
-        cls,
-        layout: MultiplexLayout,
-        subset: SubsetIndex,
-        cap: int = DEFAULT_FAMILY_CAP,
-    ) -> "HashFamilySpec":
+    def projection_family(cls, layout: MultiplexLayout, subset: SubsetIndex) -> "HashFamilySpec":
         """The family {project_subset . L} over all invertible L.
 
         Domain indices encode vectors digit-wise with coordinate 0 least
@@ -130,7 +124,7 @@ class HashFamilySpec:
         q = layout.q
         mn = layout.mn
         coords = layout.subset_coordinates(subset)
-        mats = enumerate_gl(mn, layout.field, cap=cap)
+        mats = enumerate_gl(mn, layout.field)
         vectors = []
         for idx in range(q**mn):
             vectors.append([(idx // q**i) % q for i in range(mn)])
@@ -324,14 +318,11 @@ def ub9_bound(layout: MultiplexLayout, subset: SubsetIndex, mu: int, params: Bou
     ) + overflow * math.log(layout.q)
 
 
-def guarantee_probability_l(T: int, C1: float) -> float:
-    """Lower bound on the probability that a random map is good."""
-    return 1.0 - 2.0 * (2**T - 1) / C1
-
-
-def guarantee_probability_b(T: int, C2: float) -> float:
-    """Lower bound on the per-observation probability, for a good map."""
-    return 1.0 - 2.0 * (2**T - 1) / C2
+def guarantee_probability(T: int, C: float) -> float:
+    """1 - 2(2^T - 1)/C: with C = C1, a lower bound on the probability that a
+    random map is good; with C = C2, on the per-observation probability for
+    a good map."""
+    return 1.0 - 2.0 * (2**T - 1) / C
 
 
 def ub_bounds(
@@ -343,8 +334,8 @@ def ub_bounds(
         "ub5": ub5_bound(layout, subset, mu, params),
         "ub6": ub6_bound(layout, subset, mu, params),
         "ub8": ub8_bound(layout, subset, mu, params),
-        "prob_l": guarantee_probability_l(layout.T, params.C1),
-        "prob_lb": guarantee_probability_b(layout.T, params.C2),
+        "prob_l": guarantee_probability(layout.T, params.C1),
+        "prob_lb": guarantee_probability(layout.T, params.C2),
     }
     try:
         out["ub7"] = ub7_bound(layout, subset, mu, params)
@@ -367,8 +358,6 @@ def guarantee_experiment(
     params: BoundParams,
     rng: random.Random,
     L_trials: int,
-    enum_cap: int = 1 << 16,
-    tol: float = REAL_TOLERANCE,
 ) -> dict:
     """Fraction of sampled maps whose averaged leakage meets ub5 and ub6.
 
@@ -377,87 +366,70 @@ def guarantee_experiment(
     both bounds; the returned fraction is guaranteed to exceed
     1 - 2(2^T - 1)/C1 in expectation.
     """
+    if L_trials < 1:
+        raise ValueError("L_trials must be at least 1")
     params.validate_for(layout.T)
-    mats = [B for _, B in constant_tap_observations(net, coding, mu, layout, enum_cap)]
+    support = observation_support(EavesdropperModel("traditional", mu), net, coding, layout)
     subsets = all_nonempty_subsets(layout.T)
-    per_subset = {
-        sub.label: {
-            "ub5": ub5_bound(layout, sub, mu, params),
-            "ub6": ub6_bound(layout, sub, mu, params),
-            "good": 0,
-        }
+    targets = {
+        sub.label: (ub5_bound(layout, sub, mu, params), ub6_bound(layout, sub, mu, params))
         for sub in subsets
     }
+    good = dict.fromkeys(targets, 0)
     good_total = 0
-    rho = params.rho
+    tol = REAL_TOLERANCE
     for _ in range(L_trials):
         L = sample_gl(layout.mn, layout.field, rng)
-        profiles = [leakage_profile(layout, L, B, subsets) for B in mats]
+        averages = average_over_support(layout, L, support, subsets, params.rho)
         all_ok = True
-        for sub in subsets:
-            leaks = [prof[sub.label].nats for prof in profiles]
-            mean = sum(leaks) / len(leaks)
-            mean_exp = sum(math.exp(rho * x) for x in leaks) / len(leaks)
-            stats = per_subset[sub.label]
-            ok = mean <= stats["ub5"] + tol and mean_exp <= stats["ub6"] + tol
-            if ok:
-                stats["good"] += 1
+        for label, (ub5, ub6) in targets.items():
+            avg = averages[label]
+            if avg["mean_nats"] <= ub5 + tol and avg["mean_exp_rho"] <= ub6 + tol:
+                good[label] += 1
             else:
                 all_ok = False
-        if all_ok:
-            good_total += 1
-    for stats in per_subset.values():
-        stats["fraction"] = stats.pop("good") / L_trials
+        good_total += all_ok
     return {
         "fraction_good": good_total / L_trials,
-        "threshold": guarantee_probability_l(layout.T, params.C1),
+        "threshold": guarantee_probability(layout.T, params.C1),
         "trials": L_trials,
-        "per_subset": per_subset,
+        "per_subset": {
+            label: {"ub5": ub5, "ub6": ub6, "fraction": good[label] / L_trials}
+            for label, (ub5, ub6) in targets.items()
+        },
     }
 
 
 def certify_universal_zero(
     layout: MultiplexLayout,
-    net: Network,
-    coding: LocalCoding,
+    observations,
     mu: int,
     params: BoundParams,
     L: FieldMatrix,
-    enum_cap: int = 1 << 16,
 ) -> dict:
     """Certify exact-zero leakage wherever the single-pair bound forces it.
 
-    A subset is gated when its ub8 value falls below ln q: leakage is an
-    integer multiple of ln q, so any leakage under the bound must vanish.
-    Certification checks that every gated subset leaks exactly zero for
-    every constant tap set; the first violation is returned as a witness.
+    `observations` lists (tap set, B) for every constant tap set of size mu
+    (`network.constant_tap_observations`).  A subset is gated when its ub8
+    value falls below ln q: leakage is an integer multiple of ln q, so any
+    leakage under the bound must vanish.  Certification checks that every
+    gated subset leaks exactly zero for every tap set; the first violation
+    is returned as a witness.
     """
     params.validate_for(layout.T)
-    observed = constant_tap_observations(net, coding, mu, layout, enum_cap)
     subsets = all_nonempty_subsets(layout.T)
+    worst = worst_case_leakage(layout, L, observations, subsets)
     lnq = math.log(layout.q)
-    gated = [sub for sub in subsets if ub8_bound(layout, sub, mu, params) < lnq]
-    worst = {sub.label: -1.0 for sub in subsets}
-    argmax: dict[str, tuple[str, ...]] = {}
-    for s, B in observed:
-        profile = leakage_profile(layout, L, B, subsets)
-        for sub in subsets:
-            nats = profile[sub.label].nats
-            if nats > worst[sub.label]:
-                worst[sub.label] = nats
-                argmax[sub.label] = s
-    certified = True
-    witness = None
-    for sub in gated:
-        if worst[sub.label] > 0.0:
-            certified = False
-            witness = (sub.label, argmax[sub.label])
-            break
+    gated = [sub.label for sub in subsets if ub8_bound(layout, sub, mu, params) < lnq]
+    witness = next(
+        ((label, worst[label]["argmax"]) for label in gated if worst[label]["max_nats"] > 0.0),
+        None,
+    )
     return {
-        "certified": certified,
+        "certified": witness is None,
         "witness": witness,
-        "gated_subsets": [sub.label for sub in gated],
-        "worst_case_nats": worst,
+        "gated_subsets": gated,
+        "worst_case_nats": {label: w["max_nats"] for label, w in worst.items()},
     }
 
 

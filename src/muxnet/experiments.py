@@ -185,21 +185,25 @@ class ExperimentPlan:
     config: dict
 
 
-def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan | None:
+def _config_header(config, allowed: set[str], where: str) -> tuple[int, str]:
+    """The seed and id of a config whose top-level keys all lie in `allowed`."""
+    _require_keys(config, allowed, where)
+    seed = _json_int(config.get("seed", DEFAULT_CONFIG["seed"]), "seed")
+    experiment_id = config.get("id", f"exp-{seed}")
+    if not isinstance(experiment_id, str):
+        raise ConfigError(f"id must be a string, got {experiment_id!r}")
+    return seed, experiment_id
+
+
+def build_plan(config: dict) -> ExperimentPlan:
     """Validate a config document and materialize every component."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(
+    seed, experiment_id = _config_header(
         config,
-        {"id", "field", "layout", "network", "eavesdropper", "bounds", "seed", "trials", "sweep", "verify"},
+        {"id", "field", "layout", "network", "eavesdropper", "bounds", "seed", "trials", "verify"},
         "config",
     )
-    seed = _json_int(config.get("seed", DEFAULT_CONFIG["seed"]), "seed")
-
     if "layout" not in config:
-        if require_experiment:
-            raise ConfigError("config is missing the layout section")
-        return None
+        raise ConfigError("config is missing the layout section")
 
     field_doc = config.get("field", {})
     _require_keys(field_doc, {"q", "modulus"}, "field")
@@ -316,7 +320,7 @@ def build_plan(config: dict, require_experiment: bool = True) -> ExperimentPlan 
         raise ConfigError("trial counts must be at least 1")
 
     return ExperimentPlan(
-        experiment_id=str(config.get("id", f"exp-{seed}")),
+        experiment_id=experiment_id,
         field=field,
         layout=layout,
         network=network,
@@ -553,7 +557,10 @@ def _verify_options(doc) -> VerifyOptions:
 
 def run_verify(config: dict | None) -> tuple[list[dict], bool]:
     if config is not None:
-        build_plan(config, require_experiment=False)
+        if isinstance(config, dict) and "layout" not in config:  # a verify-only config
+            _config_header(config, {"id", "seed", "verify"}, "a config without layout")
+        else:
+            build_plan(config)
         opts = _verify_options(config.get("verify"))
         if "seed" in config:
             opts.seed = config["seed"]

@@ -8,6 +8,9 @@ z = B x.  Subset I's blocks are L_I x, so its leakage is
 an integer multiple of ln q.  That rank, rank [B; L_I] - rank B, equals
 dim proj_I(ker(B L^-1)).  `brute_force_leakage`, the independent oracle,
 recomputes the leakage from the full joint distribution.
+
+`average_over_support` and `worst_case_leakage` are the one place that
+aggregates leakage over a list of observations (weighted mean, maximum).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .network import (
     EavesdropperModel,
     LocalCoding,
     Network,
-    constant_tap_observations,
     observation_support,
     realize_eavesdropper,
 )
@@ -132,58 +134,64 @@ def brute_force_leakage(
     return max(mi / total, 0.0)
 
 
+def average_over_support(
+    layout: MultiplexLayout, L: FieldMatrix, support, subsets, rho: float = 1.0
+) -> dict[str, dict]:
+    """Per subset label: `mean_nats` and `mean_exp_rho`, the leakage and
+    exp(rho * leakage) averaged over `support`, a list of (B, weight) pairs
+    with one leakage_profile per B, and the per-B leakage `samples`."""
+    profiles = [leakage_profile(layout, L, B, subsets) for B, _ in support]
+    out = {}
+    for sub in subsets:
+        samples = [prof[sub.label].nats for prof in profiles]
+        out[sub.label] = {
+            "mean_nats": sum(w * x for (_, w), x in zip(support, samples)),
+            "mean_exp_rho": sum(w * math.exp(rho * x) for (_, w), x in zip(support, samples)),
+            "samples": samples,
+        }
+    return out
+
+
 def average_leakage(
     layout: MultiplexLayout,
     L: FieldMatrix,
     model: EavesdropperModel,
     net: Network | None,
     coding: LocalCoding | None,
-    subset: SubsetIndex,
+    subsets,
     rng: random.Random,
     trials: int,
     rho: float = 1.0,
-    enum_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> dict:
-    """Mean leakage and mean exp(rho * leakage) over the eavesdropper draw.
+) -> dict[str, dict]:
+    """average_over_support over the eavesdropper model's observations.
 
-    Exhaustive (exact expectation) whenever the model's support can be
-    enumerated within `enum_cap`; Monte Carlo over `trials` draws otherwise.
+    Exhaustive (exact expectation) whenever `observation_support` lists the
+    model's distribution; Monte Carlo over `trials` equally weighted draws
+    otherwise.  Each subset's entry also records `exhaustive`.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    support = observation_support(model, net, coding, layout, enum_cap)
+    support = observation_support(model, net, coding, layout)
     exhaustive = support is not None
     if support is None:
         support = [
             (realize_eavesdropper(model, net, coding, layout, rng), 1.0 / trials)
             for _ in range(trials)
         ]
-    samples = [exact_leakage(layout, L, B, subset).nats for B, _ in support]
-    weights = [w for _, w in support]
-    mean = sum(w * x for w, x in zip(weights, samples))
-    mean_exp = sum(w * math.exp(rho * x) for w, x in zip(weights, samples))
-    return {
-        "mean_nats": mean,
-        "mean_exp_rho": mean_exp,
-        "samples": samples,
-        "weights": weights,
-        "exhaustive": exhaustive,
-    }
+    averages = average_over_support(layout, L, support, subsets, rho)
+    return {label: dict(avg, exhaustive=exhaustive) for label, avg in averages.items()}
 
 
 def worst_case_leakage(
-    layout: MultiplexLayout,
-    L: FieldMatrix,
-    net: Network,
-    coding: LocalCoding,
-    mu: int,
-    subset: SubsetIndex,
-    enum_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> dict:
-    """Maximum leakage over every constant tap set of size mu."""
-    per_set = [
-        (s, exact_leakage(layout, L, B, subset).nats)
-        for s, B in constant_tap_observations(net, coding, mu, layout, enum_cap)
-    ]
-    best = max(per_set, key=lambda t: t[1])
-    return {"max_nats": best[1], "argmax": best[0], "per_set": per_set}
+    layout: MultiplexLayout, L: FieldMatrix, observations, subsets
+) -> dict[str, dict]:
+    """Per subset label: `max_nats`, the largest leakage over `observations`,
+    a list of (tap set, B) pairs; `argmax`, the first tap set attaining it;
+    and `per_set`, the (tap set, nats) pairs in order."""
+    profiles = [(s, leakage_profile(layout, L, B, subsets)) for s, B in observations]
+    out = {}
+    for sub in subsets:
+        per_set = [(s, prof[sub.label].nats) for s, prof in profiles]
+        argmax, max_nats = max(per_set, key=lambda t: t[1])
+        out[sub.label] = {"max_nats": max_nats, "argmax": argmax, "per_set": per_set}
+    return out

@@ -17,6 +17,7 @@ from .bounds import (
     HashFamilySpec,
     JointDistribution,
     capacity_membership,
+    certify_universal_zero,
     guarantee_experiment,
     leakage_floor,
     rho_grid_argmin,
@@ -42,6 +43,7 @@ from .network import (
     butterfly_coding,
     butterfly_network,
     check_decodability,
+    constant_tap_observations,
     eavesdrop_matrix,
     enumerate_eavesdropper_sets,
     global_coding_vectors,
@@ -535,25 +537,22 @@ def _check_guarantee(opts: VerifyOptions) -> list[CheckResult]:
 
 
 def _check_certify_monotone(opts: VerifyOptions) -> list[CheckResult]:
-    from .bounds import certify_universal_zero
-    from .matrix import sample_gl as sgl
-
     rng = derive_rng(opts.seed, "verify:certify")
     f = GF(2)
     net = butterfly_network()
     m = 5
     layout = MultiplexLayout(f, m, 2, 1, (1, 2 * m - 1))
-    coding = butterfly_coding(f, m)
+    observations = constant_tap_observations(net, butterfly_coding(f, m), 1, layout)
     tight = BoundParams(C1=3, C2=3)
     loose = BoundParams(C1=5, C2=5)
     checked = 0
     bad = 0
     for _ in range(10):
-        L = sgl(layout.mn, f, rng)
-        res_t = certify_universal_zero(layout, net, coding, 1, tight, L)
+        L = sample_gl(layout.mn, f, rng)
+        res_t = certify_universal_zero(layout, observations, 1, tight, L)
         if res_t["worst_case_nats"]["1"] == 0.0:
             checked += 1
-            res_l = certify_universal_zero(layout, net, coding, 1, loose, L)
+            res_l = certify_universal_zero(layout, observations, 1, loose, L)
             if not (res_t["certified"] and res_l["certified"]):
                 bad += 1
     return [

@@ -23,6 +23,7 @@ from muxnet import (
     butterfly_coding,
     butterfly_network,
     certify_universal_zero,
+    constant_tap_observations,
     decode,
     encode,
     enumerate_gl,
@@ -215,11 +216,12 @@ def test_criterion_05_universal_security():
     singles = [SubsetIndex({1}), SubsetIndex({2})]
     gate_active = all(ub8_bound(layout, s, 1, params) < lnq for s in singles)
     rng = derive_rng(SEED, "acceptance:universal")
+    observations = constant_tap_observations(net, coding, 1, layout)
     certified = 0
     zero_singletons = 0
     for _ in range(50):
         L = sample_gl(layout.mn, f, rng)
-        res = certify_universal_zero(layout, net, coding, 1, params, L)
+        res = certify_universal_zero(layout, observations, 1, params, L)
         certified += res["certified"]
         if all(res["worst_case_nats"][s.label] == 0.0 for s in singles):
             zero_singletons += 1
@@ -286,7 +288,8 @@ def test_criterion_07_exponential_decay():
         layout = MultiplexLayout(f, m, 3, 1, (m, 2 * m))
         coding = parallel_coding(f, 3, m)
         L = sample_gl(layout.mn, f, derive_rng(SEED, f"acceptance:decay:{m}"))
-        wc = worst_case_leakage(layout, L, net, coding, 1, sub)["max_nats"]
+        observations = constant_tap_observations(net, coding, 1, layout)
+        wc = worst_case_leakage(layout, L, observations, [sub])[sub.label]["max_nats"]
         rows.append((m, wc, ub8_bound(layout, sub, 1, params)))
     dominated = all(wc <= bound + 1e-12 for _, wc, bound in rows)
     ratios_exact = all(

@@ -13,16 +13,22 @@ from muxnet import (
     JointDistribution,
     MultiplexLayout,
     SubsetIndex,
+    all_nonempty_subsets,
     butterfly_coding,
     butterfly_network,
     capacity_membership,
     certify_universal_zero,
+    constant_tap_observations,
+    eavesdrop_matrix,
+    enumerate_eavesdropper_sets,
+    exact_leakage,
     guarantee_experiment,
     leakage_floor,
     rate_leakage_floor,
     sample_gl,
     ub2_bound,
     ub5_bound,
+    ub6_bound,
     ub7_bound,
     ub8_bound,
     ub_bounds,
@@ -32,6 +38,7 @@ from muxnet import (
 )
 from muxnet.bounds import family_statistics, rho_grid_argmin
 from muxnet.errors import DomainError
+from muxnet.network import parallel_coding, parallel_network
 from muxnet.verification import VerifyOptions, hand_instance_family, hand_instance_joint
 
 LN2 = math.log(2)
@@ -269,6 +276,20 @@ def test_guarantee_vacuous_with_huge_c1():
     assert res["fraction_good"] == 1.0
 
 
+def test_guarantee_rejects_zero_trials_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("observations were built before L_trials was checked")
+
+    monkeypatch.setattr("muxnet.bounds.observation_support", no_work)
+    f = GF(2)
+    layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
+    with pytest.raises(ValueError, match="L_trials must be at least 1"):
+        guarantee_experiment(
+            layout, butterfly_network(), butterfly_coding(f, 1), 1,
+            BoundParams.defaults(1), random.Random(0), 0,
+        )
+
+
 # ---------------------------------------------------------
 # universal-zero certification
 # ---------------------------------------------------------
@@ -280,12 +301,13 @@ def test_certify_reports_worst_case_and_gate():
     coding = butterfly_coding(f, 1)
     params = BoundParams.for_universal(1, 9)
     swap = FieldMatrix(f, [[0, 1], [1, 0]])
-    res = certify_universal_zero(layout, net, coding, 1, params, swap)
+    observations = constant_tap_observations(net, coding, 1, layout)
+    res = certify_universal_zero(layout, observations, 1, params, swap)
     # ub8 >= C1 C2 q^0 > ln 2: no subset can be gated at this rate
     assert res["gated_subsets"] == []
     assert res["certified"]
     # the report still carries the exact worst-case leakage
-    wc = worst_case_leakage(layout, swap, net, coding, 1, SubsetIndex({1}))
+    wc = worst_case_leakage(layout, swap, observations, [SubsetIndex({1})])["1"]
     assert res["worst_case_nats"]["1"] == pytest.approx(wc["max_nats"])
 
 
@@ -305,7 +327,8 @@ def test_certify_gated_subset_flags_nonzero_leakage():
     # tap e1 observes exactly the even coordinates, so with L = identity the
     # first coordinate of the posterior kernel is pinned to zero: leakage ln 2
     ident = FieldMatrix.identity(f, layout.mn)
-    res = certify_universal_zero(layout, net, coding, 1, params, ident)
+    observations = constant_tap_observations(net, coding, 1, layout)
+    res = certify_universal_zero(layout, observations, 1, params, ident)
     assert res["gated_subsets"] == ["1"]
     assert not res["certified"]
     subset_label, tap_set = res["witness"]
@@ -316,7 +339,7 @@ def test_certify_gated_subset_flags_nonzero_leakage():
     seen_certified = False
     for _ in range(10):
         L = sample_gl(layout.mn, f, rng)
-        out = certify_universal_zero(layout, net, coding, 1, params, L)
+        out = certify_universal_zero(layout, observations, 1, params, L)
         if out["certified"]:
             assert out["worst_case_nats"]["1"] == 0.0
             seen_certified = True
@@ -329,20 +352,92 @@ def test_certify_monotone_in_constants():
     net = butterfly_network()
     m = 6
     layout = MultiplexLayout(f, m, 2, 1, (1, 2 * m - 1))
-    coding = butterfly_coding(f, m)
+    observations = constant_tap_observations(net, butterfly_coding(f, m), 1, layout)
     rng = random.Random(8)
     zero_maps = []
     while len(zero_maps) < 3:
         L = sample_gl(layout.mn, f, rng)
-        res = certify_universal_zero(
-            layout, net, coding, 1, BoundParams(C1=3, C2=3), L
-        )
+        res = certify_universal_zero(layout, observations, 1, BoundParams(C1=3, C2=3), L)
         if res["worst_case_nats"]["1"] == 0.0:
             zero_maps.append(L)
     for L in zero_maps:
-        loose = certify_universal_zero(layout, net, coding, 1, BoundParams(C1=5, C2=5), L)
-        tight = certify_universal_zero(layout, net, coding, 1, BoundParams(C1=3, C2=3), L)
+        loose = certify_universal_zero(layout, observations, 1, BoundParams(C1=5, C2=5), L)
+        tight = certify_universal_zero(layout, observations, 1, BoundParams(C1=3, C2=3), L)
         assert loose["certified"] and tight["certified"]
+
+
+# ---------------------------------------------------------
+# T = 2 reference: worst case, witness and guarantee from exact_leakage
+# ---------------------------------------------------------
+
+@pytest.mark.parametrize("mu", [1, 2])
+@pytest.mark.parametrize("name", ["butterfly", "parallel"])
+def test_multi_subset_results_match_exact_leakage_reference(name, mu):
+    # At mu = 1 ub8 gates the single-message subsets (and 1+2 on the
+    # parallel network), and permutation maps leak, so witnesses occur.
+    f = GF(4)
+    if name == "butterfly":
+        layout = MultiplexLayout(f, 4, 2, 2, (1, 1, 6))
+        net, coding = butterfly_network(), butterfly_coding(f, 4)
+    else:
+        layout = MultiplexLayout(f, 3, 3, 2, (2, 1, 6))
+        net, coding = parallel_network(3), parallel_coding(f, 3, 3)
+    params = BoundParams(C1=6.5, C2=6.5)
+    subsets = all_nonempty_subsets(2)
+    taps = enumerate_eavesdropper_sets(net, mu)
+    mats = [eavesdrop_matrix(net, coding, [s] * layout.m, layout) for s in taps]
+
+    def leaks(L, sub):
+        return [exact_leakage(layout, L, B, sub).nats for B in mats]
+
+    observations = constant_tap_observations(net, coding, mu, layout)
+    rng = random.Random(4)
+    witnesses = 0
+    for i in range(8):
+        if i % 2:
+            L = sample_gl(layout.mn, f, rng)
+        else:
+            perm = list(range(layout.mn))
+            rng.shuffle(perm)
+            L = FieldMatrix(f, [[int(c == p) for c in range(layout.mn)] for p in perm])
+        res = certify_universal_zero(layout, observations, mu, params, L)
+        witness = None
+        for sub in subsets:
+            per_set = leaks(L, sub)
+            worst = max(per_set)
+            assert res["worst_case_nats"][sub.label] == worst
+            gated = ub8_bound(layout, sub, mu, params) < math.log(layout.q)
+            if witness is None and gated and worst > 0.0:
+                witness = (sub.label, taps[per_set.index(worst)])
+        assert res["witness"] == witness
+        witnesses += witness is not None
+    assert (witnesses > 0) == (mu == 1)
+
+    trials = 40
+    res = guarantee_experiment(layout, net, coding, mu, params, random.Random(3), trials)
+    rng = random.Random(3)
+    good = {sub.label: 0 for sub in subsets}
+    all_good = 0
+    for _ in range(trials):
+        L = sample_gl(layout.mn, f, rng)
+        ok = True
+        for sub in subsets:
+            per_set = leaks(L, sub)
+            mean = sum(per_set) / len(per_set)
+            mean_exp = sum(math.exp(params.rho * x) for x in per_set) / len(per_set)
+            if (
+                mean <= ub5_bound(layout, sub, mu, params) + 1e-12
+                and mean_exp <= ub6_bound(layout, sub, mu, params) + 1e-12
+            ):
+                good[sub.label] += 1
+            else:
+                ok = False
+        all_good += ok
+    fractions = {label: stats["fraction"] for label, stats in res["per_subset"].items()}
+    assert fractions == {label: n / trials for label, n in good.items()}
+    assert res["fraction_good"] == all_good / trials
+    if mu == 1:
+        assert min(fractions.values()) < 1.0  # the bounds bite on these maps
 
 
 # ---------------------------------------------------------

@@ -145,6 +145,12 @@ def with_inline(key, value):
     pytest.param("network", {"path": 0}, "network.path", id="path-zero"),
     pytest.param("network", {"path": 1}, "network.path", id="path-one"),
     pytest.param("network", {"path": True}, "network.path", id="path-bool"),
+    # The id is written into every report row; it is never stringified.
+    pytest.param("id", None, "id", id="null-id"),
+    pytest.param("id", 7, "id", id="number-id"),
+    pytest.param("id", ["bf"], "id", id="list-id"),
+    # Nothing reads a top-level sweep section; the sweep comes from the CLI.
+    pytest.param("sweep", 5, "sweep", id="sweep-key"),
 ])
 def test_cli_exit_code_on_config_error(section, value, path, tmp_path, capsys):
     # The message names the offending JSON path, and no traceback escapes.
@@ -483,26 +489,30 @@ def test_verify_unknown_option_rejected(tmp_path):
     assert main(["verify", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("options, path", [
-    pytest.param({"enum_cap": 5}, "enum_cap", id="enum-cap-removed"),
-    pytest.param({"joint_trials": "x"}, "verify.joint_trials", id="string-count"),
-    pytest.param({"gl_chi2_samples": 0}, "verify.gl_chi2_samples", id="zero-count"),
-    pytest.param({"guarantee_l_trials": 2.0}, "verify.guarantee_l_trials", id="float-count"),
-    pytest.param({"seed": True}, "verify.seed", id="bool-seed"),
-    pytest.param({"rho_grid": 5}, "verify.rho_grid", id="rho-grid-not-list"),
-    pytest.param({"rho_grid": []}, "verify.rho_grid", id="rho-grid-empty"),
-    pytest.param({"rho_grid": [0.5, 1.5]}, "verify.rho_grid[1]", id="rho-outside-unit"),
-    pytest.param({"rho_grid": ["x"]}, "verify.rho_grid[0]", id="rho-not-number"),
-    pytest.param({"tolerance": "x"}, "verify.tolerance", id="string-tolerance"),
-    pytest.param({"oracle_tolerance": None}, "verify.oracle_tolerance", id="null-tolerance"),
-    pytest.param([], "verify", id="section-not-object"),
+@pytest.mark.parametrize("config, path", [
+    pytest.param({"verify": {"enum_cap": 5}}, "enum_cap", id="enum-cap-removed"),
+    pytest.param({"verify": {"joint_trials": "x"}}, "verify.joint_trials", id="string-count"),
+    pytest.param({"verify": {"gl_chi2_samples": 0}}, "verify.gl_chi2_samples", id="zero-count"),
+    pytest.param({"verify": {"guarantee_l_trials": 2.0}}, "verify.guarantee_l_trials", id="float-count"),
+    pytest.param({"verify": {"seed": True}}, "verify.seed", id="bool-seed"),
+    pytest.param({"verify": {"rho_grid": 5}}, "verify.rho_grid", id="rho-grid-not-list"),
+    pytest.param({"verify": {"rho_grid": []}}, "verify.rho_grid", id="rho-grid-empty"),
+    pytest.param({"verify": {"rho_grid": [0.5, 1.5]}}, "verify.rho_grid[1]", id="rho-outside-unit"),
+    pytest.param({"verify": {"rho_grid": ["x"]}}, "verify.rho_grid[0]", id="rho-not-number"),
+    pytest.param({"verify": {"tolerance": "x"}}, "verify.tolerance", id="string-tolerance"),
+    pytest.param({"verify": {"oracle_tolerance": None}}, "verify.oracle_tolerance", id="null-tolerance"),
+    pytest.param({"verify": []}, "verify", id="section-not-object"),
+    # Without a layout, a config may hold only id, seed and verify.
+    pytest.param({"bounds": "junk", "network": 5, "trials": []}, "['bounds', 'network', 'trials']",
+                 id="experiment-keys-without-layout"),
+    pytest.param({"id": None}, "id", id="verify-only-null-id"),
 ])
-def test_verify_options_checked_at_the_boundary(options, path, tmp_path, monkeypatch, capsys):
+def test_verify_options_checked_at_the_boundary(config, path, tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("verification started before the options were checked")
 
     monkeypatch.setattr("muxnet.experiments.run_verification", no_work)
-    cfg = write_config(tmp_path, {"verify": options})
+    cfg = write_config(tmp_path, config)
     assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and path in err

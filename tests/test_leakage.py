@@ -17,6 +17,7 @@ from muxnet import (
     brute_force_leakage,
     butterfly_coding,
     butterfly_network,
+    constant_tap_observations,
     eavesdrop_matrix,
     enumerate_gl,
     exact_leakage,
@@ -245,7 +246,7 @@ def test_average_degenerate_single_observation():
     L = FieldMatrix.identity(f, 2)
     model = EavesdropperModel("traditional", 1, links=("e7",))
     sub = SubsetIndex({1})
-    res = average_leakage(layout, L, model, net, coding, sub, random.Random(0), 5)
+    res = average_leakage(layout, L, model, net, coding, [sub], random.Random(0), 5)[sub.label]
     from muxnet import eavesdrop_matrix
 
     B = eavesdrop_matrix(net, coding, [("e7",)], layout)
@@ -264,10 +265,10 @@ def test_average_zero_observation():
         model,
         None,
         None,
-        SubsetIndex({1}),
+        [SubsetIndex({1})],
         random.Random(0),
         20,
-    )
+    )["1"]
     assert res["mean_nats"] == 0.0
     assert res["mean_exp_rho"] == pytest.approx(1.0)
 
@@ -281,7 +282,7 @@ def test_average_exhaustive_matches_manual_mean():
     L = sample_gl(2, f, rng)
     sub = SubsetIndex({1})
     model = EavesdropperModel("traditional", 1)
-    res = average_leakage(layout, L, model, net, coding, sub, rng, 3)
+    res = average_leakage(layout, L, model, net, coding, [sub], rng, 3)[sub.label]
     from muxnet import enumerate_eavesdropper_sets, eavesdrop_matrix
 
     manual = []
@@ -316,7 +317,7 @@ def test_average_statistical_exhaustive_matches_manual_product():
     L = sample_gl(4, f, rng)
     sub = SubsetIndex({1})
     model = EavesdropperModel("statistical", 1)
-    res = average_leakage(layout, L, model, net, coding, sub, rng, 3)
+    res = average_leakage(layout, L, model, net, coding, [sub], rng, 3)[sub.label]
     assert res["exhaustive"]
     sets = [("e1",), ("e2",)]
     manual = []
@@ -342,10 +343,11 @@ def test_worst_case_over_butterfly_taps_matches_oracle():
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     coding = butterfly_coding(f, 1)
     sub = SubsetIndex({1})
+    observations = constant_tap_observations(net, coding, 1, layout)
     rng = random.Random(9)
     for _ in range(5):
         L = sample_gl(2, f, rng)
-        res = worst_case_leakage(layout, L, net, coding, 1, sub)
+        res = worst_case_leakage(layout, L, observations, [sub])[sub.label]
         manual = max(
             brute_force_leakage(
                 layout, L, eavesdrop_matrix(net, coding, [s], layout), sub
@@ -364,7 +366,8 @@ def test_worst_case_zero_on_dead_links():
     coding = LocalCoding.constant(f, 2, coeffs, 1)
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     L = FieldMatrix.identity(f, 2)
-    res = worst_case_leakage(layout, L, net, coding, 1, SubsetIndex({1}))
+    observations = constant_tap_observations(net, coding, 1, layout)
+    res = worst_case_leakage(layout, L, observations, [SubsetIndex({1})])["1"]
     assert res["max_nats"] == 0.0
 
 
@@ -375,7 +378,8 @@ def test_worst_case_mu_equals_n_leaks_everything():
     coding = butterfly_coding(f, 1)
     rng = random.Random(10)
     L = sample_gl(2, f, rng)
-    res = worst_case_leakage(layout, L, net, coding, 2, SubsetIndex({1}))
+    observations = constant_tap_observations(net, coding, 2, layout)
+    res = worst_case_leakage(layout, L, observations, [SubsetIndex({1})])["1"]
     # tapping both source links yields an invertible observation
     assert res["max_nats"] == pytest.approx(2 * LN2)
 

@@ -1,6 +1,12 @@
 """The built-in check battery: green by default, honest when tampered."""
 
+import ast
+import re
+from pathlib import Path
+
 from muxnet.verification import VerifyOptions, run_verification
+
+TESTS = Path(__file__).resolve().parent
 
 
 def fast_options(**overrides):
@@ -72,3 +78,32 @@ def test_battery_is_deterministic():
     r1 = [(r.check, r.lhs, r.rhs, r.holds) for r in run_verification(fast_options())]
     r2 = [(r.check, r.lhs, r.rhs, r.holds) for r in run_verification(fast_options())]
     assert r1 == r2
+
+
+def traceability_rows():
+    """(check ids, [(test file, test name)]) for each row of the README's
+    invariant-traceability table."""
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Invariant traceability", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) == 3 and "`" in cells[1]:
+            checks = re.findall(r"`(\w+)`", cells[1])
+            refs = re.findall(r"`(test_\w+\.py)::(\w+)`", cells[2])
+            rows.append((checks, refs))
+    return rows
+
+
+def test_readme_traceability_table_matches_battery_and_tests():
+    rows = traceability_rows()
+    listed = {check for checks, _ in rows for check in checks}
+    emitted = {r.check for r in run_verification(fast_options())}
+    assert emitted - listed == set(), "checks missing from the README table"
+    assert listed - emitted == set(), "README rows name checks the battery lacks"
+    for checks, refs in rows:
+        assert refs, f"no pytest named for {checks}"
+        for fname, name in refs:
+            tree = ast.parse((TESTS / fname).read_text(encoding="utf-8"))
+            defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert name in defined, f"{fname}::{name} is not a test function"
