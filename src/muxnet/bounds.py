@@ -38,6 +38,8 @@ class JointDistribution:
     probs: tuple[tuple[float, ...], ...]
     # family -> family_statistics(self, family); filled on first use.
     _family_stats: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # rho -> conditional_power_mean(rho); both hashing bounds read it.
+    _power_means: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(float(v) for v in row) for row in self.probs)
@@ -64,7 +66,10 @@ class JointDistribution:
         return [sum(self.probs[x][z] for x in range(self.nx)) for z in range(self.nz)]
 
     def conditional_power_mean(self, rho: float) -> float:
-        """E over (X, Z) of P(X|Z)^rho."""
+        """E over (X, Z) of P(X|Z)^rho, computed once per rho."""
+        acc = self._power_means.get(rho)
+        if acc is not None:
+            return acc
         pz = self.marginal_z()
         acc = 0.0
         for x in range(self.nx):
@@ -72,6 +77,7 @@ class JointDistribution:
                 p = self.probs[x][z]
                 if p > 0:
                     acc += p * (p / pz[z]) ** rho
+        self._power_means[rho] = acc
         return acc
 
     @classmethod

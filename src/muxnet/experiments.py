@@ -74,6 +74,10 @@ REPORT_COLUMNS = (
 
 VERIFY_COLUMNS = ("check", "instance", "lhs", "rhs", "holds")
 
+# Upper bound on every trial and sample count a config sets (trials.L,
+# trials.B and the verify counts), far above any default.
+MAX_TRIALS = 1_000_000
+
 DEFAULT_CONFIG: dict = {
     "id": "default",
     "layout": {"q": 2, "m": 2, "n": 2, "T": 1, "k": [2, 2]},
@@ -97,6 +101,14 @@ def _json_int(value, where: str) -> int:
     if type(value) is not int:  # bool is an int subclass; reject it too
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _json_count(value, where: str) -> int:
+    """A trial or sample count, bounded before any work starts."""
+    count = _json_int(value, where)
+    if not 1 <= count <= MAX_TRIALS:
+        raise ConfigError(f"{where} must be between 1 and {MAX_TRIALS}, got {count}")
+    return count
 
 
 def _json_number(value, where: str):
@@ -314,10 +326,8 @@ def build_plan(config: dict) -> ExperimentPlan:
 
     trials_doc = config.get("trials", {})
     _require_keys(trials_doc, {"L", "B"}, "trials")
-    trials_l = _json_int(trials_doc.get("L", 40), "trials.L")
-    trials_b = _json_int(trials_doc.get("B", 40), "trials.B")
-    if trials_l < 1 or trials_b < 1:
-        raise ConfigError("trial counts must be at least 1")
+    trials_l = _json_count(trials_doc.get("L", 40), "trials.L")
+    trials_b = _json_count(trials_doc.get("B", 40), "trials.B")
 
     return ExperimentPlan(
         experiment_id=experiment_id,
@@ -530,8 +540,9 @@ def run_capacity(rates, n: int, mu: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _verify_options(doc) -> VerifyOptions:
-    """Options of the "verify" section: counts are integers >= 1, seed an
-    integer, tolerances finite numbers, rho_grid a non-empty list in [0, 1]."""
+    """Options of the "verify" section: counts are integers in
+    [1, MAX_TRIALS], seed an integer, tolerances finite numbers, rho_grid a
+    non-empty list in [0, 1]."""
     opts = VerifyOptions()
     if doc is None:
         return opts
@@ -547,10 +558,10 @@ def _verify_options(doc) -> VerifyOptions:
             val = tuple(val)
         elif key in ("tolerance", "oracle_tolerance"):
             _json_number(val, where)
-        else:
+        elif key == "seed":
             _json_int(val, where)
-            if key != "seed" and val < 1:  # every other option is a count
-                raise ConfigError(f"{where} must be at least 1, got {val}")
+        else:  # every other option is a count
+            _json_count(val, where)
         setattr(opts, key, val)
     return opts
 

@@ -10,6 +10,11 @@ fields GF(4) .. GF(256) ship with the usual primitive default moduli; any
 other extension accepts an explicit modulus or falls back to the smallest
 irreducible polynomial in digit order, which keeps element encodings
 reproducible across runs.
+
+Every scalar op is a constant number of steps.  Extension fields multiply
+through exp/log tables of a generator g, and odd-characteristic ones add,
+subtract and negate through a table of Zech logarithms, log(1 + g^k); the
+tables are built once per field in O(q).
 """
 
 from __future__ import annotations
@@ -183,7 +188,7 @@ class FieldSpec:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "_modint", "_exp", "_log")
+    __slots__ = ("q", "p", "e", "modulus", "_modint", "_exp", "_log", "_zech")
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
         if q > MAX_FIELD_SIZE:
@@ -199,6 +204,7 @@ class FieldSpec:
             self._modint = 0
             self._exp = None
             self._log = None
+            self._zech = None
             return
         if modulus is None:
             modulus = _DEFAULT_BINARY_MODULI.get(q) or _smallest_irreducible(p, e)
@@ -258,6 +264,25 @@ class FieldSpec:
             v = self._mul_raw(v, gen)
         self._exp = exp
         self._log = log
+        self._zech = self._zech_table() if self.p != 2 else None
+
+    def _zech_table(self) -> list[int | None]:
+        """Zech logarithms over two periods, shifted into [-(q-1), 0):
+        entry k holds log(1 + g^k) - (q - 1), or None where 1 + g^k = 0.
+
+        The shift and the second period let `add`, `neg` and `sub` index
+        with a difference of logs, offset by (q - 1) / 2 for a negation,
+        and no reduction mod q - 1, since Python's negative indices wrap.
+        Adding 1 changes only the constant base-p digit, so the table costs
+        O(q).
+        """
+        p, n = self.p, self.q - 1
+        log = self._log
+        zech: list[int | None] = []
+        for v in self._exp:
+            one_plus = v - p + 1 if v % p == p - 1 else v + 1
+            zech.append(log[one_plus] - n if one_plus else None)
+        return zech + zech
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -266,32 +291,38 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p = self.p
-        r = 0
-        mult = 1
-        while a or b:
-            r += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return r
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = g^la * (1 + g^(lb - la))
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return -a % self.p
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        p = self.p
-        r = 0
-        mult = 1
-        while a:
-            r += (-a % p) * mult
-            a //= p
-            mult *= p
-        return r
+        # -1 = g^((q - 1) / 2) in odd characteristic, and q >> 1 is that
+        # exponent
+        return self._exp[self._log[a] - (self.q >> 1)]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if not b:
+            return a
+        if not a:
+            return self._exp[self._log[b] - (self.q >> 1)]
+        if a == b:
+            return 0
+        # a - b = g^la * (1 + g^(lb + (q - 1) / 2 - la))
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la + (self.q >> 1)]]
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:

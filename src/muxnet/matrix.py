@@ -39,8 +39,9 @@ class FieldMatrix:
             if len(r) != self.ncols:
                 raise ShapeError("ragged rows in matrix literal")
             for v in r:
-                if not 0 <= v < q:
-                    raise ValueError(f"entry {v!r} not canonical in GF({q})")
+                # bool is an int subclass; reject it too
+                if type(v) is not int or not 0 <= v < q:
+                    raise ValueError(f"matrix entry {v!r} is not an integer in [0, {q})")
         self._rows = data
         self._inverse = None
 
@@ -227,9 +228,6 @@ class FieldMatrix:
             field = GF(doc["q"])
         elif field.q != doc["q"]:
             raise ValueError(f"document field GF({doc['q']}) != GF({field.q})")
-        for v in doc["entries"]:
-            if type(v) is not int:  # bool is an int subclass; reject it too
-                raise ValueError(f"matrix entry {v!r} is not an integer")
         return cls.from_flat(field, doc["rows"], doc["cols"], doc["entries"])
 
 

@@ -125,6 +125,26 @@ def test_bounds_hold_on_random_joints():
                 assert family_statistics(joint, fam) is family_statistics(joint, fam)
 
 
+def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
+    # Both hashing bounds read E[P(X|Z)^rho]; the joint computes it once per
+    # rho, with the floats of a fresh computation.
+    rng = random.Random(5)
+    joint = JointDistribution.dirichlet(4, 3, rng)
+    grid = VerifyOptions().rho_grid
+    fresh = [JointDistribution(joint.probs).conditional_power_mean(rho) for rho in grid]
+    calls = []
+    marginal_z = JointDistribution.marginal_z
+    monkeypatch.setattr(
+        JointDistribution, "marginal_z", lambda self: calls.append(self) or marginal_z(self)
+    )
+    fam = hand_instance_family()
+    for rho in grid:
+        verify_hashed_mi_bound(joint, fam, rho)
+        verify_hashed_entropy_bound(joint, fam, rho)
+    assert [joint.conditional_power_mean(rho) for rho in grid] == fresh
+    assert len(calls) == len(grid) + 1  # once per rho, once for the family
+
+
 def test_projection_family_is_two_universal():
     fam = hand_instance_family()
     ok, worst = fam.is_two_universal()

@@ -10,6 +10,7 @@ from muxnet.cli import main
 from muxnet.errors import ConfigError
 from muxnet.experiments import (
     DEFAULT_CONFIG,
+    MAX_TRIALS,
     REPORT_COLUMNS,
     apply_sweep_value,
     build_plan,
@@ -114,6 +115,9 @@ def with_inline(key, value):
     pytest.param("trials", {"B": 2.0}, "trials.B", id="float-trials"),
     pytest.param("trials", {"L": True}, "trials.L", id="bool-trials"),
     pytest.param("trials", 5, "trials", id="trials-not-object"),
+    pytest.param("trials", {"L": 0}, "trials.L", id="zero-trials"),
+    pytest.param("trials", {"L": MAX_TRIALS + 1}, "trials.L", id="trials-over-bound"),
+    pytest.param("trials", {"B": 10**12}, "trials.B", id="huge-trials"),
     pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], m=1.0), "layout.m", id="float-m"),
     pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], k=[1.5, 0.5]), "layout.k[0]",
                  id="float-k"),
@@ -330,6 +334,38 @@ def test_simulate_deterministic_csv_bytes(tmp_path):
     assert header == ",".join(REPORT_COLUMNS)
 
 
+# Butterfly, k = (1, 3); at q = 9 the guarantee fraction is below 1.  The
+# digests were computed when odd extension fields still added with a base-p
+# digit loop, before the Zech tables.
+ODD_EXTENSION_CONFIG = dict(
+    BUTTERFLY_CONFIG,
+    layout={"q": 9, "m": 2, "n": 2, "T": 1, "k": [1, 3]},
+    trials={"L": 20, "B": 16},
+)
+
+
+@pytest.mark.parametrize("q, digest", [
+    (9, "8617512698443c81a729d65eb6ff823bddadf6523f172d080fc165e7151fc142"),
+    (81, "c8a23f108f7c78a9d750b51adc585e7f189413f16dbe1e3c33eebb69cba4799e"),
+])
+def test_simulate_odd_extension_field_pinned(q, digest, tmp_path):
+    config = json.loads(json.dumps(ODD_EXTENSION_CONFIG))
+    config["layout"]["q"] = q
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sweep_q_over_odd_extension_fields_pinned(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = write_config(tmp_path, ODD_EXTENSION_CONFIG)
+    assert main(
+        ["sweep", "--config", cfg, "--param", "q", "--values", "9,25,27,49,81", "--out", str(out)]
+    ) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "354b70242cf5c41ee7a0e6e3077e980bbebe731e907b5314a26965216f95cd9e"
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path, BUTTERFLY_CONFIG)
     p1 = tmp_path / "s1.json"
@@ -502,6 +538,12 @@ def test_verify_unknown_option_rejected(tmp_path):
     pytest.param({"verify": {"tolerance": "x"}}, "verify.tolerance", id="string-tolerance"),
     pytest.param({"verify": {"oracle_tolerance": None}}, "verify.oracle_tolerance", id="null-tolerance"),
     pytest.param({"verify": []}, "verify", id="section-not-object"),
+    *[pytest.param({"verify": {count: MAX_TRIALS + 1}}, f"verify.{count}", id=f"{count}-over-bound")
+      for count in ("joint_trials", "gl_chi2_samples", "oracle_b_per_shape",
+                    "oracle_l_samples", "guarantee_l_trials")],
+    pytest.param({"verify": {"joint_trials": 10**12}}, "verify.joint_trials", id="huge-count"),
+    pytest.param(dict(BUTTERFLY_CONFIG, trials={"B": 10**12}), "trials.B",
+                 id="experiment-trials-over-bound"),
     # Without a layout, a config may hold only id, seed and verify.
     pytest.param({"bounds": "junk", "network": 5, "trials": []}, "['bounds', 'network', 'trials']",
                  id="experiment-keys-without-layout"),

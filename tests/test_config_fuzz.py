@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from muxnet.cli import main
 from muxnet.experiments import DEFAULT_CONFIG
 
-PALETTE = (None, True, 1.5, -1, 0, "x", [], {}, [1])
+PALETTE = (None, True, 1.5, -1, 0, 10**12, "x", [], {}, [1])
 
 INLINE_CONFIG = {
     "id": "fuzz-inline",

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from muxnet import GF, fields
-from muxnet.fields import FieldSpec, _factor_prime_power, _poly_is_irreducible
+from muxnet.fields import FieldSpec, _digits, _factor_prime_power, _poly_is_irreducible, _undigits
 
 
 def egcd(a, b):
@@ -14,6 +15,21 @@ def egcd(a, b):
         return a, 1, 0
     g, x, y = egcd(b, a % b)
     return g, y, x - (a // b) * y
+
+
+def digit_reference(f):
+    """(add, neg) of f coefficientwise on base-p digits: the reference for
+    the table lookups.  Digit lists are built once per element."""
+    p, e = f.p, f.e
+    digits = [_digits(a, p, e) for a in range(f.q)]
+
+    def add(a, b):
+        return _undigits([(x + y) % p for x, y in zip(digits[a], digits[b])], p)
+
+    def neg(a):
+        return _undigits([-x % p for x in digits[a]], p)
+
+    return add, neg
 
 
 def all_prime_powers(limit):
@@ -187,3 +203,61 @@ def test_odd_extension_exp_tables_are_pinned():
     tables = [GF(q)._exp for q in (9, 25, 27, 81, 243, 6561)]
     digest = hashlib.sha256(json.dumps(tables).encode()).hexdigest()
     assert digest == "4c849669c5137a784fa9c835d1fae2437de535374e635ef9abc49927d634a125"
+
+
+# ---------------------------------------------------------
+# add, sub and neg against references
+# ---------------------------------------------------------
+
+ODD_EXTENSIONS = [q for q in all_prime_powers(729) if q % 2 and _factor_prime_power(q)[1] > 1]
+
+
+@pytest.mark.parametrize("q", ODD_EXTENSIONS)
+def test_odd_extension_ops_match_digit_reference_exhaustive(q):
+    f = GF(q)
+    add, neg = digit_reference(f)
+    negs = [neg(a) for a in range(q)]
+    assert [f.neg(a) for a in range(q)] == negs
+    for a in range(q):
+        sums = [add(a, b) for b in range(q)]
+        assert [f.add(a, b) for b in range(q)] == sums, a
+        assert [f.sub(a, b) for b in range(q)] == [sums[nb] for nb in negs], a
+
+
+@pytest.mark.parametrize("q", [2187, 6561, 15625, 16807, 59049])
+def test_odd_extension_ops_match_digit_reference_seeded(q):
+    f = GF(q)
+    add, neg = digit_reference(f)
+    rng = random.Random(q)
+    for _ in range(20_000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.neg(b) == neg(b)
+        assert f.add(a, b) == add(a, b)
+        assert f.sub(a, b) == add(a, neg(b))
+    # Every ratio b / a once, so every Zech entry (the zero sums included)
+    # is read by add and by sub; a uniform draw misses most of them.
+    for c in range(1, q):
+        a = rng.randrange(1, q)
+        b = f.mul(a, c)
+        assert f.add(a, b) == add(a, b), (a, b)
+        assert f.sub(a, b) == add(a, neg(b)), (a, b)
+    for b in rng.sample(range(q), 100):
+        assert f.add(0, b) == f.add(b, 0) == b
+        assert f.sub(0, b) == neg(b)
+        assert f.sub(b, 0) == b
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 16, 256])
+def test_sub_is_add_of_neg_exhaustive(q):
+    f = GF(q)
+    for a in range(q):
+        assert [f.sub(a, b) for b in range(q)] == [f.add(a, f.neg(b)) for b in range(q)]
+
+
+@pytest.mark.parametrize("q", [65521, 65536])
+def test_sub_is_add_of_neg_seeded(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(20_000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.sub(a, b) == f.add(a, f.neg(b))

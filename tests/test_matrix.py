@@ -180,6 +180,14 @@ def test_sample_full_rank_rectangular():
         sample_full_rank(GF(2), 3, 2, rng)
 
 
+def test_non_integer_entries_rejected():
+    # A float or bool entry would otherwise pass the range check and fail
+    # later as an index into the field tables.
+    for entry in (1.0, 2.5, True, "1", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            FieldMatrix(GF(9), [[0, entry]])
+
+
 # ---------------------------------------------------------
 # serialization
 # ---------------------------------------------------------
