@@ -15,10 +15,16 @@ Every scalar op is a constant number of steps.  Extension fields multiply
 through exp/log tables of a generator g, and odd-characteristic ones add,
 subtract and negate through a table of Zech logarithms, log(1 + g^k); the
 tables are built once per field in O(q).
+
+The row primitives `row_sub_scaled`, `row_scale` and `row_dot` do the same
+arithmetic a whole row at a time: one branch on the field family per call
+and inline arithmetic per cell.  Elimination and matrix products run on
+them; the scalar ops stay the reference they are tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 
@@ -255,16 +261,58 @@ class FieldSpec:
                 break
         if gen is None:
             raise ValueError("no multiplicative generator found")
+        times_gen = self._times(gen)
         exp = [0] * (q - 1)
         log = [0] * q
         v = 1
         for i in range(q - 1):
             exp[i] = v
             log[v] = i
-            v = self._mul_raw(v, gen)
+            v = times_gen(v)
         self._exp = exp
         self._log = log
         self._zech = self._zech_table() if self.p != 2 else None
+
+    def _times(self, g: int):
+        """The map v -> v*g, without a polynomial product per call in odd
+        characteristic.
+
+        Multiplying by g is linear over GF(p) in the base-p digits, so v*g
+        is the digitwise sum of (low half of v)*g and (high half of v)*g,
+        each read from a table of about sqrt(q) products.  The tables hold
+        the products spread to s bits per digit, wide enough that a digit
+        sum, at most 2p - 2, never carries, so one integer add sums them;
+        two more tables take each half of the sum back to base p, every
+        digit reduced mod p.
+        """
+        if self.p == 2:
+            return lambda v: self._mul_raw(v, g)
+        p, e = self.p, self.e
+        h = e // 2
+        split = p**h
+        s = (2 * p - 2).bit_length()
+        shift = s * h
+        mask = (1 << shift) - 1
+
+        def spread(v: int) -> int:
+            return sum(d << (s * i) for i, d in enumerate(_digits(v, p, e)))
+
+        def unspread(n: int, scale: int) -> dict[int, int]:
+            return {
+                sum(d << (s * i) for i, d in enumerate(ds)):
+                    scale * _undigits([d % p for d in ds], p)
+                for ds in itertools.product(range(2 * p - 1), repeat=n)
+            }
+
+        low = [spread(self._mul_raw(a, g)) for a in range(split)]
+        high = [spread(self._mul_raw(b * split, g)) for b in range(p ** (e - h))]
+        low_back, high_back = unspread(h, 1), unspread(e - h, split)
+
+        def times(v: int) -> int:
+            w = low[v % split] + high[v // split]
+            return low_back[w & mask] + high_back[w >> shift]
+
+        return times
 
     def _zech_table(self) -> list[int | None]:
         """Zech logarithms over two periods, shifted into [-(q-1), 0):
@@ -346,6 +394,77 @@ class FieldSpec:
         if a == 0:
             return 0 if k else 1
         return self._exp[self._log[a] * k % (self.q - 1)]
+
+    # -- row primitives ------------------------------------------------------------
+    #
+    # Rows are sequences of canonical elements.  Each primitive branches on
+    # the family once and does every cell inline, with no scalar method
+    # call; per cell it returns what the scalar ops return.  Shifting a log
+    # by -(q - 1) keeps a sum of two logs a valid (possibly negative) index
+    # into the exp table, as `_zech_table` explains.
+
+    def row_sub_scaled(self, vec, c: int, row) -> list[int]:
+        """vec - c*row, cell by cell, as a new list."""
+        if not c:
+            return list(vec)
+        if self.e == 1:
+            if self.p == 2:  # c = 1
+                return [v ^ r for v, r in zip(vec, row)]
+            p = self.p
+            return [(v - c * r) % p for v, r in zip(vec, row)]
+        exp, log, n = self._exp, self._log, self.q - 1
+        if self.p == 2:
+            lc = log[c] - n
+            return [v ^ exp[lc + log[r]] if r else v for v, r in zip(vec, row)]
+        # v - c*r = v + (-c)*r, one Zech step as in `add`; -c = c * g^(q >> 1)
+        zech = self._zech
+        lnc = (log[c] + (self.q >> 1)) % n - n
+        out = []
+        for v, r in zip(vec, row):
+            if r:
+                lt = lnc + log[r]
+                if v:
+                    lv = log[v]
+                    z = zech[lt - lv]
+                    v = 0 if z is None else exp[lv + z]
+                else:
+                    v = exp[lt]
+            out.append(v)
+        return out
+
+    def row_scale(self, c: int, vec) -> list[int]:
+        """c*vec, cell by cell, as a new list."""
+        if self.e == 1:
+            p = self.p
+            return [c * v % p for v in vec]
+        if not c:
+            return [0] * len(vec)
+        exp, log = self._exp, self._log
+        lc = log[c] - (self.q - 1)
+        return [exp[lc + log[v]] if v else 0 for v in vec]
+
+    def row_dot(self, row, vec) -> int:
+        """The inner product of two rows of equal length."""
+        if self.e == 1:
+            return sum(map(operator.mul, row, vec)) % self.p
+        exp, log, n = self._exp, self._log, self.q - 1
+        acc = 0
+        if self.p == 2:
+            for r, v in zip(row, vec):
+                if r and v:
+                    acc ^= exp[log[r] + log[v] - n]
+            return acc
+        zech = self._zech
+        for r, v in zip(row, vec):
+            if r and v:
+                lt = log[r] + log[v] - n
+                if acc:
+                    la = log[acc]
+                    z = zech[lt - la]
+                    acc = 0 if z is None else exp[la + z]
+                else:
+                    acc = exp[lt]
+        return acc
 
     # -- element helpers ---------------------------------------------------------
 

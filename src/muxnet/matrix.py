@@ -2,7 +2,9 @@
 
 Every elimination runs through one reduced echelon basis, `_Echelon`.  The
 reduced row echelon form of a matrix is unique, so reduced forms, kernels
-and inverses are identical across runs.
+and inverses are identical across runs.  Row updates and products go
+through the field's row primitives (`FieldSpec.row_sub_scaled`,
+`row_scale`, `row_dot`), never a scalar call per cell.
 """
 
 from __future__ import annotations
@@ -111,34 +113,16 @@ class FieldMatrix:
             raise ShapeError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        f = self.field
-        mul, add = f.mul, f.add
-        bt = [[other._rows[t][j] for t in range(other.nrows)] for j in range(other.ncols)]
-        out = []
-        for arow in self._rows:
-            orow = []
-            for bcol in bt:
-                acc = 0
-                for t, av in enumerate(arow):
-                    if av:
-                        acc = add(acc, mul(av, bcol[t]))
-                orow.append(acc)
-            out.append(orow)
-        return FieldMatrix(f, out, ncols=other.ncols)
+        dot = self.field.row_dot
+        bt = [[row[j] for row in other._rows] for j in range(other.ncols)]
+        out = [[dot(arow, bcol) for bcol in bt] for arow in self._rows]
+        return FieldMatrix(self.field, out, ncols=other.ncols)
 
     def mul_vector(self, vec) -> list[int]:
         if len(vec) != self.ncols:
             raise ShapeError(f"vector length {len(vec)} != {self.ncols}")
-        f = self.field
-        mul, add = f.mul, f.add
-        out = []
-        for row in self._rows:
-            acc = 0
-            for v, x in zip(row, vec):
-                if v and x:
-                    acc = add(acc, mul(v, x))
-            out.append(acc)
-        return out
+        dot = self.field.row_dot
+        return [dot(row, vec) for row in self._rows]
 
     # -- elimination -----------------------------------------------------------------
 
@@ -267,7 +251,7 @@ class _Echelon:
 
     def reduce(self, vec) -> list[int]:
         """vec reduced modulo the span, as a new list; all zero iff vec lies in it."""
-        mul, sub = self.field.mul, self.field.sub
+        sub_scaled = self.field.row_sub_scaled
         vec = list(vec)
         # A basis row is zero left of its pivot, so only the columns right
         # of the pivot change.
@@ -275,34 +259,29 @@ class _Echelon:
             c = vec[pc]
             if c:
                 vec[pc] = 0
-                vec[pc + 1:] = [
-                    sub(v, mul(c, rv)) if rv else v
-                    for v, rv in zip(vec[pc + 1:], row[pc + 1:])
-                ]
+                vec[pc + 1:] = sub_scaled(vec[pc + 1:], c, row[pc + 1:])
         return vec
 
     def insert(self, vec) -> bool:
         """Add vec to the basis; False, leaving the basis unchanged, when vec
         already lies in the span."""
-        mul, sub = self.field.mul, self.field.sub
         vec = self.reduce(vec)
         for p, lead in enumerate(vec):
             if lead:
                 break
         else:
             return False
+        f = self.field
         if lead != 1:
-            s = self.field.inv(lead)
             vec[p] = 1
-            vec[p + 1:] = [mul(s, v) if v else 0 for v in vec[p + 1:]]
+            vec[p + 1:] = f.row_scale(f.inv(lead), vec[p + 1:])
         tail = vec[p + 1:]
+        sub_scaled = f.row_sub_scaled
         rows = self.rows
         for i, row in enumerate(rows):
             c = row[p]
             if c:
-                rows[i] = row[:p] + [0] + [
-                    sub(v, mul(c, nv)) if nv else v for v, nv in zip(row[p + 1:], tail)
-                ]
+                rows[i] = row[:p] + [0] + sub_scaled(row[p + 1:], c, tail)
         at = bisect.bisect(self.pivots, p)
         self.pivots.insert(at, p)
         rows.insert(at, vec)

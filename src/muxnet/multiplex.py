@@ -131,6 +131,13 @@ def all_nonempty_subsets(T: int) -> list[SubsetIndex]:
     return out
 
 
+def _check_symbols(vec: list, q: int, what: str) -> None:
+    """Every symbol a plain int in [0, q), the rule for matrix entries."""
+    for i, v in enumerate(vec):
+        if type(v) is not int or not 0 <= v < q:  # bool is an int subclass
+            raise ValueError(f"{what} symbol {i} = {v!r} is not an integer in [0, {q})")
+
+
 @dataclass(frozen=True)
 class MessageTuple:
     """The T+1 message blocks of one coding block."""
@@ -145,6 +152,7 @@ class MessageTuple:
         vec = list(vec)
         if len(vec) != layout.mn:
             raise ShapeError(f"vector length {len(vec)} != m*n = {layout.mn}")
+        _check_symbols(vec, layout.q, "message")
         offs = layout.offsets()
         return cls(tuple(tuple(vec[offs[i]:offs[i + 1]]) for i in range(layout.T + 1)))
 
@@ -189,6 +197,7 @@ def decode(layout: MultiplexLayout, L: FieldMatrix, x) -> MessageTuple:
     x = list(x)
     if len(x) != layout.mn:
         raise ShapeError(f"received word length {len(x)} != m*n = {layout.mn}")
+    _check_symbols(x, layout.q, "received")
     if not L.is_invertible():
         raise SingularMatrix(
             f"decoding map of rank {L.rank()} < {L.nrows} is not invertible"

@@ -205,6 +205,18 @@ def test_odd_extension_exp_tables_are_pinned():
     assert digest == "4c849669c5137a784fa9c835d1fae2437de535374e635ef9abc49927d634a125"
 
 
+@pytest.mark.parametrize("q", [9, 27, 125, 343, 1331, 4913, 50653, 59049])
+def test_odd_extension_exp_tables_step_by_the_generator(q):
+    # The table is stepped by a digit-table multiply-by-g map; the
+    # polynomial product `_mul_raw` is the reference.  Cubes of large
+    # primes give the most uneven split of the digits.
+    f = GF(q)
+    exp, g = f._exp, f._exp[1]
+    assert sorted(exp) == list(range(1, q))
+    for i in random.Random(q).sample(range(q - 1), min(q - 1, 2000)):
+        assert exp[(i + 1) % (q - 1)] == f._mul_raw(exp[i], g), i
+
+
 # ---------------------------------------------------------
 # add, sub and neg against references
 # ---------------------------------------------------------

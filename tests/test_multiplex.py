@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,20 @@ def test_decode_errors():
         decode(layout, singular, [1, 0])
     with pytest.raises(SingularMatrix):
         encode(layout, singular, MessageTuple(((1,), (0,))))
+
+
+@pytest.mark.parametrize("symbol", [1.5, 2.0, True, False, -1, 5, 7])
+def test_symbols_must_be_field_elements(symbol):
+    # The rule for matrix entries: a plain int in [0, q), named by index.
+    f = GF(5)
+    layout = MultiplexLayout(f, 1, 3, 1, (2, 1))
+    L = sample_gl(3, f, random.Random(3))
+    word = [1, 2, symbol]
+    message = rf"symbol 2 = {re.escape(repr(symbol))} is not an integer in \[0, 5\)"
+    with pytest.raises(ValueError, match=message):
+        MessageTuple.from_vector(layout, word)
+    with pytest.raises(ValueError, match=message):
+        decode(layout, L, word)
 
 
 def test_roundtrip_random():
