@@ -205,6 +205,13 @@ def test_odd_extension_exp_tables_are_pinned():
     assert digest == "4c849669c5137a784fa9c835d1fae2437de535374e635ef9abc49927d634a125"
 
 
+def test_binary_extension_exp_tables_are_pinned():
+    # The same pin for characteristic 2, e = 2..16 (default moduli).
+    tables = [GF(2**e)._exp for e in range(2, 17)]
+    digest = hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+    assert digest == "1d4bbcf17a865ed201c593ad344296a91e42fc55296f7df4b3f5d795991a4946"
+
+
 @pytest.mark.parametrize("q", [9, 27, 125, 343, 1331, 4913, 50653, 59049])
 def test_odd_extension_exp_tables_step_by_the_generator(q):
     # The table is stepped by a digit-table multiply-by-g map; the
