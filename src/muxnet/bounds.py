@@ -21,7 +21,6 @@ from fractions import Fraction
 from .errors import DomainError
 from .matrix import FieldMatrix, enumerate_gl, sample_gl
 from .multiplex import MultiplexLayout, SubsetIndex, all_nonempty_subsets
-from .network import EavesdropperModel, LocalCoding, Network, observation_support
 from .leakage import average_over_support, worst_case_leakage
 
 REAL_TOLERANCE = 1e-12
@@ -125,7 +124,8 @@ class HashFamilySpec:
         """The family {project_subset . L} over all invertible L.
 
         Domain indices encode vectors digit-wise with coordinate 0 least
-        significant, matching the message enumeration order.
+        significant, so the first coordinate varies fastest; this is not the
+        order of `iter_message_vectors`, where the last one does.
         """
         q = layout.q
         mn = layout.mn
@@ -262,10 +262,10 @@ class BoundParams:
         return cls(C1=c, C2=c, rho=1.0)
 
     @classmethod
-    def for_universal(cls, T: int, n_tap_sets: int, C1: float | None = None) -> "BoundParams":
-        """C2 large enough that the per-realization guarantee exceeds 1 - 1/C_E."""
-        c1 = C1 if C1 is not None else 4 * (2**T - 1) + 1
-        return cls(C1=c1, C2=2 * (2**T - 1) * n_tap_sets + 1, rho=1.0)
+    def for_universal(cls, T: int, n_tap_sets: int) -> "BoundParams":
+        """The default C1, and C2 large enough that the per-realization
+        guarantee exceeds 1 - 1/C_E."""
+        return cls(C1=4 * (2**T - 1) + 1, C2=2 * (2**T - 1) * n_tap_sets + 1, rho=1.0)
 
 
 def _decay_factor(layout: MultiplexLayout, k_sub: int, mu: int, rho: float) -> float:
@@ -358,8 +358,7 @@ def ub_bounds(
 
 def guarantee_experiment(
     layout: MultiplexLayout,
-    net: Network,
-    coding: LocalCoding,
+    support,
     mu: int,
     params: BoundParams,
     rng: random.Random,
@@ -367,15 +366,14 @@ def guarantee_experiment(
 ) -> dict:
     """Fraction of sampled maps whose averaged leakage meets ub5 and ub6.
 
-    The observation average is exhaustive over all constant tap sets with
-    uniform weight.  A map is good when every nonempty subset satisfies
-    both bounds; the returned fraction is guaranteed to exceed
-    1 - 2(2^T - 1)/C1 in expectation.
+    Each map's leakage is averaged over `support`, a list of (B, weight)
+    pairs such as `network.observation_support` returns.  A map is good when
+    every nonempty subset satisfies both bounds; the returned fraction is
+    guaranteed to exceed 1 - 2(2^T - 1)/C1 in expectation.
     """
     if L_trials < 1:
         raise ValueError("L_trials must be at least 1")
     params.validate_for(layout.T)
-    support = observation_support(EavesdropperModel("traditional", mu), net, coding, layout)
     subsets = all_nonempty_subsets(layout.T)
     targets = {
         sub.label: (ub5_bound(layout, sub, mu, params), ub6_bound(layout, sub, mu, params))

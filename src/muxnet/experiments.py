@@ -44,6 +44,7 @@ from .network import (
     check_decodability,
     coding_from_json,
     enumerate_eavesdropper_sets,
+    observation_support,
     realize_eavesdropper,
 )
 from .rng import derive_rng
@@ -377,10 +378,13 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
 
     guarantee = None
     if plan.network is not None and plan.coding is not None:
+        # the uniform constant tap sets, whatever the configured model
+        support = observation_support(
+            EavesdropperModel("traditional", model.mu), plan.network, plan.coding, layout
+        )
         guarantee = guarantee_experiment(
             layout,
-            plan.network,
-            plan.coding,
+            support,
             model.mu,
             plan.params,
             derive_rng(seed, "guarantee"),

@@ -194,7 +194,7 @@ class FieldSpec:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "_modint", "_exp", "_log", "_zech")
+    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech")
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
         if q > MAX_FIELD_SIZE:
@@ -207,7 +207,6 @@ class FieldSpec:
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
             self.modulus = None
-            self._modint = 0
             self._exp = None
             self._log = None
             self._zech = None
@@ -220,7 +219,6 @@ class FieldSpec:
         if not _poly_is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        self._modint = _undigits(list(modulus), 2) if p == 2 else 0
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -228,17 +226,6 @@ class FieldSpec:
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product mod modulus, without the log table."""
         p, e = self.p, self.e
-        if p == 2:
-            m = self._modint
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if (a >> e) & 1:
-                    a ^= m
-            return r
         prod = _poly_mul(_digits(a, p, e), _digits(b, p, e), p)
         return _undigits(_poly_mod(prod, self.modulus, p), p)
 
@@ -274,8 +261,7 @@ class FieldSpec:
         self._zech = self._zech_table() if self.p != 2 else None
 
     def _times(self, g: int):
-        """The map v -> v*g, without a polynomial product per call in odd
-        characteristic.
+        """The map v -> v*g, without a polynomial product per call.
 
         Multiplying by g is linear over GF(p) in the base-p digits, so v*g
         is the digitwise sum of (low half of v)*g and (high half of v)*g,
@@ -285,8 +271,6 @@ class FieldSpec:
         two more tables take each half of the sum back to base p, every
         digit reduced mod p.
         """
-        if self.p == 2:
-            return lambda v: self._mul_raw(v, g)
         p, e = self.p, self.e
         h = e // 2
         split = p**h

@@ -19,15 +19,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import EnumerationTooLarge, ShapeError
+from .errors import ShapeError
 from .matrix import FieldMatrix, _Echelon
-from .multiplex import (
-    DEFAULT_ENUMERATION_CAP,
-    MultiplexLayout,
-    SubsetIndex,
-    _check_map,
-    iter_message_vectors,
-)
+from .multiplex import MultiplexLayout, SubsetIndex, _check_map, iter_message_vectors
 from .network import (
     EavesdropperModel,
     LocalCoding,
@@ -99,11 +93,7 @@ def exact_leakage(
 
 
 def brute_force_leakage(
-    layout: MultiplexLayout,
-    L: FieldMatrix,
-    B: FieldMatrix,
-    subset: SubsetIndex,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix, subset: SubsetIndex
 ) -> float:
     """Mutual information from the explicit joint distribution, in nats.
 
@@ -111,16 +101,15 @@ def brute_force_leakage(
     joint distribution of (subset blocks of s, B L^-1 s), and sums
     p * ln(p / (p_a p_z)).  Independent of the rank-based path.
     """
-    total = layout.q ** layout.mn
-    if total > cap:
-        raise EnumerationTooLarge(f"q^mn = {total} exceeds cap {cap}")
+    messages = iter_message_vectors(layout)  # checks the enumeration bound first
     _check_operands(layout, L, B)
+    total = layout.q ** layout.mn
     coords = layout.subset_coordinates(subset)
     C = B @ L.inverse()
     joint: dict[tuple, int] = {}
     marg_a: dict[tuple, int] = {}
     marg_z: dict[tuple, int] = {}
-    for s in iter_message_vectors(layout, cap=cap):
+    for s in messages:
         a = tuple(s[c] for c in coords)
         z = tuple(C.mul_vector(s))
         key = (a, z)

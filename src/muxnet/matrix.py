@@ -15,7 +15,7 @@ import random
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from .fields import FieldSpec
 
-DEFAULT_GL_ENUM_CAP = 100_000
+MAX_GL_ENUMERATION = 100_000  # largest |GL(dim, q)| that enumerate_gl lists
 
 
 class FieldMatrix:
@@ -323,13 +323,11 @@ def gl_order(dim: int, q: int) -> int:
     return order
 
 
-def enumerate_gl(
-    dim: int, field: FieldSpec, cap: int = DEFAULT_GL_ENUM_CAP
-) -> list[FieldMatrix]:
-    """All of GL(dim, q) in a deterministic order; guarded by `cap`."""
+def enumerate_gl(dim: int, field: FieldSpec) -> list[FieldMatrix]:
+    """All of GL(dim, q) in a deterministic order, at most MAX_GL_ENUMERATION."""
     total = gl_order(dim, field.q)
-    if total > cap:
-        raise EnumerationTooLarge(f"|GL({dim},{field.q})| = {total} exceeds cap {cap}")
+    if total > MAX_GL_ENUMERATION:
+        raise EnumerationTooLarge(f"|GL({dim},{field.q})| = {total} exceeds {MAX_GL_ENUMERATION}")
     q = field.q
     out: list[FieldMatrix] = []
 

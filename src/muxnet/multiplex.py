@@ -17,7 +17,7 @@ from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from .fields import GF, FieldSpec
 from .matrix import FieldMatrix
 
-DEFAULT_ENUMERATION_CAP = 1 << 16
+MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,12 @@ def decode(layout: MultiplexLayout, L: FieldMatrix, x) -> MessageTuple:
     return MessageTuple.from_vector(layout, L.mul_vector(x))
 
 
-def iter_message_vectors(layout: MultiplexLayout, cap: int = DEFAULT_ENUMERATION_CAP):
-    """All q^(m*n) concatenated message vectors, in digit order."""
+def iter_message_vectors(layout: MultiplexLayout):
+    """All q^(m*n) concatenated message vectors, in digit order (the last
+    coordinate varies fastest), at most MAX_MESSAGE_VECTORS of them."""
     total = layout.q ** layout.mn
-    if total > cap:
-        raise EnumerationTooLarge(f"q^mn = {total} exceeds cap {cap}")
+    if total > MAX_MESSAGE_VECTORS:
+        raise EnumerationTooLarge(f"q^mn = {total} exceeds {MAX_MESSAGE_VECTORS}")
     return itertools.product(range(layout.q), repeat=layout.mn)
 
 

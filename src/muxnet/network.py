@@ -26,7 +26,9 @@ from .fields import FieldSpec
 from .matrix import FieldMatrix, sample_full_rank
 from .multiplex import MultiplexLayout
 
-DEFAULT_SET_ENUM_CAP = 1 << 16
+# Largest number of tap sets enumerate_eavesdropper_sets lists, and of
+# per-slot tap schedules observation_support lists for a statistical model.
+MAX_TAP_SETS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,16 @@ class LocalCoding:
         self.slot_maps = tuple(dict(m) for m in slot_maps)
         if not self.slot_maps:
             raise WrongSlotCount("need at least one slot map")
+        for cm in self.slot_maps:
+            for link_id, coeffs in cm.items():
+                for key, c in coeffs.items():
+                    # the matrix-entry rule; bool is an int subclass.  The key
+                    # is shown as in a network document.
+                    if type(c) is not int or not 0 <= c < field.q:
+                        raise ValueError(
+                            f"coding[{link_id!r}][{str(key)!r}] = {c!r} "
+                            f"is not an element of GF({field.q})"
+                        )
 
     @property
     def slots(self) -> int:
@@ -152,9 +164,8 @@ class LocalCoding:
         n: int,
         m: int,
         rng: random.Random,
-        slot_constant: bool = True,
     ) -> "LocalCoding":
-        """All local coefficients iid uniform; slot-constant by default."""
+        """All local coefficients iid uniform, the same in every slot."""
         if len(net.out_links(net.source)) < n:
             raise ValueError(
                 f"source has {len(net.out_links(net.source))} outgoing links, needs {n}"
@@ -171,9 +182,7 @@ class LocalCoding:
                     }
             return cm
 
-        if slot_constant:
-            return cls(field, n, [one_slot()] * m)
-        return cls(field, n, [one_slot() for _ in range(m)])
+        return cls(field, n, [one_slot()] * m)
 
 
 @dataclass(frozen=True)
@@ -294,16 +303,15 @@ def eavesdrop_matrix(
     return FieldMatrix(layout.field, rows, ncols=layout.mn)
 
 
-def enumerate_eavesdropper_sets(
-    net: Network, mu: int, cap: int = DEFAULT_SET_ENUM_CAP
-) -> list[tuple[str, ...]]:
-    """All mu-subsets of links, sorted; the count is the constant C_E."""
+def enumerate_eavesdropper_sets(net: Network, mu: int) -> list[tuple[str, ...]]:
+    """All mu-subsets of links, sorted, at most MAX_TAP_SETS of them; the
+    count is the constant C_E."""
     ids = sorted(net.link_ids())
     if mu > len(ids):
         raise InfeasibleMu(f"mu = {mu} exceeds the {len(ids)} links available")
     total = math.comb(len(ids), mu)
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} tap sets exceed cap {cap}")
+    if total > MAX_TAP_SETS:
+        raise EnumerationTooLarge(f"{total} tap sets exceed {MAX_TAP_SETS}")
     return [tuple(c) for c in itertools.combinations(ids, mu)]
 
 
@@ -371,12 +379,12 @@ def realize_eavesdropper(
 
 
 def constant_tap_observations(
-    net: Network, coding: LocalCoding, mu: int, layout: MultiplexLayout, cap: int = DEFAULT_SET_ENUM_CAP
+    net: Network, coding: LocalCoding, mu: int, layout: MultiplexLayout
 ) -> list[tuple[tuple[str, ...], FieldMatrix]]:
     """(tap set, observation matrix) for every mu-subset tapped in all slots."""
     return [
         (s, eavesdrop_matrix(net, coding, [s] * layout.m, layout))
-        for s in enumerate_eavesdropper_sets(net, mu, cap=cap)
+        for s in enumerate_eavesdropper_sets(net, mu)
     ]
 
 
@@ -385,24 +393,23 @@ def observation_support(
     net: Network | None,
     coding: LocalCoding | None,
     layout: MultiplexLayout,
-    cap: int = DEFAULT_SET_ENUM_CAP,
 ) -> list[tuple[FieldMatrix, float]] | None:
     """The distribution of the observation matrix, as (B, probability) pairs.
 
     None where it must be sampled: a direct model, no network or coding, or
-    more than `cap` statistical tap schedules.  A uniform traditional model
-    over more than `cap` tap sets raises EnumerationTooLarge.
+    more than MAX_TAP_SETS statistical tap schedules.  A uniform traditional
+    model over more than MAX_TAP_SETS tap sets raises EnumerationTooLarge.
     """
     if model.kind == "direct" or net is None or coding is None:
         return None
     if model.kind == "traditional":
         if model.links is not None:
             return [(eavesdrop_matrix(net, coding, [model.links] * layout.m, layout), 1.0)]
-        taps = constant_tap_observations(net, coding, model.mu, layout, cap)
+        taps = constant_tap_observations(net, coding, model.mu, layout)
         return [(B, 1.0 / len(taps)) for _, B in taps]
     dist = model.distribution
     size = len(dist) if dist is not None else math.comb(len(net.links), model.mu)
-    if size ** layout.m > cap:
+    if size ** layout.m > MAX_TAP_SETS:
         return None
     if dist is None:
         sets = enumerate_eavesdropper_sets(net, model.mu)
@@ -489,13 +496,5 @@ def coding_from_json(
         if not isinstance(inner, dict):
             raise ValueError(f"coding[{link_id!r}] = {inner!r} is not an object")
         from_source = net.link(link_id).tail == net.source
-        parsed = {}
-        for key, val in inner.items():
-            # bool is an int subclass; a coefficient must be a plain integer
-            if type(val) is not int or not 0 <= val < field.q:
-                raise ValueError(
-                    f"coding[{link_id!r}][{key!r}] = {val!r} is not an element of GF({field.q})"
-                )
-            parsed[int(key) if from_source else str(key)] = val
-        coeffs[link_id] = parsed
+        coeffs[link_id] = {int(k) if from_source else str(k): v for k, v in inner.items()}
     return LocalCoding.constant(field, n, coeffs, m)

@@ -40,6 +40,7 @@ from .multiplex import (
     iter_message_vectors,
 )
 from .network import (
+    EavesdropperModel,
     butterfly_coding,
     butterfly_network,
     check_decodability,
@@ -47,6 +48,7 @@ from .network import (
     eavesdrop_matrix,
     enumerate_eavesdropper_sets,
     global_coding_vectors,
+    observation_support,
 )
 from .rng import derive_rng
 
@@ -357,9 +359,9 @@ def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
     return out
 
 
-def oracle_suite_layouts(q: int = 2) -> list[tuple[MultiplexLayout, int]]:
+def oracle_suite_layouts() -> list[tuple[MultiplexLayout, int]]:
     """Layouts used by the oracle-equivalence suite, with their mn."""
-    f = GF(q)
+    f = GF(2)
     return [
         (MultiplexLayout(f, 1, 2, 1, (1, 1)), 2),
         (MultiplexLayout(f, 1, 3, 1, (2, 1)), 3),
@@ -518,9 +520,8 @@ def _check_guarantee(opts: VerifyOptions) -> list[CheckResult]:
         layout = MultiplexLayout(f, m, 2, T, k)
         coding = butterfly_coding(f, m)
         params = BoundParams.defaults(T)
-        res = guarantee_experiment(
-            layout, net, coding, 1, params, rng, opts.guarantee_l_trials
-        )
+        support = observation_support(EavesdropperModel("traditional", 1), net, coding, layout)
+        res = guarantee_experiment(layout, support, 1, params, rng, opts.guarantee_l_trials)
         p = res["threshold"]
         sigma = math.sqrt(p * (1 - p) / res["trials"])
         bound = p - 3 * sigma

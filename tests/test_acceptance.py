@@ -13,6 +13,7 @@ import pytest
 from muxnet import (
     GF,
     BoundParams,
+    EavesdropperModel,
     FieldMatrix,
     JointDistribution,
     MessageTuple,
@@ -31,6 +32,7 @@ from muxnet import (
     guarantee_experiment,
     hash_collision_probability,
     leakage_floor,
+    observation_support,
     random_matrix,
     sample_gl,
     ub5_bound,
@@ -259,8 +261,7 @@ def test_criterion_06_guarantee_probability():
         params = BoundParams.defaults(T)
         res = guarantee_experiment(
             layout,
-            net,
-            coding,
+            observation_support(EavesdropperModel("traditional", 1), net, coding, layout),
             1,
             params,
             derive_rng(SEED, f"acceptance:guarantee:{T}"),

@@ -8,6 +8,7 @@ import pytest
 from muxnet import (
     GF,
     BoundParams,
+    EavesdropperModel,
     FieldMatrix,
     HashFamilySpec,
     JointDistribution,
@@ -24,6 +25,7 @@ from muxnet import (
     exact_leakage,
     guarantee_experiment,
     leakage_floor,
+    observation_support,
     rate_leakage_floor,
     sample_gl,
     ub2_bound,
@@ -262,9 +264,8 @@ def test_guarantee_fraction_meets_threshold():
     net = butterfly_network()
     layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
     coding = butterfly_coding(f, 2)
-    res = guarantee_experiment(
-        layout, net, coding, 1, BoundParams.defaults(1), random.Random(5), 50
-    )
+    support = observation_support(EavesdropperModel("traditional", 1), net, coding, layout)
+    res = guarantee_experiment(layout, support, 1, BoundParams.defaults(1), random.Random(5), 50)
     p = res["threshold"]
     sigma = math.sqrt(p * (1 - p) / 50)
     assert res["fraction_good"] >= p - 3 * sigma
@@ -279,9 +280,8 @@ def test_guarantee_all_good_when_observations_are_zero():
     net = butterfly_network()
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     coding = LocalCoding.constant(f, 2, {l.id: {} for l in net.links}, 1)
-    res = guarantee_experiment(
-        layout, net, coding, 1, BoundParams.defaults(1), random.Random(9), 15
-    )
+    support = observation_support(EavesdropperModel("traditional", 1), net, coding, layout)
+    res = guarantee_experiment(layout, support, 1, BoundParams.defaults(1), random.Random(9), 15)
     assert res["fraction_good"] == 1.0
 
 
@@ -290,24 +290,23 @@ def test_guarantee_vacuous_with_huge_c1():
     net = butterfly_network()
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     coding = butterfly_coding(f, 1)
-    res = guarantee_experiment(
-        layout, net, coding, 1, BoundParams(C1=1e9, C2=1e9), random.Random(6), 20
-    )
+    support = observation_support(EavesdropperModel("traditional", 1), net, coding, layout)
+    res = guarantee_experiment(layout, support, 1, BoundParams(C1=1e9, C2=1e9), random.Random(6), 20)
     assert res["fraction_good"] == 1.0
 
 
 def test_guarantee_rejects_zero_trials_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("observations were built before L_trials was checked")
+        raise AssertionError("leakage was averaged before L_trials was checked")
 
-    monkeypatch.setattr("muxnet.bounds.observation_support", no_work)
     f = GF(2)
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
+    support = observation_support(
+        EavesdropperModel("traditional", 1), butterfly_network(), butterfly_coding(f, 1), layout
+    )
+    monkeypatch.setattr("muxnet.bounds.average_over_support", no_work)
     with pytest.raises(ValueError, match="L_trials must be at least 1"):
-        guarantee_experiment(
-            layout, butterfly_network(), butterfly_coding(f, 1), 1,
-            BoundParams.defaults(1), random.Random(0), 0,
-        )
+        guarantee_experiment(layout, support, 1, BoundParams.defaults(1), random.Random(0), 0)
 
 
 # ---------------------------------------------------------
@@ -434,7 +433,8 @@ def test_multi_subset_results_match_exact_leakage_reference(name, mu):
     assert (witnesses > 0) == (mu == 1)
 
     trials = 40
-    res = guarantee_experiment(layout, net, coding, mu, params, random.Random(3), trials)
+    support = observation_support(EavesdropperModel("traditional", mu), net, coding, layout)
+    res = guarantee_experiment(layout, support, mu, params, random.Random(3), trials)
     rng = random.Random(3)
     good = {sub.label: 0 for sub in subsets}
     all_good = 0

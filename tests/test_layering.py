@@ -1,0 +1,45 @@
+"""Module layering: each muxnet module imports only from modules below it."""
+
+import ast
+from pathlib import Path
+
+import muxnet
+
+ORDER = (
+    "errors", "rng", "fields", "matrix", "multiplex", "network",
+    "leakage", "bounds", "verification", "experiments", "cli",
+)
+# verification's report-determinism check runs the simulate pipeline, so it
+# imports experiments inside that one function.
+ALLOWED_BACK_EDGES = {("verification", "experiments")}
+
+SRC = Path(muxnet.__file__).parent
+
+
+def relative_imports(module):
+    """The sibling module of every `from .x import`, at any depth."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    ]
+
+
+def test_order_lists_every_module():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(ORDER)
+
+
+def test_imports_point_down_the_layers():
+    back = {
+        (module, target)
+        for module in ORDER
+        for target in relative_imports(module)
+        if ORDER.index(target) >= ORDER.index(module)
+    }
+    assert back == ALLOWED_BACK_EDGES
+
+
+def test_bounds_takes_observations_from_its_caller():
+    assert "network" not in relative_imports("bounds")

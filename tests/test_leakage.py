@@ -134,7 +134,21 @@ def test_brute_force_cap():
     B = FieldMatrix.zeros(GF(2), 1, 20)
     with pytest.raises(EnumerationTooLarge):
         brute_force_leakage(
-            layout, FieldMatrix.identity(GF(2), 20), B, SubsetIndex({1}), cap=1 << 10
+            layout, FieldMatrix.identity(GF(2), 20), B, SubsetIndex({1})
+        )
+
+
+def test_brute_force_bound_checked_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the bound was checked")
+
+    monkeypatch.setattr(FieldMatrix, "inverse", no_work)
+    monkeypatch.setattr("muxnet.leakage._check_operands", no_work)
+    layout = MultiplexLayout(GF(2), 1, 17, 1, (9, 8))  # 2^17 message vectors
+    with pytest.raises(EnumerationTooLarge):
+        brute_force_leakage(
+            layout, FieldMatrix.identity(GF(2), 17), FieldMatrix.zeros(GF(2), 1, 17),
+            SubsetIndex({1}),
         )
 
 
@@ -430,7 +444,7 @@ def butterfly_observation(f, m, rng):
     """Block-diagonal B of the butterfly network under a per-slot random
     coding, one or two tapped links per slot."""
     net = butterfly_network()
-    coding = LocalCoding.random(net, f, 2, m, rng, slot_constant=False)
+    coding = LocalCoding(f, 2, [LocalCoding.random(net, f, 2, 1, rng).slot_map(0) for _ in range(m)])
     mu = rng.randint(1, 2)
     taps = [rng.sample(net.link_ids(), mu) for _ in range(m)]
     return eavesdrop_matrix(net, coding, taps, MultiplexLayout(f, m, 2, 1, (m, m)))

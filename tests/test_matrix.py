@@ -7,8 +7,8 @@ import random
 import pytest
 
 from muxnet import GF, FieldMatrix, enumerate_gl, random_matrix, sample_full_rank, sample_gl
-from muxnet.errors import ShapeError, SingularMatrix
-from muxnet.matrix import gl_order
+from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
+from muxnet.matrix import MAX_GL_ENUMERATION, gl_order
 
 CHI2_CRIT_DF5 = 20.515  # alpha = 0.001
 
@@ -169,6 +169,16 @@ def test_enumerate_gl_orders():
     assert gl_order(2, 3) == 48
     assert len(enumerate_gl(2, GF(3))) == 48
     assert len({m.as_tuples() for m in enumerate_gl(3, GF(2))}) == gl_order(3, 2) == 168
+
+
+def test_gl_enumeration_bound(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the bound was checked")
+
+    monkeypatch.setattr("muxnet.matrix._Echelon", no_work)
+    assert gl_order(2, 19) == 123_120 > MAX_GL_ENUMERATION
+    with pytest.raises(EnumerationTooLarge, match="123120"):
+        enumerate_gl(2, GF(19))
 
 
 def test_sample_full_rank_rectangular():

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,8 @@ from muxnet import (
     sample_gl,
 )
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from muxnet.multiplex import iter_message_vectors
+from muxnet import multiplex
+from muxnet.multiplex import MAX_MESSAGE_VECTORS, iter_message_vectors
 from muxnet.verification import _enumerate_layouts
 
 
@@ -271,7 +273,20 @@ def test_two_universal_all_small_layouts():
 def test_enumeration_cap():
     layout = MultiplexLayout(GF(2), 5, 4, 1, (10, 10))
     with pytest.raises(EnumerationTooLarge):
-        list(iter_message_vectors(layout, cap=1 << 10))
+        list(iter_message_vectors(layout))
+
+
+def test_message_enumeration_bound(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the bound was checked")
+
+    monkeypatch.setattr(multiplex, "itertools", SimpleNamespace(product=no_work))
+    with pytest.raises(EnumerationTooLarge, match="131072"):
+        iter_message_vectors(MultiplexLayout(GF(2), 1, 17, 1, (9, 8)))  # 2^17
+    monkeypatch.undo()
+    assert MAX_MESSAGE_VECTORS == 1 << 16
+    # 2^16 vectors are accepted; the iterator is lazy and left unconsumed
+    iter_message_vectors(MultiplexLayout(GF(2), 1, 16, 1, (8, 8)))
 
 
 def test_layout_json_roundtrip():

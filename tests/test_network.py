@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +30,8 @@ from muxnet.errors import (
     MissingCoefficient,
     WrongSlotCount,
 )
-from muxnet.network import coding_from_json, parallel_coding, parallel_network
+from muxnet import network
+from muxnet.network import MAX_TAP_SETS, coding_from_json, parallel_coding, parallel_network
 
 CHI2_CRIT_DF1 = 10.828  # alpha = 0.001
 
@@ -208,7 +210,8 @@ def test_eavesdrop_blocks_follow_each_slot_map(which):
     f = GF(3)
     m = 4
     if which == "per-slot-random":
-        coding = LocalCoding.random(net, f, 2, m, random.Random(5), slot_constant=False)
+        rng = random.Random(5)
+        coding = LocalCoding(f, 2, [LocalCoding.random(net, f, 2, 1, rng).slot_map(0) for _ in range(m)])
     else:  # slot maps A, A, B, A: e7 sums its inputs, except in slot 2
         a = butterfly_coding(f, 1).slot_map(0)
         coding = LocalCoding(f, 2, [a, a, dict(a, e7={"e3": 1, "e4": 2}), a])
@@ -313,9 +316,45 @@ def test_enumerate_sets_counts():
     assert len(enumerate_eavesdropper_sets(net, 2)) == 6
     assert len(enumerate_eavesdropper_sets(butterfly_network(), 1)) == 9
     with pytest.raises(EnumerationTooLarge):
-        enumerate_eavesdropper_sets(butterfly_network(), 4, cap=10)
+        enumerate_eavesdropper_sets(parallel_network(40), 5)
     with pytest.raises(InfeasibleMu):
         enumerate_eavesdropper_sets(net, 5)
+
+
+def test_tap_set_enumeration_bound(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the bound was checked")
+
+    monkeypatch.setattr(network, "itertools", SimpleNamespace(combinations=no_work))
+    with pytest.raises(EnumerationTooLarge, match="658008"):
+        enumerate_eavesdropper_sets(parallel_network(40), 5)  # C(40, 5)
+    monkeypatch.undo()
+    assert MAX_TAP_SETS == 1 << 16
+    assert len(enumerate_eavesdropper_sets(parallel_network(362), 2)) == 65_341
+    with pytest.raises(EnumerationTooLarge, match="65703"):
+        enumerate_eavesdropper_sets(parallel_network(363), 2)
+
+
+@pytest.mark.parametrize("links, listed", [(256, True), (257, False)])
+def test_statistical_support_bound(links, listed, monkeypatch):
+    # A uniform statistical model over `links` single-link tap sets and
+    # m = 2 slots has links^2 schedules: 65,536 is listed, 66,049 sampled.
+    built = []
+
+    def record(net, coding, slots, layout):
+        built.append(slots)
+
+    monkeypatch.setattr(network, "eavesdrop_matrix", record)
+    f = GF(2)
+    layout = MultiplexLayout(f, 2, links, 1, (links, links))
+    model = EavesdropperModel("statistical", 1)
+    net = parallel_network(links)
+    support = network.observation_support(model, net, parallel_coding(f, links, 2), layout)
+    if listed:
+        assert len(support) == len(built) == links**2 == MAX_TAP_SETS
+        assert support[1] == (None, 1.0 / links**2)
+    else:
+        assert support is None and built == []
 
 
 # ---------------------------------------------------------
@@ -353,6 +392,18 @@ def test_network_json_roundtrip_and_coding_parse():
             assert repr(link_id) in str(exc.value) and repr(key) in str(exc.value)
     with pytest.raises(ValueError, match="GF\\(3\\)"):
         coding_from_json(back, {"e1": {"0": 7}}, GF(3), 2, 1)
+
+
+def test_local_coding_rejects_non_field_coefficients():
+    # A coefficient follows the matrix-entry rule: a plain int in [0, q).
+    for q in (3, 4):
+        base = butterfly_coding(GF(q), 1).slot_map(0)
+        for link_id, key in (("e1", 0), ("e3", "e1")):
+            for val in (7, 1.5, True):
+                slot = dict(base, **{link_id: {key: val}})
+                with pytest.raises(ValueError, match=f"GF\\({q}\\)") as exc:
+                    LocalCoding(GF(q), 2, [slot])
+                assert f"coding[{link_id!r}][{str(key)!r}]" in str(exc.value)
 
 
 def test_random_coding_from_json_is_seeded():
