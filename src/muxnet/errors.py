@@ -14,7 +14,7 @@ class SingularMatrix(MuxnetError, ValueError):
 
 
 class EnumerationTooLarge(MuxnetError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed its fixed bound."""
 
 
 class CycleDetected(MuxnetError, ValueError):

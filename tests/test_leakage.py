@@ -133,9 +133,7 @@ def test_brute_force_cap():
     layout = MultiplexLayout(GF(2), 5, 4, 1, (10, 10))
     B = FieldMatrix.zeros(GF(2), 1, 20)
     with pytest.raises(EnumerationTooLarge):
-        brute_force_leakage(
-            layout, FieldMatrix.identity(GF(2), 20), B, SubsetIndex({1})
-        )
+        brute_force_leakage(layout, FieldMatrix.identity(GF(2), 20), B, SubsetIndex({1}))
 
 
 def test_brute_force_bound_checked_before_any_work(monkeypatch):
@@ -444,7 +442,8 @@ def butterfly_observation(f, m, rng):
     """Block-diagonal B of the butterfly network under a per-slot random
     coding, one or two tapped links per slot."""
     net = butterfly_network()
-    coding = LocalCoding(f, 2, [LocalCoding.random(net, f, 2, 1, rng).slot_map(0) for _ in range(m)])
+    slot_maps = [LocalCoding.random(net, f, 2, 1, rng).slot_map(0) for _ in range(m)]
+    coding = LocalCoding(f, 2, slot_maps)
     mu = rng.randint(1, 2)
     taps = [rng.sample(net.link_ids(), mu) for _ in range(m)]
     return eavesdrop_matrix(net, coding, taps, MultiplexLayout(f, m, 2, 1, (m, m)))

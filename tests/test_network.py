@@ -211,7 +211,8 @@ def test_eavesdrop_blocks_follow_each_slot_map(which):
     m = 4
     if which == "per-slot-random":
         rng = random.Random(5)
-        coding = LocalCoding(f, 2, [LocalCoding.random(net, f, 2, 1, rng).slot_map(0) for _ in range(m)])
+        slot_maps = [LocalCoding.random(net, f, 2, 1, rng).slot_map(0) for _ in range(m)]
+        coding = LocalCoding(f, 2, slot_maps)
     else:  # slot maps A, A, B, A: e7 sums its inputs, except in slot 2
         a = butterfly_coding(f, 1).slot_map(0)
         coding = LocalCoding(f, 2, [a, a, dict(a, e7={"e3": 1, "e4": 2}), a])
