@@ -7,7 +7,7 @@ z = B x.  Subset I's blocks are L_I x, so its leakage is
 
 an integer multiple of ln q.  That rank, rank [B; L_I] - rank B, equals
 dim proj_I(ker(B L^-1)).  `brute_force_leakage`, the independent oracle,
-recomputes the leakage from the full joint distribution.
+recomputes the leakage of each subset from the full joint distribution.
 
 `average_over_support` and `worst_case_leakage` are the one place that
 aggregates leakage over a list of observations (weighted mean, maximum).
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ShapeError
@@ -59,20 +60,25 @@ def leakage_profile(
     B: FieldMatrix,
     subsets,
 ) -> dict[str, LeakageResult]:
-    """exact_leakage for several subsets, reducing L modulo B's row space once."""
+    """exact_leakage for several subsets, reducing L modulo B's row space once.
+
+    The residues stay packed in the engine's form, and a subset's rank is
+    the number of its residues a fresh basis accepts.
+    """
     _check_operands(layout, L, B)
     L.inverse()  # raises SingularMatrix for a singular L; cached on L
-    basis = _Echelon(layout.field)
+    field = layout.field
+    basis = _Echelon(field)
     for row in B.rows_list():
         basis.insert(row)
     rank_b = len(basis.pivots)
-    residues = [basis.reduce(row) for row in L.rows_list()]
+    residues = [basis.reduce_packed(basis.pack(row)) for row in L.rows_list()]
     lnq = math.log(layout.q)
     out: dict[str, LeakageResult] = {}
     for subset in subsets:
+        span = _Echelon(field)
         coords = layout.subset_coordinates(subset)
-        rows = [residues[i] for i in coords]
-        kernel_dim = FieldMatrix(layout.field, rows, ncols=layout.mn).rank()
+        kernel_dim = sum(span.insert_packed(residues[i]) for i in coords)
         k_sub = layout.subset_length(subset)
         out[subset.label] = LeakageResult(
             subset=subset,
@@ -93,34 +99,34 @@ def exact_leakage(
 
 
 def brute_force_leakage(
-    layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix, subset: SubsetIndex
-) -> float:
-    """Mutual information from the explicit joint distribution, in nats.
+    layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix, subsets
+) -> dict[str, float]:
+    """Mutual information from the explicit joint distribution, in nats,
+    per subset label.
 
-    Enumerates all q^(m*n) equiprobable message vectors s, tabulates the
-    joint distribution of (subset blocks of s, B L^-1 s), and sums
-    p * ln(p / (p_a p_z)).  Independent of the rank-based path.
+    Enumerates all q^(m*n) equiprobable message vectors s once, computes
+    z = B L^-1 s once per s, tabulates for each subset the joint
+    distribution of (subset blocks of s, z), and sums p * ln(p / (p_a p_z))
+    in first-seen order.  Independent of the rank-based path.
     """
     messages = iter_message_vectors(layout)  # checks the enumeration bound first
     _check_operands(layout, L, B)
     total = layout.q ** layout.mn
-    coords = layout.subset_coordinates(subset)
     C = B @ L.inverse()
-    joint: dict[tuple, int] = {}
-    marg_a: dict[tuple, int] = {}
-    marg_z: dict[tuple, int] = {}
-    for s in messages:
-        a = tuple(s[c] for c in coords)
-        z = tuple(C.mul_vector(s))
-        key = (a, z)
-        joint[key] = joint.get(key, 0) + 1
-        marg_a[a] = marg_a.get(a, 0) + 1
-        marg_z[z] = marg_z.get(z, 0) + 1
+    messages = list(messages)
+    zs = [tuple(C.mul_vector(s)) for s in messages]
+    marg_z = Counter(zs)
     log = math.log
-    mi = 0.0
-    for (a, z), c in joint.items():
-        mi += c * (log(c * total) - log(marg_a[a] * marg_z[z]))
-    return max(mi / total, 0.0)
+    out = {}
+    for sub in subsets:
+        coords = layout.subset_coordinates(sub)
+        blocks = [tuple(s[c] for c in coords) for s in messages]
+        marg_a = Counter(blocks)
+        mi = 0.0
+        for (a, z), c in Counter(zip(blocks, zs)).items():
+            mi += c * (log(c * total) - log(marg_a[a] * marg_z[z]))
+        out[sub.label] = max(mi / total, 0.0)
+    return out
 
 
 def average_over_support(

@@ -2,9 +2,10 @@
 
 Every elimination runs through one reduced echelon basis, `_Echelon`.  The
 reduced row echelon form of a matrix is unique, so reduced forms, kernels
-and inverses are identical across runs.  Row updates and products go
-through the field's row primitives (`FieldSpec.row_sub_scaled`,
-`row_scale`, `row_dot`), never a scalar call per cell.
+and inverses are identical across runs.  Over GF(2) the engine packs each
+row into one int and updates it with one XOR; over every other field row
+updates go through the field's row primitives (`FieldSpec.row_sub_scaled`,
+`row_scale`), and products through `row_dot`, never a scalar call per cell.
 """
 
 from __future__ import annotations
@@ -50,6 +51,19 @@ class FieldMatrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, field: FieldSpec, rows: list[list[int]], ncols: int) -> "FieldMatrix":
+        """A matrix of rows the library computed itself, so already canonical
+        and rectangular: the public constructor's entry check is skipped, and
+        `rows` is kept, not copied, so no caller may change it afterwards."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._rows = rows
+        m._inverse = None
+        return m
+
+    @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FieldMatrix":
         return cls(field, [[0] * ncols for _ in range(nrows)], ncols=ncols)
 
@@ -58,7 +72,7 @@ class FieldMatrix:
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = 1
-        return cls(field, rows, ncols=n)
+        return cls._canonical(field, rows, n)
 
     @classmethod
     def from_flat(cls, field: FieldSpec, nrows: int, ncols: int, entries) -> "FieldMatrix":
@@ -116,7 +130,7 @@ class FieldMatrix:
         dot = self.field.row_dot
         bt = [[row[j] for row in other._rows] for j in range(other.ncols)]
         out = [[dot(arow, bcol) for bcol in bt] for arow in self._rows]
-        return FieldMatrix(self.field, out, ncols=other.ncols)
+        return FieldMatrix._canonical(self.field, out, other.ncols)
 
     def mul_vector(self, vec) -> list[int]:
         if len(vec) != self.ncols:
@@ -128,13 +142,15 @@ class FieldMatrix:
 
     def _rref_rows(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form as (rows, pivot columns); zero rows last."""
+        ncols = self.ncols
         ech = _Echelon(self.field)
         for row in self._rows:
-            if len(ech.pivots) == self.ncols:
+            if len(ech.pivots) == ncols:
                 break  # every later row lies in the span
             ech.insert(row)
-        zeros = [[0] * self.ncols for _ in range(self.nrows - len(ech.rows))]
-        return ech.rows + zeros, ech.pivots
+        rows = [ech.unpack(row, ncols) for row in ech.rows]
+        zeros = [[0] * ncols for _ in range(self.nrows - len(rows))]
+        return rows + zeros, ech.pivots
 
     def rank(self) -> int:
         return len(self._rref_rows()[1])
@@ -154,13 +170,16 @@ class FieldMatrix:
         out = [[int(c == j) for j in free] for c in range(self.ncols)]
         for row, pc in zip(rows, pivots):
             out[pc] = [neg(row[j]) for j in free]
-        return FieldMatrix(self.field, out, ncols=len(free))
+        return FieldMatrix._canonical(self.field, out, len(free))
 
     def _solve_right(self, rhs: list[list[int]]) -> list[list[int]] | None:
         """X with self @ X = rhs for square self, read off the reduced
         [self | rhs]; None when self is singular."""
         n = self.nrows
-        aug = FieldMatrix(self.field, [row + extra for row, extra in zip(self._rows, rhs)])
+        width = n + (len(rhs[0]) if rhs else 0)
+        aug = FieldMatrix._canonical(
+            self.field, [row + extra for row, extra in zip(self._rows, rhs)], width
+        )
         rows, pivots = aug._rref_rows()
         if pivots[:n] != list(range(n)):
             return None
@@ -177,7 +196,7 @@ class FieldMatrix:
         inv = self._solve_right(FieldMatrix.identity(self.field, n)._rows)
         if inv is None:
             raise SingularMatrix(f"matrix of rank {self.rank()} < {n} has no inverse")
-        self._inverse = FieldMatrix(self.field, inv, ncols=n)
+        self._inverse = FieldMatrix._canonical(self.field, inv, n)
         return self._inverse
 
     def solve(self, vec) -> list[int]:
@@ -221,8 +240,8 @@ class FieldMatrix:
 
 def random_matrix(field: FieldSpec, nrows: int, ncols: int, rng: random.Random) -> FieldMatrix:
     q = field.q
-    return FieldMatrix(
-        field, [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)], ncols=ncols
+    return FieldMatrix._canonical(
+        field, [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)], ncols
     )
 
 
@@ -235,56 +254,97 @@ class _Echelon:
     every pivot column is zero in every other row, so inserting a matrix's
     rows one by one leaves exactly its reduced row echelon form.  Rows are
     replaced, never changed in place, so a copy may share them.
+
+    The basis holds its rows packed.  Over GF(2) a packed row is one int
+    with column j in byte j, `int.from_bytes(bytes(row), "little")`, so
+    packing and unpacking run in C; a row update is one XOR, and the
+    lowest set bit gives the pivot.  Over every other field a packed row
+    is a list of symbols, updated by the field's row kernels.  `insert`
+    and `reduce` take list rows; `insert_packed` and `reduce_packed` take
+    rows from `pack`, and `unpack` turns one back into a list.
     """
 
-    __slots__ = ("field", "rows", "pivots")
+    __slots__ = ("field", "rows", "pivots", "_bits")
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.rows: list[list[int]] = []
+        self.rows: list = []
         self.pivots: list[int] = []
+        self._bits = field.q == 2
 
     def copy(self) -> "_Echelon":
         other = _Echelon(self.field)
         other.rows, other.pivots = list(self.rows), list(self.pivots)
         return other
 
+    def pack(self, vec):
+        """vec, a sequence of symbols, as a packed row."""
+        return int.from_bytes(bytes(vec), "little") if self._bits else vec
+
+    def unpack(self, row, ncols: int) -> list[int]:
+        """A packed row of width ncols as a list of symbols; over fields
+        other than GF(2) the row itself, which must not be changed."""
+        return list(row.to_bytes(ncols, "little")) if self._bits else row
+
     def reduce(self, vec) -> list[int]:
         """vec reduced modulo the span, as a new list; all zero iff vec lies in it."""
-        sub_scaled = self.field.row_sub_scaled
-        vec = list(vec)
-        # A basis row is zero left of its pivot, so only the columns right
-        # of the pivot change.
-        for pc, row in zip(self.pivots, self.rows):
-            c = vec[pc]
-            if c:
-                vec[pc] = 0
-                vec[pc + 1:] = sub_scaled(vec[pc + 1:], c, row[pc + 1:])
-        return vec
+        return self.unpack(self.reduce_packed(self.pack(vec)), len(vec))
 
     def insert(self, vec) -> bool:
         """Add vec to the basis; False, leaving the basis unchanged, when vec
         already lies in the span."""
-        vec = self.reduce(vec)
-        for p, lead in enumerate(vec):
-            if lead:
-                break
-        else:
-            return False
-        f = self.field
-        if lead != 1:
-            vec[p] = 1
-            vec[p + 1:] = f.row_scale(f.inv(lead), vec[p + 1:])
-        tail = vec[p + 1:]
-        sub_scaled = f.row_sub_scaled
-        rows = self.rows
-        for i, row in enumerate(rows):
-            c = row[p]
+        return self.insert_packed(self.pack(vec))
+
+    def reduce_packed(self, row):
+        """A packed row reduced modulo the span, as a new packed row; zero
+        (all zero) iff it lies in the span."""
+        if self._bits:
+            for pc, brow in zip(self.pivots, self.rows):
+                if row >> (pc << 3) & 1:
+                    row ^= brow
+            return row
+        sub_scaled = self.field.row_sub_scaled
+        vec = list(row)
+        # A basis row is zero left of its pivot, so only the columns right
+        # of the pivot change.
+        for pc, brow in zip(self.pivots, self.rows):
+            c = vec[pc]
             if c:
-                rows[i] = row[:p] + [0] + sub_scaled(row[p + 1:], c, tail)
+                vec[pc] = 0
+                vec[pc + 1:] = sub_scaled(vec[pc + 1:], c, brow[pc + 1:])
+        return vec
+
+    def insert_packed(self, row) -> bool:
+        """`insert` for a packed row."""
+        row = self.reduce_packed(row)
+        rows = self.rows
+        if self._bits:
+            if not row:
+                return False
+            low = row & -row
+            p = (low.bit_length() - 1) >> 3
+            for i, brow in enumerate(rows):
+                if brow & low:
+                    rows[i] = brow ^ row
+        else:
+            for p, lead in enumerate(row):
+                if lead:
+                    break
+            else:
+                return False
+            f = self.field
+            if lead != 1:
+                row[p] = 1
+                row[p + 1:] = f.row_scale(f.inv(lead), row[p + 1:])
+            tail = row[p + 1:]
+            sub_scaled = f.row_sub_scaled
+            for i, brow in enumerate(rows):
+                c = brow[p]
+                if c:
+                    rows[i] = brow[:p] + [0] + sub_scaled(brow[p + 1:], c, tail)
         at = bisect.bisect(self.pivots, p)
         self.pivots.insert(at, p)
-        rows.insert(at, vec)
+        rows.insert(at, row)
         return True
 
 
@@ -306,7 +366,7 @@ def sample_full_rank(
         cand = [rng.randrange(q) for _ in range(ncols)]
         if ech.insert(cand):
             rows.append(cand)
-    return FieldMatrix(field, rows, ncols=ncols)
+    return FieldMatrix._canonical(field, rows, ncols)
 
 
 def sample_gl(dim: int, field: FieldSpec, rng: random.Random) -> FieldMatrix:
@@ -332,18 +392,20 @@ def enumerate_gl(dim: int, field: FieldSpec) -> list[FieldMatrix]:
     out: list[FieldMatrix] = []
 
     vectors = [[(idx // q**i) % q for i in range(dim)] for idx in range(q**dim)]
+    start = _Echelon(field)
+    packed = [start.pack(v) for v in vectors]
 
     def extend(rows: list[list[int]], ech: _Echelon) -> None:
         if len(rows) == dim:
-            out.append(FieldMatrix(field, rows, ncols=dim))
+            out.append(FieldMatrix._canonical(field, list(rows), dim))
             return
-        for cand in vectors:
+        for cand, pcand in zip(vectors, packed):
             grown = ech.copy()
-            if grown.insert(cand):
+            if grown.insert_packed(pcand):
                 rows.append(cand)
                 extend(rows, grown)
                 rows.pop()
 
-    extend([], _Echelon(field))
+    extend([], start)
     assert len(out) == total
     return out

@@ -495,6 +495,17 @@ def coding_from_json(
     for link_id, inner in doc.items():
         if not isinstance(inner, dict):
             raise ValueError(f"coding[{link_id!r}] = {inner!r} is not an object")
-        from_source = net.link(link_id).tail == net.source
-        coeffs[link_id] = {int(k) if from_source else str(k): v for k, v in inner.items()}
+        if net.link(link_id).tail == net.source:
+            coeffs[link_id] = {_source_input(link_id, k, n): v for k, v in inner.items()}
+        else:
+            coeffs[link_id] = {str(k): v for k, v in inner.items()}
     return LocalCoding.constant(field, n, coeffs, m)
+
+
+def _source_input(link_id: str, key, n: int) -> int:
+    """A source link's coefficient key, a decimal string in a network
+    document, as the source input index it names in 0..n-1."""
+    text = str(key)
+    if not (text.isdecimal() and int(text) < n):
+        raise ValueError(f"coding[{link_id!r}][{text!r}] is not a source input in 0..{n - 1}")
+    return int(text)

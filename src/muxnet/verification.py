@@ -388,9 +388,10 @@ def _check_oracle_equivalence(opts: VerifyOptions) -> list[CheckResult]:
                 rank_b = B.rank()
                 for L in l_pool:
                     profile = leakage_profile(layout, L, B, subsets)
+                    oracle = brute_force_leakage(layout, L, B, subsets)
                     for sub in subsets:
                         res = profile[sub.label]
-                        bf = brute_force_leakage(layout, L, B, sub)
+                        bf = oracle[sub.label]
                         worst = max(worst, abs(res.nats - bf))
                         lnq = math.log(layout.q)
                         quant = abs(res.nats / lnq - round(res.nats / lnq))

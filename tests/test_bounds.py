@@ -127,6 +127,43 @@ def test_bounds_hold_on_random_joints():
                 assert family_statistics(joint, fam) is family_statistics(joint, fam)
 
 
+def test_family_statistics_with_repeated_maps_match_per_member_loop():
+    # Statistics are computed once per distinct map; the per-member tuples
+    # equal, float for float, a loop that recomputes every member.
+    def per_member(joint, family):
+        pz = joint.marginal_z()
+        mis, ents = [], []
+        for fmap in family.maps:
+            table = [[0.0] * joint.nz for _ in range(family.output_size)]
+            for x in range(joint.nx):
+                for z in range(joint.nz):
+                    table[fmap[x]][z] += joint.probs[x][z]
+            ps = [sum(row) for row in table]
+            mi = h = 0.0
+            for s in range(family.output_size):
+                for z in range(joint.nz):
+                    p = table[s][z]
+                    if p > 0:
+                        mi += p * math.log(p / (ps[s] * pz[z]))
+                        h -= p * math.log(p / pz[z])
+            mis.append(max(mi, 0.0))
+            ents.append(max(h, 0.0))
+        return tuple(mis), tuple(ents)
+
+    rng = random.Random(11)
+    gl32 = HashFamilySpec.projection_family(
+        MultiplexLayout(GF(2), 1, 3, 1, (1, 2)), SubsetIndex({1})
+    )
+    assert len(gl32.maps) == 168 and len(set(gl32.maps)) == 7
+    shuffled = list(hand_instance_family().maps) * 3
+    rng.shuffle(shuffled)
+    families = (gl32, hand_instance_family(), HashFamilySpec(tuple(shuffled), 2))
+    for family in families:
+        for _ in range(5):
+            joint = JointDistribution.dirichlet(family.domain_size, rng.randrange(2, 9), rng)
+            assert family_statistics(joint, family) == per_member(joint, family)
+
+
 def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
     # Both hashing bounds read E[P(X|Z)^rho]; the joint computes it once per
     # rho, with the floats of a fresh computation.

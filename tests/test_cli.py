@@ -86,6 +86,10 @@ def with_inline(key, value):
                  id="mu-exceeds-n"),
     pytest.param("network", inline_network({"e1": 5}), "coding['e1']", id="coding-entry"),
     pytest.param("network", inline_network(5), "coding = 5", id="coding-doc"),
+    pytest.param("network", inline_network({"e1": {"x": 1}}), "coding['e1']['x']",
+                 id="source-key-not-a-number"),
+    pytest.param("network", inline_network({"e1": {"5": 1}}), "coding['e1']['5']",
+                 id="source-key-out-of-range"),
     pytest.param("eavesdropper", statistical(
         [{"links": ["zz"], "p": -1}, {"links": ["e7"], "p": 2}]),
         "eavesdropper.distribution[0].p", id="negative-p"),

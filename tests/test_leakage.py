@@ -1,5 +1,6 @@
 """Exact leakage vs the brute-force joint-distribution oracle."""
 
+import itertools
 import math
 import random
 
@@ -73,8 +74,8 @@ def test_single_tap_identity_vs_swap():
     assert r2.nats == 0.0
     assert r2.kernel_dim == 1
     # the oracle agrees on both
-    assert brute_force_leakage(layout, ident, B, sub) == pytest.approx(LN2, abs=1e-12)
-    assert brute_force_leakage(layout, swap, B, sub) == pytest.approx(0.0, abs=1e-12)
+    assert brute_force_leakage(layout, ident, B, [sub])["1"] == pytest.approx(LN2, abs=1e-12)
+    assert brute_force_leakage(layout, swap, B, [sub])["1"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_entropy_complements_leakage():
@@ -101,7 +102,7 @@ def test_oracle_agreement_all_gl22():
     sub = SubsetIndex({1})
     for L in enumerate_gl(2, GF(2)):
         assert exact_leakage(layout, L, B, sub).nats == pytest.approx(
-            brute_force_leakage(layout, L, B, sub), abs=1e-9
+            brute_force_leakage(layout, L, B, [sub])[sub.label], abs=1e-9
         )
 
 
@@ -113,7 +114,7 @@ def test_oracle_agreement_random_gf3():
         L = sample_gl(3, GF(3), rng)
         B = random_matrix(GF(3), rng.randrange(1, 4), 3, rng)
         assert exact_leakage(layout, L, B, sub).nats == pytest.approx(
-            brute_force_leakage(layout, L, B, sub), abs=1e-9
+            brute_force_leakage(layout, L, B, [sub])[sub.label], abs=1e-9
         )
 
 
@@ -125,15 +126,52 @@ def test_independent_blocks_leak_nothing():
     res = exact_leakage(layout, FieldMatrix.identity(GF(2), 3), B, SubsetIndex({1}))
     assert res.nats == 0.0
     assert brute_force_leakage(
-        layout, FieldMatrix.identity(GF(2), 3), B, SubsetIndex({1})
-    ) == pytest.approx(0.0, abs=1e-12)
+        layout, FieldMatrix.identity(GF(2), 3), B, [SubsetIndex({1})]
+    ) == {"1": pytest.approx(0.0, abs=1e-12)}
+
+
+def single_subset_oracle(layout, L, B, subset):
+    """The oracle one subset at a time, as it was before it took a list of
+    subsets: the reference the multi-subset oracle must match bit for bit."""
+    total = layout.q ** layout.mn
+    coords = layout.subset_coordinates(subset)
+    C = B @ L.inverse()
+    joint, marg_a, marg_z = {}, {}, {}
+    for s in itertools.product(range(layout.q), repeat=layout.mn):
+        a = tuple(s[c] for c in coords)
+        z = tuple(C.mul_vector(s))
+        joint[a, z] = joint.get((a, z), 0) + 1
+        marg_a[a] = marg_a.get(a, 0) + 1
+        marg_z[z] = marg_z.get(z, 0) + 1
+    mi = 0.0
+    for (a, z), c in joint.items():
+        mi += c * (math.log(c * total) - math.log(marg_a[a] * marg_z[z]))
+    return max(mi / total, 0.0)
+
+
+@pytest.mark.parametrize("q, m, n, k", [
+    (2, 1, 3, (2, 1)), (2, 2, 2, (1, 2, 1)), (2, 1, 4, (1, 1, 1, 1)),
+    (3, 1, 2, (1, 1)), (3, 1, 3, (1, 1, 1)), (3, 2, 2, (1, 1, 1, 1)),
+], ids=["q2-T1", "q2-T2", "q2-T3", "q3-T1", "q3-T2", "q3-T3"])
+def test_oracle_over_subsets_is_bit_identical_to_single_subset(q, m, n, k):
+    f = GF(q)
+    layout = MultiplexLayout(f, m, n, len(k) - 1, k)
+    subsets = all_nonempty_subsets(layout.T)
+    rng = random.Random(q * 100 + layout.mn * 10 + layout.T)
+    for _ in range(4):
+        L = sample_gl(layout.mn, f, rng)
+        B = random_matrix(f, rng.randrange(1, layout.mn + 1), layout.mn, rng)
+        got = brute_force_leakage(layout, L, B, subsets)
+        assert list(got) == [sub.label for sub in subsets]
+        for sub in subsets:
+            assert got[sub.label] == single_subset_oracle(layout, L, B, sub)
 
 
 def test_brute_force_cap():
     layout = MultiplexLayout(GF(2), 5, 4, 1, (10, 10))
     B = FieldMatrix.zeros(GF(2), 1, 20)
     with pytest.raises(EnumerationTooLarge):
-        brute_force_leakage(layout, FieldMatrix.identity(GF(2), 20), B, SubsetIndex({1}))
+        brute_force_leakage(layout, FieldMatrix.identity(GF(2), 20), B, [SubsetIndex({1})])
 
 
 def test_brute_force_bound_checked_before_any_work(monkeypatch):
@@ -146,7 +184,7 @@ def test_brute_force_bound_checked_before_any_work(monkeypatch):
     with pytest.raises(EnumerationTooLarge):
         brute_force_leakage(
             layout, FieldMatrix.identity(GF(2), 17), FieldMatrix.zeros(GF(2), 1, 17),
-            SubsetIndex({1}),
+            [SubsetIndex({1})],
         )
 
 
@@ -311,9 +349,9 @@ def test_brute_force_invertible_observation():
     rng = random.Random(12)
     B = sample_gl(2, GF(2), rng)
     L = sample_gl(2, GF(2), rng)
-    assert brute_force_leakage(layout, L, B, SubsetIndex({1})) == pytest.approx(
-        LN2, abs=1e-12
-    )
+    assert brute_force_leakage(layout, L, B, [SubsetIndex({1})]) == {
+        "1": pytest.approx(LN2, abs=1e-12)
+    }
 
 
 def test_average_statistical_exhaustive_matches_manual_product():
@@ -346,7 +384,7 @@ def test_zero_size_subset_leaks_nothing():
     B = sample_gl(2, GF(2), rng)
     sub = SubsetIndex({1})
     assert exact_leakage(layout, L, B, sub).nats == 0.0
-    assert brute_force_leakage(layout, L, B, sub) == pytest.approx(0.0, abs=1e-12)
+    assert brute_force_leakage(layout, L, B, [sub]) == {"1": pytest.approx(0.0, abs=1e-12)}
 
 
 def test_worst_case_over_butterfly_taps_matches_oracle():
@@ -362,8 +400,8 @@ def test_worst_case_over_butterfly_taps_matches_oracle():
         res = worst_case_leakage(layout, L, observations, [sub])[sub.label]
         manual = max(
             brute_force_leakage(
-                layout, L, eavesdrop_matrix(net, coding, [s], layout), sub
-            )
+                layout, L, eavesdrop_matrix(net, coding, [s], layout), [sub]
+            )[sub.label]
             for s, _ in res["per_set"]
         )
         assert res["max_nats"] == pytest.approx(manual, abs=1e-9)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from muxnet import GF, random_matrix, sample_gl
+from muxnet import GF, FieldMatrix, random_matrix, sample_gl
 from muxnet.errors import SingularMatrix
 from muxnet.fields import _factor_prime_power
 from muxnet.matrix import _Echelon
@@ -213,3 +213,74 @@ def test_elimination_matches_per_cell_reference(q):
             continue
         assert M.inverse().rows_list() == ref_inv
         assert M.solve(b) == [r[0] for r in ref_solve_right(f, rows, [[v] for v in b])]
+
+
+# ---------------------------------------------------------
+# packed GF(2) rows against the per-cell reference
+# ---------------------------------------------------------
+
+def check_gf2_against_reference(f, rows, ncols, rng):
+    """Everything the engine returns for one GF(2) matrix, against RefEchelon."""
+    M = FieldMatrix(f, rows, ncols=ncols)
+    ech, ref = _Echelon(f), RefEchelon(f)
+    for row in rows:
+        assert ech.insert(row) == ref.insert(row)
+    assert [ech.unpack(row, ncols) for row in ech.rows] == ref.rows
+    vec = [rng.randrange(2) for _ in range(ncols)]
+    reduced = ref.reduce(vec)
+    assert ech.reduce(vec) == reduced
+    assert ech.unpack(ech.reduce_packed(ech.pack(vec)), ncols) == reduced
+
+    got_rows, got_pivots = M._rref_rows()
+    assert got_pivots == ref.pivots
+    assert got_rows == ref.rows + [[0] * ncols] * (len(rows) - len(ref.rows))
+    assert M.rank() == len(ref.pivots)
+    assert M.kernel().rows_list() == ref_kernel(f, ncols, ref)
+
+    if len(rows) != ncols:
+        return
+    n = ncols
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    b = [rng.randrange(2) for _ in range(n)]
+    ref_inv = ref_solve_right(f, rows, ident)
+    if ref_inv is None:
+        assert not M.is_invertible()
+        with pytest.raises(SingularMatrix):
+            M.inverse()
+        with pytest.raises(SingularMatrix):
+            M.solve(b)
+        return
+    assert M.is_invertible()
+    assert M.inverse().rows_list() == ref_inv
+    assert M.solve(b) == [r[0] for r in ref_solve_right(f, rows, [[v] for v in b])]
+
+
+def test_packed_gf2_exhaustive():
+    # Every GF(2) matrix with at most 12 cells.
+    f = GF(2)
+    rng = random.Random(7)
+    shapes = [(r, c) for r in range(1, 13) for c in range(1, 13) if r * c <= 12]
+    for r, c in shapes:
+        for idx in range(2 ** (r * c)):
+            flat = [(idx >> i) & 1 for i in range(r * c)]
+            rows = [flat[i * c:(i + 1) * c] for i in range(r)]
+            check_gf2_against_reference(f, rows, c, rng)
+
+
+@pytest.mark.parametrize("nrows, ncols, rank", [
+    (32, 32, None), (64, 128, None), (32, 32, 20), (48, 40, 13), (16, 64, 5),
+])
+def test_packed_gf2_seeded(nrows, ncols, rank):
+    # Large random matrices, and rank-deficient ones built as a product
+    # through a rank-sized middle dimension.
+    f = GF(2)
+    rng = random.Random(nrows * 1000 + ncols)
+    for _ in range(3):
+        if rank is None:
+            M = random_matrix(f, nrows, ncols, rng)
+        else:
+            M = random_matrix(f, nrows, rank, rng) @ random_matrix(f, rank, ncols, rng)
+            assert M.rank() <= rank
+        check_gf2_against_reference(f, M.rows_list(), ncols, rng)
+    if nrows == ncols:
+        check_gf2_against_reference(f, sample_gl(nrows, f, rng).rows_list(), ncols, rng)
