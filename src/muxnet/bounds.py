@@ -377,9 +377,10 @@ def guarantee_experiment(
     """Fraction of sampled maps whose averaged leakage meets ub5 and ub6.
 
     Each map's leakage is averaged over `support`, a list of (B, weight)
-    pairs such as `network.observation_support` returns.  A map is good when
-    every nonempty subset satisfies both bounds; the returned fraction is
-    guaranteed to exceed 1 - 2(2^T - 1)/C1 in expectation.
+    pairs such as `network.observation_support` returns, whose row spaces
+    are reduced once for all maps.  A map is good when every nonempty
+    subset satisfies both bounds; the returned fraction is guaranteed to
+    exceed 1 - 2(2^T - 1)/C1 in expectation.
     """
     if L_trials < 1:
         raise ValueError("L_trials must be at least 1")
@@ -392,9 +393,8 @@ def guarantee_experiment(
     good = dict.fromkeys(targets, 0)
     good_total = 0
     tol = REAL_TOLERANCE
-    for _ in range(L_trials):
-        L = sample_gl(layout.mn, layout.field, rng)
-        averages = average_over_support(layout, L, support, subsets, params.rho)
+    maps = (sample_gl(layout.mn, layout.field, rng) for _ in range(L_trials))
+    for averages in average_over_support(layout, maps, support, subsets, params.rho):
         all_ok = True
         for label, (ub5, ub6) in targets.items():
             avg = averages[label]

@@ -26,7 +26,7 @@ from .bounds import (
 )
 from .errors import ConfigError, MuxnetError
 from .fields import GF, FieldSpec
-from .leakage import leakage_profile
+from .leakage import observation_profiles
 from .matrix import sample_gl
 from .multiplex import (
     MessageTuple,
@@ -39,6 +39,7 @@ from .network import (
     EavesdropperModel,
     LocalCoding,
     Network,
+    ObservationSpaces,
     butterfly_coding,
     butterfly_network,
     check_decodability,
@@ -374,7 +375,7 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
         for _ in range(plan.trials_b)
     ]
     subsets = all_nonempty_subsets(layout.T)
-    profiles = [leakage_profile(layout, L, B, subsets) for B in draws]
+    profiles = observation_profiles(layout, L, ObservationSpaces(layout, draws), subsets)
 
     guarantee = None
     if plan.network is not None and plan.coding is not None:

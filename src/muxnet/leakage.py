@@ -11,6 +11,9 @@ recomputes the leakage of each subset from the full joint distribution.
 
 `average_over_support` and `worst_case_leakage` are the one place that
 aggregates leakage over a list of observations (weighted mean, maximum).
+Leakage depends on B only through rowspace B, so both evaluate one
+`leakage_profile` per distinct row space and fill the per-B results back
+in the listed order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ShapeError
@@ -27,6 +31,8 @@ from .network import (
     EavesdropperModel,
     LocalCoding,
     Network,
+    ObservationSpaces,
+    observation_basis,
     observation_support,
     realize_eavesdropper,
 )
@@ -57,20 +63,21 @@ def _check_operands(layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix) -> 
 def leakage_profile(
     layout: MultiplexLayout,
     L: FieldMatrix,
-    B: FieldMatrix,
+    B: FieldMatrix | _Echelon,
     subsets,
 ) -> dict[str, LeakageResult]:
     """exact_leakage for several subsets, reducing L modulo B's row space once.
 
-    The residues stay packed in the engine's form, and a subset's rank is
-    the number of its residues a fresh basis accepts.
+    B is an observation matrix, or the reduced basis of its row space built
+    for this layout by `network.observation_basis` or an
+    `ObservationSpaces`.  The residues
+    stay packed in the engine's form, and a subset's rank is the number of
+    its residues a fresh basis accepts.
     """
-    _check_operands(layout, L, B)
+    _check_map(layout, L)
+    basis = observation_basis(layout, B) if isinstance(B, FieldMatrix) else B
     L.inverse()  # raises SingularMatrix for a singular L; cached on L
     field = layout.field
-    basis = _Echelon(field)
-    for row in B.rows_list():
-        basis.insert(row)
     rank_b = len(basis.pivots)
     residues = [basis.reduce_packed(basis.pack(row)) for row in L.rows_list()]
     lnq = math.log(layout.q)
@@ -79,7 +86,7 @@ def leakage_profile(
         span = _Echelon(field)
         coords = layout.subset_coordinates(subset)
         kernel_dim = sum(span.insert_packed(residues[i]) for i in coords)
-        k_sub = layout.subset_length(subset)
+        k_sub = len(coords)
         out[subset.label] = LeakageResult(
             subset=subset,
             k_sub=k_sub,
@@ -89,6 +96,15 @@ def leakage_profile(
             conditional_entropy_nats=kernel_dim * lnq,
         )
     return out
+
+
+def observation_profiles(
+    layout: MultiplexLayout, L: FieldMatrix, spaces: ObservationSpaces, subsets
+) -> list[dict[str, LeakageResult]]:
+    """leakage_profile for every listed observation of `spaces`, in order,
+    evaluated once per distinct row space."""
+    distinct = [leakage_profile(layout, L, basis, subsets) for basis in spaces.bases]
+    return [distinct[i] for i in spaces.index]
 
 
 def exact_leakage(
@@ -130,21 +146,28 @@ def brute_force_leakage(
 
 
 def average_over_support(
-    layout: MultiplexLayout, L: FieldMatrix, support, subsets, rho: float = 1.0
-) -> dict[str, dict]:
-    """Per subset label: `mean_nats` and `mean_exp_rho`, the leakage and
-    exp(rho * leakage) averaged over `support`, a list of (B, weight) pairs
-    with one leakage_profile per B, and the per-B leakage `samples`."""
-    profiles = [leakage_profile(layout, L, B, subsets) for B, _ in support]
-    out = {}
-    for sub in subsets:
-        samples = [prof[sub.label].nats for prof in profiles]
-        out[sub.label] = {
-            "mean_nats": sum(w * x for (_, w), x in zip(support, samples)),
-            "mean_exp_rho": sum(w * math.exp(rho * x) for (_, w), x in zip(support, samples)),
-            "samples": samples,
-        }
-    return out
+    layout: MultiplexLayout, maps, support, subsets, rho: float = 1.0
+) -> Iterator[dict[str, dict]]:
+    """For each map L of `maps`, in order: per subset label, `mean_nats` and
+    `mean_exp_rho`, the leakage and exp(rho * leakage) averaged over
+    `support`, a list of (B, weight) pairs, and the per-B leakage `samples`.
+
+    A generator.  The support's row spaces are reduced once, before the
+    first map, and each map takes one leakage_profile per distinct space.
+    """
+    spaces = ObservationSpaces(layout, [B for B, _ in support])
+    weights = [w for _, w in support]
+    for L in maps:
+        profiles = observation_profiles(layout, L, spaces, subsets)
+        out = {}
+        for sub in subsets:
+            samples = [prof[sub.label].nats for prof in profiles]
+            out[sub.label] = {
+                "mean_nats": sum(w * x for w, x in zip(weights, samples)),
+                "mean_exp_rho": sum(w * math.exp(rho * x) for w, x in zip(weights, samples)),
+                "samples": samples,
+            }
+        yield out
 
 
 def average_leakage(
@@ -173,7 +196,7 @@ def average_leakage(
             (realize_eavesdropper(model, net, coding, layout, rng), 1.0 / trials)
             for _ in range(trials)
         ]
-    averages = average_over_support(layout, L, support, subsets, rho)
+    averages = next(average_over_support(layout, [L], support, subsets, rho))
     return {label: dict(avg, exhaustive=exhaustive) for label, avg in averages.items()}
 
 
@@ -182,11 +205,13 @@ def worst_case_leakage(
 ) -> dict[str, dict]:
     """Per subset label: `max_nats`, the largest leakage over `observations`,
     a list of (tap set, B) pairs; `argmax`, the first tap set attaining it;
-    and `per_set`, the (tap set, nats) pairs in order."""
-    profiles = [(s, leakage_profile(layout, L, B, subsets)) for s, B in observations]
+    and `per_set`, the (tap set, nats) pairs in order.  One leakage_profile
+    per distinct row space."""
+    spaces = ObservationSpaces(layout, [B for _, B in observations])
+    profiles = observation_profiles(layout, L, spaces, subsets)
     out = {}
     for sub in subsets:
-        per_set = [(s, prof[sub.label].nats) for s, prof in profiles]
+        per_set = [(s, prof[sub.label].nats) for (s, _), prof in zip(observations, profiles)]
         argmax, max_nats = max(per_set, key=lambda t: t[1])
         out[sub.label] = {"max_nats": max_nats, "argmax": argmax, "per_set": per_set}
     return out

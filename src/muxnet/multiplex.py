@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from .fields import GF, FieldSpec
@@ -44,6 +45,8 @@ class MultiplexLayout:
             raise ValueError(
                 f"block sizes {self.k} sum to {sum(self.k)}, expected m*n = {self.m * self.n}"
             )
+        # subset members -> their coordinates, filled by subset_coordinates
+        object.__setattr__(self, "_coordinates", {})
 
     @classmethod
     def with_padding(
@@ -70,12 +73,15 @@ class MultiplexLayout:
         return tuple(out)
 
     def subset_coordinates(self, subset: "SubsetIndex") -> tuple[int, ...]:
-        subset.validate_for(self)
-        offs = self.offsets()
-        coords: list[int] = []
-        for i in sorted(subset.members):
-            coords.extend(range(offs[i - 1], offs[i]))
-        return tuple(coords)
+        """The subset's block coordinates, computed once per subset and kept
+        on the layout."""
+        coords = self._coordinates.get(subset.members)
+        if coords is None:
+            subset.validate_for(self)
+            offs = self.offsets()
+            coords = tuple(c for i in sorted(subset.members) for c in range(offs[i - 1], offs[i]))
+            self._coordinates[subset.members] = coords
+        return coords
 
     def subset_length(self, subset: "SubsetIndex") -> int:
         subset.validate_for(self)
@@ -112,7 +118,7 @@ class SubsetIndex:
         if max(self.members) > layout.T:
             raise ValueError(f"subset {self.label} exceeds T = {layout.T}")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return "+".join(str(i) for i in sorted(self.members))
 

@@ -23,7 +23,7 @@ from .errors import (
     WrongSlotCount,
 )
 from .fields import FieldSpec
-from .matrix import FieldMatrix, sample_full_rank
+from .matrix import FieldMatrix, _Echelon, sample_full_rank
 from .multiplex import MultiplexLayout
 
 # Largest number of tap sets enumerate_eavesdropper_sets lists, and of
@@ -360,6 +360,44 @@ def sample_eavesdropper(
             pick = rng.choices(range(len(sets)), weights=weights)[0]
             out.append(sets[pick])
     return out
+
+
+def observation_basis(layout: MultiplexLayout, B: FieldMatrix) -> _Echelon:
+    """The reduced row echelon basis of rowspace B, for B observing words of
+    `layout`; shared bases are read, never changed."""
+    if B.field != layout.field or B.ncols != layout.mn:
+        raise ShapeError(f"B must have m*n = {layout.mn} columns over GF({layout.q})")
+    basis = _Echelon(layout.field)
+    for row in B.rows_list():
+        basis.insert(row)
+    return basis
+
+
+class ObservationSpaces:
+    """A list of observation matrices with each distinct row space reduced
+    once.
+
+    What an eavesdropper learns from z = B x depends on B only through
+    rowspace B, whose reduced row echelon form is unique.  `bases` holds
+    one `observation_basis` per distinct row space, in first-seen order,
+    and `index[i]` is the position in `bases` of the i-th listed matrix's
+    row space.
+    """
+
+    __slots__ = ("bases", "index")
+
+    def __init__(self, layout: MultiplexLayout, matrices):
+        self.bases: list[_Echelon] = []
+        self.index: list[int] = []
+        seen: dict[tuple, int] = {}
+        for B in matrices:
+            basis = observation_basis(layout, B)
+            # packed GF(2) rows are ints; other fields' rows are lists
+            key = tuple(r if isinstance(r, int) else tuple(r) for r in basis.rows)
+            at = seen.setdefault(key, len(self.bases))
+            if at == len(self.bases):
+                self.bases.append(basis)
+            self.index.append(at)
 
 
 def realize_eavesdropper(

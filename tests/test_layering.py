@@ -43,3 +43,12 @@ def test_imports_point_down_the_layers():
 
 def test_bounds_takes_observations_from_its_caller():
     assert "network" not in relative_imports("bounds")
+
+
+def test_observation_spaces_reduce_below_leakage():
+    # network reduces observations with matrix's engine and never reaches
+    # up to the leakage layer or the bounds that consume the reduced spaces.
+    imports = set(relative_imports("network"))
+    assert "matrix" in imports
+    assert not imports & {"leakage", "bounds"}
+    assert muxnet.leakage.ObservationSpaces is muxnet.network.ObservationSpaces

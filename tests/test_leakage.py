@@ -8,6 +8,7 @@ import pytest
 
 from muxnet import (
     GF,
+    BoundParams,
     EavesdropperModel,
     FieldMatrix,
     LocalCoding,
@@ -15,6 +16,7 @@ from muxnet import (
     SubsetIndex,
     all_nonempty_subsets,
     average_leakage,
+    average_over_support,
     brute_force_leakage,
     butterfly_coding,
     butterfly_network,
@@ -22,11 +24,14 @@ from muxnet import (
     eavesdrop_matrix,
     enumerate_gl,
     exact_leakage,
+    guarantee_experiment,
     leakage_floor,
+    observation_support,
     random_matrix,
     sample_gl,
     worst_case_leakage,
 )
+from muxnet import experiments, leakage
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from muxnet.leakage import leakage_profile
 
@@ -443,6 +448,121 @@ def test_profile_matches_exact_leakage():
     prof = leakage_profile(layout, L, B, subsets)
     for sub in subsets:
         assert prof[sub.label] == exact_leakage(layout, L, B, sub)
+
+
+# ---------------------------------------------------------
+# one evaluation per distinct row space, against the per-B path
+# ---------------------------------------------------------
+
+def per_b_average(layout, L, support, subsets, rho):
+    """average_over_support's result for one map, one exact_leakage per
+    listed B and the sums in the listed order."""
+    out = {}
+    for sub in subsets:
+        samples = [exact_leakage(layout, L, B, sub).nats for B, _ in support]
+        out[sub.label] = {
+            "mean_nats": sum(w * x for (_, w), x in zip(support, samples)),
+            "mean_exp_rho": sum(w * math.exp(rho * x) for (_, w), x in zip(support, samples)),
+            "samples": samples,
+        }
+    return out
+
+
+SUPPORT_MODELS = {
+    "uniform-mu1": EavesdropperModel("traditional", 1),
+    "uniform-mu2": EavesdropperModel("traditional", 2),
+    "fixed-e7": EavesdropperModel("traditional", 1, links=("e7",)),
+    "statistical": EavesdropperModel("statistical", 1),
+    "statistical-weighted": EavesdropperModel(
+        "statistical", 1, distribution=((("e1",), 2.0), (("e7",), 1.0), (("e4",), 0.5))
+    ),
+}
+
+
+@pytest.mark.parametrize("coding_kind", ["butterfly", "random"])
+@pytest.mark.parametrize("model", list(SUPPORT_MODELS), ids=str)
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_average_over_support_equals_per_b_reference(q, model, coding_kind):
+    f = GF(q)
+    rng = random.Random(q * 100 + len(model))
+    net = butterfly_network()
+    layout = MultiplexLayout(f, 2, 2, 2, (1, 2, 1))
+    if coding_kind == "butterfly":
+        coding = butterfly_coding(f, 2)
+    else:
+        coding = LocalCoding.random(net, f, 2, 2, rng)
+    support = observation_support(SUPPORT_MODELS[model], net, coding, layout)
+    subsets = all_nonempty_subsets(layout.T)
+    maps = [sample_gl(layout.mn, f, rng) for _ in range(3)]
+    got = list(average_over_support(layout, maps, support, subsets, 0.7))
+    assert got == [per_b_average(layout, L, support, subsets, 0.7) for L in maps]
+
+
+def test_worst_case_argmax_is_first_attaining_tap_set():
+    # Under the all-ones butterfly coding each row space is tapped by three
+    # links, so every maximum is attained by several tap sets.
+    f = GF(2)
+    net = butterfly_network()
+    layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
+    observations = constant_tap_observations(net, butterfly_coding(f, 2), 1, layout)
+    sub = SubsetIndex({1})
+    rng = random.Random(21)
+    for _ in range(12):
+        L = sample_gl(layout.mn, f, rng)
+        res = worst_case_leakage(layout, L, observations, [sub])["1"]
+        per_set = [(s, exact_leakage(layout, L, B, sub).nats) for s, B in observations]
+        worst = max(x for _, x in per_set)
+        attaining = [s for s, x in per_set if x == worst]
+        assert len(attaining) > 1
+        assert res["per_set"] == per_set
+        assert res["max_nats"] == worst
+        assert res["argmax"] == attaining[0]
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """The maps L of every leakage_profile call the aggregators make."""
+    calls = []
+    real = leakage.leakage_profile
+
+    def counting(layout, L, B, subsets):
+        calls.append(L)
+        return real(layout, L, B, subsets)
+
+    monkeypatch.setattr(leakage, "leakage_profile", counting)
+    return calls
+
+
+def test_butterfly_taps_take_one_profile_per_row_space(profile_calls):
+    # q = 2, m = 2, mu = 1: nine constant tap sets, three row spaces
+    f = GF(2)
+    net = butterfly_network()
+    layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
+    coding = butterfly_coding(f, 2)
+    subsets = all_nonempty_subsets(1)
+    support = observation_support(EavesdropperModel("traditional", 1), net, coding, layout)
+    assert len(support) == 9
+    rng = random.Random(22)
+    maps = [sample_gl(layout.mn, f, rng) for _ in range(5)]
+    list(average_over_support(layout, maps, support, subsets))
+    assert len(profile_calls) == 3 * len(maps)
+
+    profile_calls.clear()
+    observations = constant_tap_observations(net, coding, 1, layout)
+    worst_case_leakage(layout, maps[0], observations, subsets)
+    assert len(profile_calls) == 3
+
+    profile_calls.clear()
+    guarantee_experiment(layout, support, 1, BoundParams.defaults(1), rng, 4)
+    assert len(profile_calls) == 3 * 4
+
+
+def test_simulate_draws_take_one_profile_per_row_space(profile_calls):
+    # 30 draws from the nine tap sets span the three row spaces; the
+    # guarantee column adds three profiles per sampled map.
+    config = dict(experiments.DEFAULT_CONFIG, trials={"L": 2, "B": 30})
+    experiments.run_simulate(config)
+    assert len(profile_calls) == 3 + 3 * 2
 
 
 # ---------------------------------------------------------
