@@ -9,7 +9,6 @@ from .bounds import (
     BoundParams,
     HashFamilySpec,
     JointDistribution,
-    RateTuple,
     capacity_membership,
     certify_universal_zero,
     guarantee_experiment,

@@ -451,29 +451,6 @@ def certify_universal_zero(
 # Capacity region and converse floor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateTuple:
-    """Per-message rates in field symbols per slot, with optional slack.
-
-    `delta` is the positive margin used when sweeping block lengths
-    (k_sub = m * (n - mu - delta)); it does not affect membership.
-    """
-
-    rates: tuple[float, ...]
-    delta: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("slack delta must be positive when given")
-
-    def __iter__(self):
-        return iter(self.rates)
-
-    def __len__(self):
-        return len(self.rates)
-
-
 def capacity_membership(rates, n: int) -> bool:
     """True iff all rates are nonnegative and their sum is at most n."""
     rates = list(rates)

@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = subs.add_parser("capacity", help="rate-tuple membership and leakage-rate floors")
     _add_common(p_cap, config=False)
     p_cap.add_argument("--rates", required=True, metavar="LIST", help="comma-separated rates")
-    p_cap.add_argument("--n", required=True, type=int, help="symbols per slot")
-    p_cap.add_argument("--mu", type=int, default=1, help="tapped links per slot")
+    p_cap.add_argument("--n", required=True, type=_positive_int, help="symbols per slot")
+    p_cap.add_argument("--mu", type=_positive_int, default=1, help="tapped links per slot")
 
     return parser
 

@@ -196,7 +196,6 @@ class ExperimentPlan:
     seed: int
     trials_l: int
     trials_b: int
-    config: dict
 
 
 def _config_header(config, allowed: set[str], where: str) -> tuple[int, str]:
@@ -342,7 +341,6 @@ def build_plan(config: dict) -> ExperimentPlan:
         seed=seed,
         trials_l=trials_l,
         trials_b=trials_b,
-        config=config,
     )
 
 

@@ -370,15 +370,6 @@ class FieldSpec:
             return pow(a, -1, self.p)
         return self._exp[-self._log[a] % (self.q - 1)]
 
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        if self.e == 1:
-            return pow(a, k, self.p)
-        if a == 0:
-            return 0 if k else 1
-        return self._exp[self._log[a] * k % (self.q - 1)]
-
     # -- row primitives ------------------------------------------------------------
     #
     # Rows are sequences of canonical elements.  Each primitive branches on

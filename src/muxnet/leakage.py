@@ -24,7 +24,6 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ShapeError
 from .matrix import FieldMatrix, _Echelon
 from .multiplex import MultiplexLayout, SubsetIndex, _check_map, iter_message_vectors
 from .network import (
@@ -32,6 +31,7 @@ from .network import (
     LocalCoding,
     Network,
     ObservationSpaces,
+    _check_observation,
     observation_basis,
     observation_support,
     realize_eavesdropper,
@@ -52,12 +52,6 @@ class LeakageResult:
     @property
     def bits(self) -> float:
         return self.nats / math.log(2)
-
-
-def _check_operands(layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix) -> None:
-    _check_map(layout, L)
-    if B.field != layout.field or B.ncols != layout.mn:
-        raise ShapeError(f"B must have m*n = {layout.mn} columns over GF({layout.q})")
 
 
 def leakage_profile(
@@ -126,7 +120,8 @@ def brute_force_leakage(
     in first-seen order.  Independent of the rank-based path.
     """
     messages = iter_message_vectors(layout)  # checks the enumeration bound first
-    _check_operands(layout, L, B)
+    _check_map(layout, L)
+    _check_observation(layout, B)
     total = layout.q ** layout.mn
     C = B @ L.inverse()
     messages = list(messages)

@@ -74,30 +74,6 @@ class FieldMatrix:
             rows[i][i] = 1
         return cls._canonical(field, rows, n)
 
-    @classmethod
-    def from_flat(cls, field: FieldSpec, nrows: int, ncols: int, entries) -> "FieldMatrix":
-        entries = list(entries)
-        if len(entries) != nrows * ncols:
-            raise ShapeError(f"expected {nrows * ncols} entries, got {len(entries)}")
-        return cls(
-            field,
-            [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)],
-            ncols=ncols,
-        )
-
-    @classmethod
-    def vstack(cls, mats: list["FieldMatrix"]) -> "FieldMatrix":
-        if not mats:
-            raise ShapeError("vstack needs at least one matrix")
-        field = mats[0].field
-        ncols = mats[0].ncols
-        rows = []
-        for m in mats:
-            if m.field != field or m.ncols != ncols:
-                raise ShapeError("vstack operands disagree on field or width")
-            rows.extend(m._rows)
-        return cls(field, rows, ncols=ncols)
-
     # -- access ---------------------------------------------------------------
 
     def rows_list(self) -> list[list[int]]:
@@ -140,20 +116,19 @@ class FieldMatrix:
 
     # -- elimination -----------------------------------------------------------------
 
-    def _rref_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form as (rows, pivot columns); zero rows last."""
+    def _rref_rows(self) -> "_Echelon":
+        """The reduced row echelon basis of the row space: its nonzero rows,
+        packed, and their pivot columns."""
         ncols = self.ncols
         ech = _Echelon(self.field)
         for row in self._rows:
             if len(ech.pivots) == ncols:
                 break  # every later row lies in the span
             ech.insert(row)
-        rows = [ech.unpack(row, ncols) for row in ech.rows]
-        zeros = [[0] * ncols for _ in range(self.nrows - len(rows))]
-        return rows + zeros, ech.pivots
+        return ech
 
     def rank(self) -> int:
-        return len(self._rref_rows()[1])
+        return len(self._rref_rows().pivots)
 
     def kernel(self) -> "FieldMatrix":
         """Basis of the right null space, one basis vector per column.
@@ -161,14 +136,15 @@ class FieldMatrix:
         The basis size is always ncols - rank, and columns are ordered by
         their free coordinate, so results are deterministic.
         """
-        rows, pivots = self._rref_rows()
+        ech = self._rref_rows()
         neg = self.field.neg
-        pivot_set = set(pivots)
+        pivot_set = set(ech.pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         # Free coordinate j of basis vector j is 1; pivot coordinate pc of
         # it is minus the entry of pc's reduced row in column j.
         out = [[int(c == j) for j in free] for c in range(self.ncols)]
-        for row, pc in zip(rows, pivots):
+        for row, pc in zip(ech.rows, ech.pivots):
+            row = ech.unpack(row, self.ncols)
             out[pc] = [neg(row[j]) for j in free]
         return FieldMatrix._canonical(self.field, out, len(free))
 
@@ -180,10 +156,10 @@ class FieldMatrix:
         aug = FieldMatrix._canonical(
             self.field, [row + extra for row, extra in zip(self._rows, rhs)], width
         )
-        rows, pivots = aug._rref_rows()
-        if pivots[:n] != list(range(n)):
+        ech = aug._rref_rows()
+        if ech.pivots[:n] != list(range(n)):
             return None
-        return [r[n:] for r in rows]
+        return [ech.unpack(r, width)[n:] for r in ech.rows]
 
     def inverse(self) -> "FieldMatrix":
         """The inverse, computed on the first call and cached; a singular
@@ -211,27 +187,7 @@ class FieldMatrix:
         return [r[0] for r in x]
 
     def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "q": self.field.q,
-            "entries": [v for row in self._rows for v in row],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict, field: FieldSpec | None = None) -> "FieldMatrix":
-        from .fields import GF
-
-        if field is None:
-            field = GF(doc["q"])
-        elif field.q != doc["q"]:
-            raise ValueError(f"document field GF({doc['q']}) != GF({field.q})")
-        return cls.from_flat(field, doc["rows"], doc["cols"], doc["entries"])
+        return self.nrows == self.ncols and len(self._rref_rows().pivots) == self.nrows
 
 
 # ---------------------------------------------------------------------------

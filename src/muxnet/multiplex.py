@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from .fields import GF, FieldSpec
+from .fields import FieldSpec
 from .matrix import FieldMatrix
 
 MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
@@ -48,16 +48,6 @@ class MultiplexLayout:
         # subset members -> their coordinates, filled by subset_coordinates
         object.__setattr__(self, "_coordinates", {})
 
-    @classmethod
-    def with_padding(
-        cls, field: FieldSpec, m: int, n: int, secret_sizes: tuple[int, ...]
-    ) -> "MultiplexLayout":
-        """Derive k_{T+1} as the unused space m*n - sum(secret sizes)."""
-        pad = m * n - sum(secret_sizes)
-        if pad < 0:
-            raise ValueError("secret sizes exceed the block size m*n")
-        return cls(field, m, n, len(secret_sizes), tuple(secret_sizes) + (pad,))
-
     @property
     def q(self) -> int:
         return self.field.q
@@ -87,18 +77,6 @@ class MultiplexLayout:
         subset.validate_for(self)
         return sum(self.k[i - 1] for i in subset.members)
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "m": self.m, "n": self.n, "T": self.T, "k": list(self.k)}
-
-    @classmethod
-    def from_json(cls, doc: dict, field: FieldSpec | None = None) -> "MultiplexLayout":
-        if field is None:
-            field = GF(doc["q"])
-        elif field.q != doc["q"]:
-            raise ValueError(f"layout says GF({doc['q']}) but field is GF({field.q})")
-        T = doc.get("T", len(doc["k"]) - 1)
-        return cls(field, doc["m"], doc["n"], T, tuple(doc["k"]))
-
 
 @dataclass(frozen=True)
 class SubsetIndex:
@@ -121,12 +99,6 @@ class SubsetIndex:
     @cached_property
     def label(self) -> str:
         return "+".join(str(i) for i in sorted(self.members))
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self):
-        return len(self.members)
 
 
 def all_nonempty_subsets(T: int) -> list[SubsetIndex]:

@@ -104,14 +104,6 @@ class Network:
     def link_ids(self) -> tuple[str, ...]:
         return tuple(l.id for l in self.links)
 
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "source": self.source,
-            "sinks": list(self.sinks),
-            "links": [{"id": l.id, "tail": l.tail, "head": l.head} for l in self.links],
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "Network":
         return cls(doc["nodes"], doc["source"], doc["links"], doc["sinks"])
@@ -362,11 +354,16 @@ def sample_eavesdropper(
     return out
 
 
+def _check_observation(layout: MultiplexLayout, B: FieldMatrix) -> None:
+    """B observes words of `layout`: m*n columns over its field."""
+    if B.field != layout.field or B.ncols != layout.mn:
+        raise ShapeError(f"B must have m*n = {layout.mn} columns over GF({layout.q})")
+
+
 def observation_basis(layout: MultiplexLayout, B: FieldMatrix) -> _Echelon:
     """The reduced row echelon basis of rowspace B, for B observing words of
     `layout`; shared bases are read, never changed."""
-    if B.field != layout.field or B.ncols != layout.mn:
-        raise ShapeError(f"B must have m*n = {layout.mn} columns over GF({layout.q})")
+    _check_observation(layout, B)
     basis = _Echelon(layout.field)
     for row in B.rows_list():
         basis.insert(row)

@@ -38,9 +38,11 @@ from .multiplex import (
     encode,
     hash_collision_probability,
     iter_message_vectors,
+    projection_matrix,
 )
 from .network import (
     EavesdropperModel,
+    LocalCoding,
     butterfly_coding,
     butterfly_network,
     check_decodability,
@@ -280,8 +282,6 @@ def _check_encode_decode(opts: VerifyOptions) -> list[CheckResult]:
 
 def _check_projection(opts: VerifyOptions) -> list[CheckResult]:
     rng = derive_rng(opts.seed, "verify:projection")
-    from .multiplex import projection_matrix
-
     bad = 0
     for _ in range(50):
         q = rng.choice((2, 3, 5))
@@ -336,8 +336,6 @@ def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
             bad += 1
     out.append(CheckResult("eavesdrop_rank_bound", "40 random tap schedules", bad, 0, bad == 0))
 
-    from .network import LocalCoding
-
     bad = 0
     f3 = GF(3)
     for _ in range(10):
@@ -360,13 +358,13 @@ def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
     return out
 
 
-def oracle_suite_layouts() -> list[tuple[MultiplexLayout, int]]:
-    """Layouts used by the oracle-equivalence suite, with their mn."""
+def oracle_suite_layouts() -> list[MultiplexLayout]:
+    """Layouts used by the oracle-equivalence suite."""
     f = GF(2)
     return [
-        (MultiplexLayout(f, 1, 2, 1, (1, 1)), 2),
-        (MultiplexLayout(f, 1, 3, 1, (2, 1)), 3),
-        (MultiplexLayout(f, 2, 2, 2, (1, 2, 1)), 4),
+        MultiplexLayout(f, 1, 2, 1, (1, 1)),
+        MultiplexLayout(f, 1, 3, 1, (2, 1)),
+        MultiplexLayout(f, 2, 2, 2, (1, 2, 1)),
     ]
 
 
@@ -377,7 +375,8 @@ def _check_oracle_equivalence(opts: VerifyOptions) -> list[CheckResult]:
     quant_worst = 0.0
     floor_margin = math.inf
     instances = 0
-    for layout, mn in oracle_suite_layouts():
+    for layout in oracle_suite_layouts():
+        mn = layout.mn
         if mn == 2:
             l_pool = enumerate_gl(mn, f)
         else:
@@ -419,7 +418,7 @@ def _check_leakage_order(opts: VerifyOptions) -> list[CheckResult]:
         rows = rng.randrange(1, 4)
         B = random_matrix(f, rows, 4, rng)
         extra = random_matrix(f, rng.randrange(1, 3), 4, rng)
-        B_more = FieldMatrix.vstack([B, extra])
+        B_more = FieldMatrix(f, B.rows_list() + extra.rows_list())
         A = random_matrix(f, rng.randrange(1, rows + 1), rows, rng)
         AB = A @ B
         more = leakage_profile(layout, L, B_more, subsets)

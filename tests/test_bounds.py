@@ -509,16 +509,6 @@ def test_capacity_membership_examples():
     assert not capacity_membership((-0.1, 1.0), 2)
 
 
-def test_rate_tuple_type():
-    from muxnet import RateTuple
-
-    rt = RateTuple((1.5, 0.5), delta=0.25)
-    assert capacity_membership(rt, 2)
-    assert len(rt) == 2
-    with pytest.raises(ValueError):
-        RateTuple((1.0,), delta=0.0)
-
-
 def test_rate_leakage_floor_values():
     assert rate_leakage_floor((1.0, 1.0), {1, 2}, 2, 1) == pytest.approx(1.0)
     assert rate_leakage_floor((0.5, 0.4), {1, 2}, 2, 1) == 0.0

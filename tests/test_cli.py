@@ -15,6 +15,7 @@ from muxnet.experiments import (
     apply_sweep_value,
     build_plan,
     run_capacity,
+    rows_to_csv,
     run_simulate,
     run_sweep,
 )
@@ -32,7 +33,7 @@ BUTTERFLY_CONFIG = {
 
 def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     return str(path)
 
 
@@ -186,6 +187,27 @@ def test_cli_bad_sweep_value_is_a_config_error(tmp_path, capsys):
         assert err.startswith("config error:") and f"swept {param}" in err and value in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["sweep", "--param", "C1", "--values", "2,inf"], "--values: 'inf'", id="values-inf"),
+    pytest.param(["sweep", "--param", "C1", "--values", "nan"], "--values: 'nan'", id="values-nan"),
+    pytest.param(["sweep", "--param", "C1", "--values", ","], "--values is empty", id="values-empty"),
+    pytest.param(["sweep", "--param", "m", "--values", "0"], "swept m", id="sweep-m-zero"),
+    pytest.param(["capacity", "--rates", "1,inf", "--n", "2"], "--rates: 'inf'", id="rates-inf"),
+    pytest.param(["capacity", "--rates", "nan", "--n", "2"], "--rates: 'nan'", id="rates-nan"),
+    pytest.param(["capacity", "--rates", ",", "--n", "2"], "--rates is empty", id="rates-empty"),
+    pytest.param(["capacity", "--rates", ",".join(["0"] * 17), "--n", "2"], "at most 16 rates",
+                 id="17-rates"),
+    pytest.param(["capacity", "--rates", "1", "--n", "2", "--mu", "3"], "mu = 3 exceeds n = 2",
+                 id="mu-over-n"),
+])
+def test_cli_bad_numbers_are_config_errors(argv, named, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = argv + ["--config", write_config(tmp_path, BUTTERFLY_CONFIG)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
 def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a bug inside the library")
@@ -199,6 +221,10 @@ def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     ["verify", "--parallel", "2"],
     ["capacity", "--rates", "1,1", "--n", "2", "--config", "x"],
     ["sweep", "--param", "m", "--values", "1,2", "--parallel", "0"],
+    # capacity's n and mu are positive integers, checked by argparse
+    ["capacity", "--rates", "1,1", "--n", "-1", "--mu", "-2"],
+    ["capacity", "--rates", "1,1", "--n", "0"],
+    ["capacity", "--rates", "1,1", "--n", "2", "--mu", "0"],
 ])
 def test_cli_rejects_flags_a_subcommand_does_not_read(argv, monkeypatch, capsys):
     def no_work(*args, **kwargs):
@@ -428,6 +454,17 @@ def test_sweep_sorted_by_value(tmp_path):
     assert values == ["1", "2", "3"]
 
 
+def test_sweep_json_rows_match_csv(tmp_path):
+    cfg = write_config(tmp_path, BUTTERFLY_CONFIG)
+    argv = ["sweep", "--config", cfg, "--param", "m", "--values", "1,2"]
+    csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    rows = json.loads(json_out.read_text())["rows"]
+    assert len(rows) == 2
+    assert rows_to_csv(rows, REPORT_COLUMNS) == csv_out.read_text()
+
+
 def test_sweep_parallel_identical_to_serial():
     config = json.loads(json.dumps(BUTTERFLY_CONFIG))
     serial = run_sweep(config, "m", [1, 2], parallel=1)
@@ -552,6 +589,7 @@ def test_verify_unknown_option_rejected(tmp_path):
     pytest.param({"bounds": "junk", "network": 5, "trials": []}, "['bounds', 'network', 'trials']",
                  id="experiment-keys-without-layout"),
     pytest.param({"id": None}, "id", id="verify-only-null-id"),
+    pytest.param('{"verify": ', "config is not valid JSON", id="invalid-json"),
 ])
 def test_verify_options_checked_at_the_boundary(config, path, tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):

@@ -167,15 +167,6 @@ def test_large_binary_and_odd_extensions():
         assert f.mul(a, f.inv(a)) == 1
 
 
-def test_pow_matches_repeated_multiplication():
-    f = GF(8)
-    for a in f.elements():
-        acc = 1
-        for k in range(6):
-            assert f.pow(a, k) == acc
-            acc = f.mul(acc, a)
-
-
 def test_gf_cache_shares_instances(monkeypatch):
     assert GF(16) is GF(16)
     assert GF(4, (1, 1, 1)) is GF(4)

@@ -184,7 +184,8 @@ def test_brute_force_bound_checked_before_any_work(monkeypatch):
         raise AssertionError("work started before the bound was checked")
 
     monkeypatch.setattr(FieldMatrix, "inverse", no_work)
-    monkeypatch.setattr("muxnet.leakage._check_operands", no_work)
+    monkeypatch.setattr("muxnet.leakage._check_map", no_work)
+    monkeypatch.setattr("muxnet.leakage._check_observation", no_work)
     layout = MultiplexLayout(GF(2), 1, 17, 1, (9, 8))  # 2^17 message vectors
     with pytest.raises(EnumerationTooLarge):
         brute_force_leakage(
@@ -246,7 +247,7 @@ def test_monotone_in_added_rows():
         L = sample_gl(4, GF(2), rng)
         B = random_matrix(GF(2), rng.randrange(1, 4), 4, rng)
         extra = random_matrix(GF(2), rng.randrange(1, 3), 4, rng)
-        more = FieldMatrix.vstack([B, extra])
+        more = FieldMatrix(GF(2), B.rows_list() + extra.rows_list())
         assert exact_leakage(layout, L, more, sub).nats >= exact_leakage(
             layout, L, B, sub
         ).nats - 1e-12

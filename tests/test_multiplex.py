@@ -57,13 +57,6 @@ def test_layout_requires_sizes_summing_to_mn():
         MultiplexLayout(GF(2), 1, 2, 0, (2,))
 
 
-def test_layout_with_padding():
-    layout = MultiplexLayout.with_padding(GF(3), 2, 2, (1, 2))
-    assert layout.k == (1, 2, 1) and layout.T == 2
-    with pytest.raises(ValueError):
-        MultiplexLayout.with_padding(GF(3), 1, 2, (3,))
-
-
 def test_subset_validation():
     layout = MultiplexLayout(GF(2), 1, 2, 1, (1, 1))
     with pytest.raises(ValueError):
@@ -287,10 +280,3 @@ def test_message_enumeration_bound(monkeypatch):
     assert MAX_MESSAGE_VECTORS == 1 << 16
     # 2^16 vectors are accepted; the iterator is lazy and left unconsumed
     iter_message_vectors(MultiplexLayout(GF(2), 1, 16, 1, (8, 8)))
-
-
-def test_layout_json_roundtrip():
-    layout = MultiplexLayout(GF(4), 3, 2, 2, (2, 2, 2))
-    doc = layout.to_json()
-    assert doc == {"q": 4, "m": 3, "n": 2, "T": 2, "k": [2, 2, 2]}
-    assert MultiplexLayout.from_json(doc) == layout

