@@ -39,6 +39,8 @@ class JointDistribution:
     _family_stats: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # rho -> conditional_power_mean(rho); both hashing bounds read it.
     _power_means: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # marginal_z(), filled on first use.
+    _marginal_z: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(float(v) for v in row) for row in self.probs)
@@ -61,8 +63,12 @@ class JointDistribution:
     def nz(self) -> int:
         return len(self.probs[0])
 
-    def marginal_z(self) -> list[float]:
-        return [sum(self.probs[x][z] for x in range(self.nx)) for z in range(self.nz)]
+    def marginal_z(self) -> tuple[float, ...]:
+        """P(Z = z) for every z, computed once per joint."""
+        if self._marginal_z is None:
+            pz = tuple(sum(self.probs[x][z] for x in range(self.nx)) for z in range(self.nz))
+            object.__setattr__(self, "_marginal_z", pz)
+        return self._marginal_z
 
     def conditional_power_mean(self, rho: float) -> float:
         """E over (X, Z) of P(X|Z)^rho, computed once per rho."""
@@ -191,7 +197,7 @@ def family_statistics(
 
 
 def _map_statistics(
-    joint: JointDistribution, fmap: tuple[int, ...], output_size: int, pz: list[float]
+    joint: JointDistribution, fmap: tuple[int, ...], output_size: int, pz: tuple[float, ...]
 ) -> tuple[float, float]:
     """(I(f(X); Z), H(f(X) | Z)) in nats for the one map f = fmap."""
     log = math.log
@@ -213,6 +219,13 @@ def _map_statistics(
     return max(mi, 0.0), max(h, 0.0)
 
 
+def _mean_exp(scale: float, values: tuple[float, ...]) -> float:
+    """The mean of exp(scale * v) over `values`, one exp per distinct value
+    and summed in member order, so the float equals the per-member sum."""
+    exps = {v: math.exp(scale * v) for v in dict.fromkeys(values)}
+    return sum(exps[v] for v in values) / len(values)
+
+
 def verify_hashed_mi_bound(
     joint: JointDistribution,
     family: HashFamilySpec,
@@ -223,7 +236,7 @@ def verify_hashed_mi_bound(
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
     mis = family_statistics(joint, family)[0]
-    lhs = sum(math.exp(rho * mi) for mi in mis) / len(mis)
+    lhs = _mean_exp(rho, mis)
     rhs = 1.0 + family.output_size**rho * joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
 
@@ -238,7 +251,7 @@ def verify_hashed_entropy_bound(
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
     ents = family_statistics(joint, family)[1]
-    lhs = sum(math.exp(-rho * h) for h in ents) / len(ents)
+    lhs = _mean_exp(-rho, ents)
     rhs = family.output_size ** (-rho) + joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
 

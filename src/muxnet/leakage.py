@@ -62,7 +62,7 @@ def leakage_profile(
 ) -> dict[str, LeakageResult]:
     """exact_leakage for several subsets, reducing L modulo B's row space once.
 
-    B is an observation matrix, or the reduced basis of its row space built
+    B is an observation matrix, or the echelon basis of its row space built
     for this layout by `network.observation_basis` or an
     `ObservationSpaces`.  The residues
     stay packed in the engine's form, and a subset's rank is the number of
@@ -73,7 +73,7 @@ def leakage_profile(
     L.inverse()  # raises SingularMatrix for a singular L; cached on L
     field = layout.field
     rank_b = len(basis.pivots)
-    residues = [basis.reduce_packed(basis.pack(row)) for row in L.rows_list()]
+    residues = [basis.reduce_packed(basis.pack(row)) for row in L._rows]
     lnq = math.log(layout.q)
     out: dict[str, LeakageResult] = {}
     for subset in subsets:
@@ -109,34 +109,40 @@ def exact_leakage(
 
 
 def brute_force_leakage(
-    layout: MultiplexLayout, L: FieldMatrix, B: FieldMatrix, subsets
-) -> dict[str, float]:
-    """Mutual information from the explicit joint distribution, in nats,
-    per subset label.
+    layout: MultiplexLayout, maps, B: FieldMatrix, subsets
+) -> list[dict[str, float]]:
+    """Mutual information from the explicit joint distribution, in nats:
+    for each map L of `maps`, in order, one value per subset label.
 
-    Enumerates all q^(m*n) equiprobable message vectors s once, computes
-    z = B L^-1 s once per s, tabulates for each subset the joint
+    Enumerates all q^(m*n) equiprobable message vectors s once per call,
+    with each subset's blocks of s and their marginal counts.  Per map it
+    computes z = B L^-1 s once per s, tabulates for each subset the joint
     distribution of (subset blocks of s, z), and sums p * ln(p / (p_a p_z))
     in first-seen order.  Independent of the rank-based path.
     """
     messages = iter_message_vectors(layout)  # checks the enumeration bound first
-    _check_map(layout, L)
     _check_observation(layout, B)
     total = layout.q ** layout.mn
-    C = B @ L.inverse()
     messages = list(messages)
-    zs = [tuple(C.mul_vector(s)) for s in messages]
-    marg_z = Counter(zs)
-    log = math.log
-    out = {}
+    columns = []
     for sub in subsets:
         coords = layout.subset_coordinates(sub)
         blocks = [tuple(s[c] for c in coords) for s in messages]
-        marg_a = Counter(blocks)
-        mi = 0.0
-        for (a, z), c in Counter(zip(blocks, zs)).items():
-            mi += c * (log(c * total) - log(marg_a[a] * marg_z[z]))
-        out[sub.label] = max(mi / total, 0.0)
+        columns.append((sub.label, blocks, Counter(blocks)))
+    log = math.log
+    out = []
+    for L in maps:
+        _check_map(layout, L)
+        C = B @ L.inverse()
+        zs = [tuple(C.mul_vector(s)) for s in messages]
+        marg_z = Counter(zs)
+        mis = {}
+        for label, blocks, marg_a in columns:
+            mi = 0.0
+            for (a, z), c in Counter(zip(blocks, zs)).items():
+                mi += c * (log(c * total) - log(marg_a[a] * marg_z[z]))
+            mis[label] = max(mi / total, 0.0)
+        out.append(mis)
     return out
 
 

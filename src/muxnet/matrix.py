@@ -1,8 +1,11 @@
 """Dense matrices over a FieldSpec: exact rank, kernel, inverse, sampling.
 
-Every elimination runs through one reduced echelon basis, `_Echelon`.  The
-reduced row echelon form of a matrix is unique, so reduced forms, kernels
-and inverses are identical across runs.  Over GF(2) the engine packs each
+Every elimination runs through one echelon basis, `_Echelon`.  Inserting
+rows keeps a row echelon form, which is all a rank, an invertibility test
+or a residue modulo the span needs; `_Echelon.back_substitute` turns it
+into the reduced row echelon form only where reduced rows are read
+(`kernel`, `inverse`, `solve`).  That form is unique, so kernels and
+inverses are identical across runs.  Over GF(2) the engine packs each
 row into one int and updates it with one XOR; over every other field row
 updates go through the field's row primitives (`FieldSpec.row_sub_scaled`,
 `row_scale`), and products through `row_dot`, never a scalar call per cell.
@@ -117,8 +120,9 @@ class FieldMatrix:
     # -- elimination -----------------------------------------------------------------
 
     def _rref_rows(self) -> "_Echelon":
-        """The reduced row echelon basis of the row space: its nonzero rows,
-        packed, and their pivot columns."""
+        """The row echelon basis of the row space: its nonzero rows, packed,
+        and their pivot columns.  Callers that read the rows themselves call
+        `back_substitute` first."""
         ncols = self.ncols
         ech = _Echelon(self.field)
         for row in self._rows:
@@ -137,6 +141,7 @@ class FieldMatrix:
         their free coordinate, so results are deterministic.
         """
         ech = self._rref_rows()
+        ech.back_substitute()
         neg = self.field.neg
         pivot_set = set(ech.pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
@@ -159,6 +164,7 @@ class FieldMatrix:
         ech = aug._rref_rows()
         if ech.pivots[:n] != list(range(n)):
             return None
+        ech.back_substitute()
         return [ech.unpack(r, width)[n:] for r in ech.rows]
 
     def inverse(self) -> "FieldMatrix":
@@ -202,14 +208,17 @@ def random_matrix(field: FieldSpec, nrows: int, ncols: int, rng: random.Random) 
 
 
 class _Echelon:
-    """Reduced row echelon basis of a growing row space: the one elimination
-    engine behind sampling, enumeration, rank, kernel, inverse, solve and
-    leakage.
+    """Row echelon basis of a growing row space: the one elimination engine
+    behind sampling, enumeration, rank, kernel, inverse, solve and leakage.
 
-    Rows are normalized (pivot entry 1) and kept in pivot-column order, and
-    every pivot column is zero in every other row, so inserting a matrix's
-    rows one by one leaves exactly its reduced row echelon form.  Rows are
-    replaced, never changed in place, so a copy may share them.
+    Rows are normalized (pivot entry 1), kept in pivot-column order, and
+    zero left of their pivots.  Inserting a row touches no earlier row, so
+    rank queries pay for no reduced form.  `back_substitute` also clears every pivot column
+    above its pivot, which leaves the unique reduced row echelon form.  The
+    residue of a vector modulo the span is the one member of its coset that
+    is zero in every pivot column, so `reduce` gives the same residue
+    against either form.  Rows are replaced, never changed in place, so a
+    copy may share them.
 
     The basis holds its rows packed.  Over GF(2) a packed row is one int
     with column j in byte j, `int.from_bytes(bytes(row), "little")`, so
@@ -273,35 +282,46 @@ class _Echelon:
     def insert_packed(self, row) -> bool:
         """`insert` for a packed row."""
         row = self.reduce_packed(row)
-        rows = self.rows
         if self._bits:
             if not row:
                 return False
-            low = row & -row
-            p = (low.bit_length() - 1) >> 3
-            for i, brow in enumerate(rows):
-                if brow & low:
-                    rows[i] = brow ^ row
+            p = ((row & -row).bit_length() - 1) >> 3
         else:
             for p, lead in enumerate(row):
                 if lead:
                     break
             else:
                 return False
-            f = self.field
             if lead != 1:
+                f = self.field
                 row[p] = 1
                 row[p + 1:] = f.row_scale(f.inv(lead), row[p + 1:])
-            tail = row[p + 1:]
-            sub_scaled = f.row_sub_scaled
-            for i, brow in enumerate(rows):
-                c = brow[p]
-                if c:
-                    rows[i] = brow[:p] + [0] + sub_scaled(brow[p + 1:], c, tail)
         at = bisect.bisect(self.pivots, p)
         self.pivots.insert(at, p)
-        rows.insert(at, row)
+        self.rows.insert(at, row)
         return True
+
+    def back_substitute(self) -> None:
+        """Clear each pivot column above its pivot, bottom-up, leaving the
+        reduced row echelon form of the span."""
+        rows = self.rows
+        if self._bits:
+            for i in range(len(rows) - 1, 0, -1):
+                row = rows[i]
+                low = row & -row
+                for j in range(i):
+                    if rows[j] & low:
+                        rows[j] ^= row
+            return
+        sub_scaled = self.field.row_sub_scaled
+        for i in range(len(rows) - 1, 0, -1):
+            p = self.pivots[i]
+            tail = rows[i][p + 1:]
+            for j in range(i):
+                brow = rows[j]
+                c = brow[p]
+                if c:
+                    rows[j] = brow[:p] + [0] + sub_scaled(brow[p + 1:], c, tail)
 
 
 def sample_full_rank(

@@ -361,7 +361,7 @@ def _check_observation(layout: MultiplexLayout, B: FieldMatrix) -> None:
 
 
 def observation_basis(layout: MultiplexLayout, B: FieldMatrix) -> _Echelon:
-    """The reduced row echelon basis of rowspace B, for B observing words of
+    """The row echelon basis of rowspace B, for B observing words of
     `layout`; shared bases are read, never changed."""
     _check_observation(layout, B)
     basis = _Echelon(layout.field)
@@ -375,10 +375,10 @@ class ObservationSpaces:
     once.
 
     What an eavesdropper learns from z = B x depends on B only through
-    rowspace B, whose reduced row echelon form is unique.  `bases` holds
-    one `observation_basis` per distinct row space, in first-seen order,
-    and `index[i]` is the position in `bases` of the i-th listed matrix's
-    row space.
+    rowspace B, whose reduced row echelon form is unique and so keys it.
+    `bases` holds one back-substituted `observation_basis` per distinct row
+    space, in first-seen order, and `index[i]` is the position in `bases`
+    of the i-th listed matrix's row space.
     """
 
     __slots__ = ("bases", "index")
@@ -389,6 +389,7 @@ class ObservationSpaces:
         seen: dict[tuple, int] = {}
         for B in matrices:
             basis = observation_basis(layout, B)
+            basis.back_substitute()
             # packed GF(2) rows are ints; other fields' rows are lists
             key = tuple(r if isinstance(r, int) else tuple(r) for r in basis.rows)
             at = seen.setdefault(key, len(self.bases))

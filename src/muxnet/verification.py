@@ -205,18 +205,25 @@ def _enumerate_layouts(q: int, mn: int) -> list[MultiplexLayout]:
 
 def _check_two_universal(opts: VerifyOptions) -> list[CheckResult]:
     violations = 0
-    worst_excess = Fraction(-1)
+    worst_num, worst_den = -1, 1  # the largest excess p - q^-k so far
     instances = 0
+    sizes = (1, 2, 3, 4)
+    subsets_of = {T: all_nonempty_subsets(T) for T in range(1, max(sizes) + 1)}  # T <= mn
     for q in (2, 3):
-        for mn in (1, 2, 3, 4):
+        for mn in sizes:
             for layout in _enumerate_layouts(q, mn):
-                for sub in all_nonempty_subsets(layout.T):
+                for sub in subsets_of[layout.T]:
                     p = hash_collision_probability(layout, sub)
-                    bound = Fraction(1, q ** layout.subset_length(sub))
+                    # p - q^-k = (a q^k - b) / (b q^k) for p = a/b: exact
+                    # integer comparisons, no Fraction per instance
+                    qk = q ** layout.subset_length(sub)
+                    num, den = p.numerator * qk - p.denominator, p.denominator * qk
                     instances += 1
-                    if p > bound:  # exact rational comparison
+                    if num > 0:
                         violations += 1
-                    worst_excess = max(worst_excess, p - bound)
+                    if num * worst_den > worst_num * den:
+                        worst_num, worst_den = num, den
+    worst_excess = Fraction(worst_num, worst_den)
     f2 = GF(2)
     pinned = hash_collision_probability(
         MultiplexLayout(f2, 1, 2, 1, (1, 1)), SubsetIndex({1})
@@ -389,9 +396,9 @@ def _check_oracle_equivalence(opts: VerifyOptions) -> list[CheckResult]:
                 basis = observation_basis(layout, B)
                 rank_b = len(basis.pivots)
                 floors = {sub.label: leakage_floor(layout, sub, rank_b) for sub in subsets}
-                for L in l_pool:
+                oracles = brute_force_leakage(layout, l_pool, B, subsets)
+                for L, oracle in zip(l_pool, oracles, strict=True):
                     profile = leakage_profile(layout, L, basis, subsets)
-                    oracle = brute_force_leakage(layout, L, B, subsets)
                     for label, res in profile.items():
                         worst = max(worst, abs(res.nats - oracle[label]))
                         quant = abs(res.nats / lnq - round(res.nats / lnq))

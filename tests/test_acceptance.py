@@ -94,9 +94,9 @@ def test_criterion_01_oracle_equivalence(oracle_suite):
         subsets = all_nonempty_subsets(layout.T)
         for rows, bs in shapes.items():
             for B in bs:
-                for L in pool:
+                oracles = brute_force_leakage(layout, pool, B, subsets)
+                for L, oracle in zip(pool, oracles, strict=True):
                     profile = leakage_profile(layout, L, B, subsets)
-                    oracle = brute_force_leakage(layout, L, B, subsets)
                     for sub in subsets:
                         bf = oracle[sub.label]
                         worst = max(worst, abs(profile[sub.label].nats - bf))

@@ -161,7 +161,15 @@ def test_family_statistics_with_repeated_maps_match_per_member_loop():
     for family in families:
         for _ in range(5):
             joint = JointDistribution.dirichlet(family.domain_size, rng.randrange(2, 9), rng)
-            assert family_statistics(joint, family) == per_member(joint, family)
+            mis, ents = per_member(joint, family)
+            assert family_statistics(joint, family) == (mis, ents)
+            # one exp per distinct statistic, summed in member order: the
+            # same floats as one exp per member
+            for rho in VerifyOptions().rho_grid:
+                lhs_mi = sum(math.exp(rho * mi) for mi in mis) / len(mis)
+                lhs_ent = sum(math.exp(-rho * h) for h in ents) / len(ents)
+                assert verify_hashed_mi_bound(joint, family, rho)["lhs"] == lhs_mi
+                assert verify_hashed_entropy_bound(joint, family, rho)["lhs"] == lhs_ent
 
 
 def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
@@ -182,6 +190,10 @@ def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
         verify_hashed_entropy_bound(joint, fam, rho)
     assert [joint.conditional_power_mean(rho) for rho in grid] == fresh
     assert len(calls) == len(grid) + 1  # once per rho, once for the family
+    # the marginal itself is computed once per joint
+    monkeypatch.undo()
+    assert joint.marginal_z() is joint.marginal_z()
+    assert joint.marginal_z() == tuple(sum(col) for col in zip(*joint.probs))
 
 
 def test_projection_family_is_two_universal():

@@ -225,6 +225,9 @@ def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     ["capacity", "--rates", "1,1", "--n", "-1", "--mu", "-2"],
     ["capacity", "--rates", "1,1", "--n", "0"],
     ["capacity", "--rates", "1,1", "--n", "2", "--mu", "0"],
+    pytest.param(["capacity", "--rates", "1,1", "--n", "x"], id="n-not-an-integer"),
+    pytest.param(["sweep", "--param", "m", "--values", "1,2", "--parallel", "x"],
+                 id="parallel-not-an-integer"),
 ])
 def test_cli_rejects_flags_a_subcommand_does_not_read(argv, monkeypatch, capsys):
     def no_work(*args, **kwargs):
@@ -235,6 +238,12 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(argv, monkeypatch, capsys)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "_positive_int" not in err  # argparse names the converter otherwise
+    for flag in ("--n", "--mu", "--parallel"):
+        if f"argument {flag}:" in err:
+            value = argv[argv.index(flag) + 1]
+            assert f"argument {flag}: expected a positive integer, got {value!r}" in err
 
 
 # ---------------------------------------------------------

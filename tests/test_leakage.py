@@ -79,8 +79,9 @@ def test_single_tap_identity_vs_swap():
     assert r2.nats == 0.0
     assert r2.kernel_dim == 1
     # the oracle agrees on both
-    assert brute_force_leakage(layout, ident, B, [sub])["1"] == pytest.approx(LN2, abs=1e-12)
-    assert brute_force_leakage(layout, swap, B, [sub])["1"] == pytest.approx(0.0, abs=1e-12)
+    assert brute_force_leakage(layout, [ident, swap], B, [sub]) == [
+        {"1": pytest.approx(LN2, abs=1e-12)}, {"1": pytest.approx(0.0, abs=1e-12)}
+    ]
 
 
 def test_conditional_entropy_complements_leakage():
@@ -105,9 +106,10 @@ def test_oracle_agreement_all_gl22():
     layout = layout_q2_m1()
     B = FieldMatrix(GF(2), [[1, 0]])
     sub = SubsetIndex({1})
-    for L in enumerate_gl(2, GF(2)):
+    maps = enumerate_gl(2, GF(2))
+    for L, oracle in zip(maps, brute_force_leakage(layout, maps, B, [sub]), strict=True):
         assert exact_leakage(layout, L, B, sub).nats == pytest.approx(
-            brute_force_leakage(layout, L, B, [sub])[sub.label], abs=1e-9
+            oracle[sub.label], abs=1e-9
         )
 
 
@@ -119,7 +121,7 @@ def test_oracle_agreement_random_gf3():
         L = sample_gl(3, GF(3), rng)
         B = random_matrix(GF(3), rng.randrange(1, 4), 3, rng)
         assert exact_leakage(layout, L, B, sub).nats == pytest.approx(
-            brute_force_leakage(layout, L, B, [sub])[sub.label], abs=1e-9
+            brute_force_leakage(layout, [L], B, [sub])[0][sub.label], abs=1e-9
         )
 
 
@@ -131,8 +133,8 @@ def test_independent_blocks_leak_nothing():
     res = exact_leakage(layout, FieldMatrix.identity(GF(2), 3), B, SubsetIndex({1}))
     assert res.nats == 0.0
     assert brute_force_leakage(
-        layout, FieldMatrix.identity(GF(2), 3), B, [SubsetIndex({1})]
-    ) == {"1": pytest.approx(0.0, abs=1e-12)}
+        layout, [FieldMatrix.identity(GF(2), 3)], B, [SubsetIndex({1})]
+    ) == [{"1": pytest.approx(0.0, abs=1e-12)}]
 
 
 def single_subset_oracle(layout, L, B, subset):
@@ -166,17 +168,19 @@ def test_oracle_over_subsets_is_bit_identical_to_single_subset(q, m, n, k):
     for _ in range(4):
         L = sample_gl(layout.mn, f, rng)
         B = random_matrix(f, rng.randrange(1, layout.mn + 1), layout.mn, rng)
-        got = brute_force_leakage(layout, L, B, subsets)
-        assert list(got) == [sub.label for sub in subsets]
-        for sub in subsets:
-            assert got[sub.label] == single_subset_oracle(layout, L, B, sub)
+        maps = [L, L.inverse()]  # a second map, with no extra RNG draw
+        # one call over several maps, each against the one-subset reference
+        for M, got in zip(maps, brute_force_leakage(layout, maps, B, subsets), strict=True):
+            assert list(got) == [sub.label for sub in subsets]
+            for sub in subsets:
+                assert got[sub.label] == single_subset_oracle(layout, M, B, sub)
 
 
 def test_brute_force_cap():
     layout = MultiplexLayout(GF(2), 5, 4, 1, (10, 10))
     B = FieldMatrix.zeros(GF(2), 1, 20)
     with pytest.raises(EnumerationTooLarge):
-        brute_force_leakage(layout, FieldMatrix.identity(GF(2), 20), B, [SubsetIndex({1})])
+        brute_force_leakage(layout, [FieldMatrix.identity(GF(2), 20)], B, [SubsetIndex({1})])
 
 
 def test_brute_force_bound_checked_before_any_work(monkeypatch):
@@ -189,7 +193,7 @@ def test_brute_force_bound_checked_before_any_work(monkeypatch):
     layout = MultiplexLayout(GF(2), 1, 17, 1, (9, 8))  # 2^17 message vectors
     with pytest.raises(EnumerationTooLarge):
         brute_force_leakage(
-            layout, FieldMatrix.identity(GF(2), 17), FieldMatrix.zeros(GF(2), 1, 17),
+            layout, [FieldMatrix.identity(GF(2), 17)], FieldMatrix.zeros(GF(2), 1, 17),
             [SubsetIndex({1})],
         )
 
@@ -355,9 +359,9 @@ def test_brute_force_invertible_observation():
     rng = random.Random(12)
     B = sample_gl(2, GF(2), rng)
     L = sample_gl(2, GF(2), rng)
-    assert brute_force_leakage(layout, L, B, [SubsetIndex({1})]) == {
-        "1": pytest.approx(LN2, abs=1e-12)
-    }
+    assert brute_force_leakage(layout, [L], B, [SubsetIndex({1})]) == [
+        {"1": pytest.approx(LN2, abs=1e-12)}
+    ]
 
 
 def test_average_statistical_exhaustive_matches_manual_product():
@@ -390,7 +394,7 @@ def test_zero_size_subset_leaks_nothing():
     B = sample_gl(2, GF(2), rng)
     sub = SubsetIndex({1})
     assert exact_leakage(layout, L, B, sub).nats == 0.0
-    assert brute_force_leakage(layout, L, B, [sub]) == {"1": pytest.approx(0.0, abs=1e-12)}
+    assert brute_force_leakage(layout, [L], B, [sub]) == [{"1": pytest.approx(0.0, abs=1e-12)}]
 
 
 def test_worst_case_over_butterfly_taps_matches_oracle():
@@ -406,8 +410,8 @@ def test_worst_case_over_butterfly_taps_matches_oracle():
         res = worst_case_leakage(layout, L, observations, [sub])[sub.label]
         manual = max(
             brute_force_leakage(
-                layout, L, eavesdrop_matrix(net, coding, [s], layout), [sub]
-            )[sub.label]
+                layout, [L], eavesdrop_matrix(net, coding, [s], layout), [sub]
+            )[0][sub.label]
             for s, _ in res["per_set"]
         )
         assert res["max_nats"] == pytest.approx(manual, abs=1e-9)

@@ -236,6 +236,7 @@ def engine_digest() -> str:
             low = random_matrix(f, nrows, mid, rng) @ random_matrix(f, mid, ncols, rng)
             for M in (random_matrix(f, nrows, ncols, rng), low):
                 ech = M._rref_rows()
+                ech.back_substitute()
                 rows = [ech.unpack(r, ncols) for r in ech.rows]
                 rows += [[0] * ncols] * (nrows - len(rows))  # the zero rows, last
                 put((tuple(map(tuple, rows)), tuple(ech.pivots), M.rank(), M.kernel().as_tuples()))
@@ -251,3 +252,50 @@ def engine_digest() -> str:
 
 def test_engine_outputs_are_pinned():
     assert engine_digest() == ENGINE_DIGEST
+
+
+# ---------------------------------------------------------
+# where reduced rows are read
+# ---------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_only_readers_of_reduced_rows_back_substitute(q, monkeypatch):
+    # Ranks, invertibility tests, sampling, enumeration and leakage span
+    # counts need only the echelon form; kernel, inverse, solve and the
+    # row-space keys of ObservationSpaces read reduced rows.
+    from muxnet.leakage import leakage_profile
+    from muxnet.matrix import _Echelon
+    from muxnet.multiplex import MultiplexLayout, all_nonempty_subsets
+    from muxnet.network import ObservationSpaces, observation_basis
+
+    f = GF(q)
+    rng = random.Random(q)
+    layout = MultiplexLayout(f, 2, 2, 1, (1, 3))
+    B = random_matrix(f, 3, 4, rng)
+    L = sample_gl(4, f, rng)
+    L.inverse()  # leakage_profile's singular-map check reads this cache
+
+    real = _Echelon.back_substitute
+
+    def refuse(self):
+        raise AssertionError("back_substitute called")
+
+    monkeypatch.setattr(_Echelon, "back_substitute", refuse)
+    M = sample_gl(4, f, rng)
+    assert M.rank() == 4 and M.is_invertible()
+    assert random_matrix(f, 3, 5, rng).rank() <= 3
+    assert len(enumerate_gl(2, GF(2))) == 6
+    assert len(observation_basis(layout, B).pivots) == B.rank()
+    leakage_profile(layout, L, B, all_nonempty_subsets(1))
+
+    calls = []
+    monkeypatch.setattr(_Echelon, "back_substitute", lambda self: calls.append(1) or real(self))
+    for read in (
+        M.kernel,
+        M.inverse,
+        lambda: M.solve([1, 0, 0, 0]),
+        lambda: ObservationSpaces(layout, [B]),
+    ):
+        before = len(calls)
+        read()
+        assert len(calls) == before + 1

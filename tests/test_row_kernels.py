@@ -178,6 +178,7 @@ def test_elimination_matches_per_cell_reference(q):
         rows = M.rows_list()
         ref = ref_rref(f, rows)
         got = M._rref_rows()
+        got.back_substitute()
         assert got.pivots == ref.pivots
         assert [got.unpack(r, M.ncols) for r in got.rows] == ref.rows
         assert M.rank() == len(ref.pivots)
@@ -225,13 +226,17 @@ def check_gf2_against_reference(f, rows, ncols, rng):
     ech, ref = _Echelon(f), RefEchelon(f)
     for row in rows:
         assert ech.insert(row) == ref.insert(row)
-    assert [ech.unpack(row, ncols) for row in ech.rows] == ref.rows
     vec = [rng.randrange(2) for _ in range(ncols)]
     reduced = ref.reduce(vec)
     assert ech.reduce(vec) == reduced
     assert ech.unpack(ech.reduce_packed(ech.pack(vec)), ncols) == reduced
+    # the residue is the same against the echelon and the reduced form
+    ech.back_substitute()
+    assert [ech.unpack(row, ncols) for row in ech.rows] == ref.rows
+    assert ech.reduce(vec) == reduced
 
     got = M._rref_rows()
+    got.back_substitute()
     assert got.pivots == ref.pivots
     assert [got.unpack(r, ncols) for r in got.rows] == ref.rows
     assert M.rank() == len(ref.pivots)
