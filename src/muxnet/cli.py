@@ -22,6 +22,7 @@ from .experiments import (
     run_simulate,
     run_sweep,
     run_verify,
+    verify_seed,
 )
 
 EXIT_OK = 0
@@ -126,8 +127,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            config = _load_config(args) if (args.config or args.seed is not None) else None
-            rows, all_hold = run_verify(config)
+            if args.config:
+                seed = verify_seed(_load_config(args))
+            else:
+                seed = DEFAULT_CONFIG["seed"] if args.seed is None else args.seed
+            rows, all_hold = run_verify(seed)
             if args.format == "json":
                 _emit(report_to_json({"checks": rows, "all_hold": all_hold}), args.out)
             else:

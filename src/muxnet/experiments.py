@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
 from .bounds import (
     BoundParams,
@@ -49,7 +49,7 @@ from .network import (
     realize_eavesdropper,
 )
 from .rng import derive_rng
-from .verification import VerifyOptions, run_verification
+from .verification import run_verification
 
 SWEEPABLE_PARAMS = ("m", "mu", "q", "C1", "C2", "rho")
 
@@ -76,8 +76,8 @@ REPORT_COLUMNS = (
 
 VERIFY_COLUMNS = ("check", "instance", "lhs", "rhs", "holds")
 
-# Upper bound on every trial and sample count a config sets (trials.L,
-# trials.B and the verify counts), far above any default.
+# Upper bound on the trial counts a config sets (trials.L and trials.B),
+# far above any default.
 MAX_TRIALS = 1_000_000
 
 DEFAULT_CONFIG: dict = {
@@ -212,7 +212,7 @@ def build_plan(config: dict) -> ExperimentPlan:
     """Validate a config document and materialize every component."""
     seed, experiment_id = _config_header(
         config,
-        {"id", "field", "layout", "network", "eavesdropper", "bounds", "seed", "trials", "verify"},
+        {"id", "field", "layout", "network", "eavesdropper", "bounds", "seed", "trials"},
         "config",
     )
     if "layout" not in config:
@@ -251,6 +251,10 @@ def build_plan(config: dict) -> ExperimentPlan:
     if eav_doc is None:
         raise ConfigError("config is missing the eavesdropper section")
     _require_keys(eav_doc, {"kind", "mu", "links", "distribution"}, "eavesdropper")
+    kind = eav_doc.get("kind", "traditional")
+    for key, reader in (("links", "traditional"), ("distribution", "statistical")):
+        if key in eav_doc and kind != reader:
+            raise ConfigError(f"eavesdropper.{key} is read only by the {reader} kind, not {kind!r}")
     mu = _json_int(eav_doc.get("mu", 1), "eavesdropper.mu")
     links = eav_doc.get("links")
     if links is not None:
@@ -260,7 +264,7 @@ def build_plan(config: dict) -> ExperimentPlan:
         distribution = _distribution(distribution, mu)
     try:
         model = EavesdropperModel(
-            kind=eav_doc.get("kind", "traditional"), mu=mu, links=links, distribution=distribution
+            kind=kind, mu=mu, links=links, distribution=distribution
         )
     except ValueError as exc:
         raise ConfigError(f"bad eavesdropper section: {exc}") from exc
@@ -542,45 +546,17 @@ def run_capacity(rates, n: int, mu: int) -> dict:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_options(doc) -> VerifyOptions:
-    """Options of the "verify" section: counts are integers in
-    [1, MAX_TRIALS], seed an integer, tolerances finite numbers, rho_grid a
-    non-empty list in [0, 1]."""
-    opts = VerifyOptions()
-    if doc is None:
-        return opts
-    _require_keys(doc, {f.name for f in dataclass_fields(VerifyOptions)}, "verify")
-    for key, val in doc.items():
-        where = f"verify.{key}"
-        if key == "rho_grid":
-            if not isinstance(val, list) or not val:
-                raise ConfigError(f"{where} must be a non-empty list of numbers, got {val!r}")
-            for i, rho in enumerate(val):
-                if not 0 <= _json_number(rho, f"{where}[{i}]") <= 1:
-                    raise ConfigError(f"{where}[{i}] = {rho!r} is outside [0, 1]")
-            val = tuple(val)
-        elif key in ("tolerance", "oracle_tolerance"):
-            _json_number(val, where)
-        elif key == "seed":
-            _json_int(val, where)
-        else:  # every other option is a count
-            _json_count(val, where)
-        setattr(opts, key, val)
-    return opts
+def verify_seed(config) -> int:
+    """The seed of a `muxnet verify` config.  A config with a layout is
+    checked as for simulate; one without may hold only id and seed."""
+    if isinstance(config, dict) and "layout" in config:
+        return build_plan(config).seed
+    seed, _ = _config_header(config, {"id", "seed"}, "a config without layout")
+    return seed
 
 
-def run_verify(config: dict | None) -> tuple[list[dict], bool]:
-    if config is not None:
-        if isinstance(config, dict) and "layout" not in config:  # a verify-only config
-            _config_header(config, {"id", "seed", "verify"}, "a config without layout")
-        else:
-            build_plan(config)
-        opts = _verify_options(config.get("verify"))
-        if "seed" in config:
-            opts.seed = config["seed"]
-    else:
-        opts = VerifyOptions()
-    rows = [r.to_json() for r in run_verification(opts)]
+def run_verify(seed: int) -> tuple[list[dict], bool]:
+    rows = [r.to_json() for r in run_verification(seed)]
     all_hold = all(r["holds"] for r in rows)
     return rows, all_hold
 

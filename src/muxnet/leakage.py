@@ -42,7 +42,6 @@ from .network import (
 class LeakageResult:
     """Leakage of one subset under one (L, B) pair, in nats."""
 
-    subset: SubsetIndex
     k_sub: int
     rank_b: int
     kernel_dim: int
@@ -82,7 +81,6 @@ def leakage_profile(
         kernel_dim = sum(span.insert_packed(residues[i]) for i in coords)
         k_sub = len(coords)
         out[subset.label] = LeakageResult(
-            subset=subset,
             k_sub=k_sub,
             rank_b=rank_b,
             kernel_dim=kernel_dim,

@@ -1,8 +1,9 @@
 """Built-in verification battery behind the `verify` command.
 
 Each check replays one of the library's stated invariants on exhaustive or
-seeded-random instances and reports a (lhs, rhs, holds) row.  The README
-maps every module invariant to its check id here.
+seeded-random instances and reports a (lhs, rhs, holds) row.  Every size
+and tolerance is fixed, so the seed alone names a report.  The README maps
+every module invariant to its check id here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
+    REAL_TOLERANCE,
     BoundParams,
     HashFamilySpec,
     JointDistribution,
@@ -74,24 +76,15 @@ class CheckResult:
         }
 
 
-@dataclass
-class VerifyOptions:
-    seed: int = 20210907
-    tolerance: float = 1e-12
-    oracle_tolerance: float = 1e-9
-    joint_trials: int = 120
-    rho_grid: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11))
-    oracle_b_per_shape: int = 8
-    oracle_l_samples: int = 12
-    guarantee_l_trials: int = 60
-    gl_chi2_samples: int = 6000
+# The rho values at which the hashing inequalities are checked.
+RHO_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _check_field_axioms(opts: VerifyOptions) -> list[CheckResult]:
+def _check_field_axioms(seed: int) -> list[CheckResult]:
     out = []
     for q in (2, 3, 4, 5, 8, 9):
         f = GF(q)
@@ -123,7 +116,7 @@ def _prime_powers(limit: int) -> list[int]:
     return out
 
 
-def _check_field_inverses(opts: VerifyOptions) -> list[CheckResult]:
+def _check_field_inverses(seed: int) -> list[CheckResult]:
     bad = 0
     count = 0
     for q in _prime_powers(256):
@@ -135,8 +128,8 @@ def _check_field_inverses(opts: VerifyOptions) -> list[CheckResult]:
     return [CheckResult("field_inverse_exhaustive", f"all prime powers <= 256 ({count} elements)", bad, 0, bad == 0)]
 
 
-def _check_rank_nullity(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:rank_nullity")
+def _check_rank_nullity(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:rank_nullity")
     bad = 0
     trials = 0
     for q in (2, 3, 4, 9):
@@ -151,8 +144,8 @@ def _check_rank_nullity(opts: VerifyOptions) -> list[CheckResult]:
     return [CheckResult("matrix_rank_nullity", f"{trials} random matrices", bad, 0, bad == 0)]
 
 
-def _check_inverse_roundtrip(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:inverse_roundtrip")
+def _check_inverse_roundtrip(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:inverse_roundtrip")
     bad = 0
     for q in (2, 3, 5, 16):
         f = GF(q)
@@ -166,11 +159,11 @@ def _check_inverse_roundtrip(opts: VerifyOptions) -> list[CheckResult]:
     return [CheckResult("matrix_inverse_roundtrip", "160 sampled invertible matrices", bad, 0, bad == 0)]
 
 
-def _check_gl_uniformity(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:gl_uniformity")
+def _check_gl_uniformity(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:gl_uniformity")
     f = GF(2)
     counts: dict[tuple, int] = {}
-    n = opts.gl_chi2_samples
+    n = 6000
     for _ in range(n):
         key = sample_gl(2, f, rng).as_tuples()
         counts[key] = counts.get(key, 0) + 1
@@ -203,7 +196,7 @@ def _enumerate_layouts(q: int, mn: int) -> list[MultiplexLayout]:
     return out
 
 
-def _check_two_universal(opts: VerifyOptions) -> list[CheckResult]:
+def _check_two_universal(seed: int) -> list[CheckResult]:
     violations = 0
     worst_num, worst_den = -1, 1  # the largest excess p - q^-k so far
     instances = 0
@@ -234,8 +227,8 @@ def _check_two_universal(opts: VerifyOptions) -> list[CheckResult]:
     ]
 
 
-def _check_encode_decode(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:encode_decode")
+def _check_encode_decode(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:encode_decode")
     out = []
     bad_bij = 0
     for q, mn, k in ((2, 2, (1, 1)), (2, 4, (1, 2, 1)), (3, 3, (2, 1))):
@@ -287,8 +280,8 @@ def _check_encode_decode(opts: VerifyOptions) -> list[CheckResult]:
     return out
 
 
-def _check_projection(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:projection")
+def _check_projection(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:projection")
     bad = 0
     for _ in range(50):
         q = rng.choice((2, 3, 5))
@@ -303,7 +296,7 @@ def _check_projection(opts: VerifyOptions) -> list[CheckResult]:
     return [CheckResult("projection_extracts", "50 random layouts/subsets", bad, 0, bad == 0)]
 
 
-def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
+def _check_butterfly(seed: int) -> list[CheckResult]:
     out = []
     f = GF(2)
     net = butterfly_network()
@@ -334,7 +327,7 @@ def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
             B == expect,
         )
     )
-    rng = derive_rng(opts.seed, "verify:eavesdrop_rank")
+    rng = derive_rng(seed, "verify:eavesdrop_rank")
     bad = 0
     sets = enumerate_eavesdropper_sets(net, 2)
     for _ in range(40):
@@ -356,8 +349,8 @@ def _check_butterfly(opts: VerifyOptions) -> list[CheckResult]:
         CheckResult("decodability_invariant", "10 random codings, invertible remix", bad, 0, bad == 0)
     )
 
-    c_a = LocalCoding.random(net, f3, 2, 2, derive_rng(opts.seed, "verify:coding"))
-    c_b = LocalCoding.random(net, f3, 2, 2, derive_rng(opts.seed, "verify:coding"))
+    c_a = LocalCoding.random(net, f3, 2, 2, derive_rng(seed, "verify:coding"))
+    c_b = LocalCoding.random(net, f3, 2, 2, derive_rng(seed, "verify:coding"))
     same = c_a.slot_maps == c_b.slot_maps and global_coding_vectors(
         net, c_a, 1
     ) == global_coding_vectors(net, c_b, 1)
@@ -375,9 +368,10 @@ def oracle_suite_layouts() -> list[MultiplexLayout]:
     ]
 
 
-def _check_oracle_equivalence(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:oracle")
+def _check_oracle_equivalence(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:oracle")
     f = GF(2)
+    tol = 1e-9
     worst = 0.0
     quant_worst = 0.0
     floor_margin = math.inf
@@ -387,11 +381,11 @@ def _check_oracle_equivalence(opts: VerifyOptions) -> list[CheckResult]:
         if mn == 2:
             l_pool = enumerate_gl(mn, f)
         else:
-            l_pool = [sample_gl(mn, f, rng) for _ in range(opts.oracle_l_samples)]
+            l_pool = [sample_gl(mn, f, rng) for _ in range(12)]
         subsets = all_nonempty_subsets(layout.T)
         lnq = math.log(layout.q)
         for rows in range(1, mn + 1):
-            for _ in range(opts.oracle_b_per_shape):
+            for _ in range(8):
                 B = random_matrix(f, rows, mn, rng)
                 basis = observation_basis(layout, B)
                 rank_b = len(basis.pivots)
@@ -407,14 +401,14 @@ def _check_oracle_equivalence(opts: VerifyOptions) -> list[CheckResult]:
                             floor_margin = min(floor_margin, res.nats - floors[label])
                         instances += 1
     return [
-        CheckResult("oracle_equivalence", f"{instances} (L,B,I) instances", worst, opts.oracle_tolerance, worst <= opts.oracle_tolerance),
-        CheckResult("leakage_quantized", f"{instances} instances", quant_worst, opts.oracle_tolerance, quant_worst <= opts.oracle_tolerance),
-        CheckResult("leakage_floor", "full-rank instances", floor_margin, 0.0, floor_margin >= -opts.tolerance),
+        CheckResult("oracle_equivalence", f"{instances} (L,B,I) instances", worst, tol, worst <= tol),
+        CheckResult("leakage_quantized", f"{instances} instances", quant_worst, tol, quant_worst <= tol),
+        CheckResult("leakage_floor", "full-rank instances", floor_margin, 0.0, floor_margin >= -REAL_TOLERANCE),
     ]
 
 
-def _check_leakage_order(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:leakage_order")
+def _check_leakage_order(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:leakage_order")
     f = GF(2)
     layout = MultiplexLayout(f, 2, 2, 2, (1, 2, 1))
     subsets = all_nonempty_subsets(2)
@@ -431,9 +425,9 @@ def _check_leakage_order(opts: VerifyOptions) -> list[CheckResult]:
         more = leakage_profile(layout, L, B_more, subsets)
         post = leakage_profile(layout, L, AB, subsets)
         for label, res in leakage_profile(layout, L, B, subsets).items():
-            if more[label].nats < res.nats - 1e-12:
+            if more[label].nats < res.nats - REAL_TOLERANCE:
                 bad_mono += 1
-            if post[label].nats > res.nats + 1e-12:
+            if post[label].nats > res.nats + REAL_TOLERANCE:
                 bad_dpi += 1
     return [
         CheckResult("leakage_monotone_rows", "60 random (L,B) extensions", bad_mono, 0, bad_mono == 0),
@@ -451,39 +445,38 @@ def hand_instance_family() -> HashFamilySpec:
     return HashFamilySpec.projection_family(layout, SubsetIndex({1}))
 
 
-def _check_hashing_inequalities(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:hashing")
+def _check_hashing_inequalities(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:hashing")
     out = []
     fam = hand_instance_family()
     joint = hand_instance_joint()
-    res = verify_hashed_mi_bound(joint, fam, 1.0, tol=opts.tolerance)
-    pinned_ok = abs(res["lhs"] - 4 / 3) <= 1e-12 and abs(res["rhs"] - 2.0) <= 1e-12
+    res = verify_hashed_mi_bound(joint, fam, 1.0, tol=REAL_TOLERANCE)
+    pinned_ok = abs(res["lhs"] - 4 / 3) <= REAL_TOLERANCE and abs(res["rhs"] - 2.0) <= REAL_TOLERANCE
     out.append(CheckResult("hash_bound_pinned", "uniform GF(2)^2, Z = x0, rho=1", res["lhs"], res["rhs"], res["holds"] and pinned_ok))
 
     ok, worst = fam.is_two_universal()
     out.append(CheckResult("projection_family_two_universal", "GL(2,2) family", float(worst), 0.5, ok))
 
-    families = [("|S|=2", fam)]
+    # (family, random joints drawn for it): |S| = 2 over |X| = 4, then |X| = 8
     layout3 = MultiplexLayout(GF(2), 1, 3, 1, (1, 2))
-    families.append(("|S|=2, |X|=8", HashFamilySpec.projection_family(layout3, SubsetIndex({1}))))
+    families = [(fam, 120), (HashFamilySpec.projection_family(layout3, SubsetIndex({1})), 20)]
     worst_excess = -math.inf
     checked = 0
-    for name, family in families:
-        n_joints = opts.joint_trials if family.domain_size == 4 else max(opts.joint_trials // 6, 5)
+    for family, n_joints in families:
         for _ in range(n_joints):
             nz = rng.randrange(2, 9)
             joint = JointDistribution.dirichlet(family.domain_size, nz, rng)
-            for rho in opts.rho_grid:
-                r1 = verify_hashed_mi_bound(joint, family, rho, tol=opts.tolerance)
-                r2 = verify_hashed_entropy_bound(joint, family, rho, tol=opts.tolerance)
+            for rho in RHO_GRID:
+                r1 = verify_hashed_mi_bound(joint, family, rho, tol=REAL_TOLERANCE)
+                r2 = verify_hashed_entropy_bound(joint, family, rho, tol=REAL_TOLERANCE)
                 worst_excess = max(worst_excess, r1["lhs"] - r1["rhs"], r2["lhs"] - r2["rhs"])
                 checked += 2
-    out.append(CheckResult("hash_bounds_random", f"{checked} joint/rho checks", worst_excess, 0.0, worst_excess <= opts.tolerance))
+    out.append(CheckResult("hash_bounds_random", f"{checked} joint/rho checks", worst_excess, 0.0, worst_excess <= REAL_TOLERANCE))
     return out
 
 
-def _check_rho_argmin(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:rho_argmin")
+def _check_rho_argmin(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:rho_argmin")
     grid = [round(0.01 * i, 2) for i in range(1, 101)]
     bad5 = 0
     bad7 = 0
@@ -517,8 +510,8 @@ def _check_rho_argmin(opts: VerifyOptions) -> list[CheckResult]:
     ]
 
 
-def _check_guarantee(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:guarantee")
+def _check_guarantee(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:guarantee")
     f = GF(2)
     net = butterfly_network()
     out = []
@@ -527,7 +520,7 @@ def _check_guarantee(opts: VerifyOptions) -> list[CheckResult]:
         coding = butterfly_coding(f, m)
         params = BoundParams.defaults(T)
         support = observation_support(EavesdropperModel("traditional", 1), net, coding, layout)
-        res = guarantee_experiment(layout, support, 1, params, rng, opts.guarantee_l_trials)
+        res = guarantee_experiment(layout, support, 1, params, rng, 60)
         p = res["threshold"]
         sigma = math.sqrt(p * (1 - p) / res["trials"])
         bound = p - 3 * sigma
@@ -543,8 +536,8 @@ def _check_guarantee(opts: VerifyOptions) -> list[CheckResult]:
     return out
 
 
-def _check_certify_monotone(opts: VerifyOptions) -> list[CheckResult]:
-    rng = derive_rng(opts.seed, "verify:certify")
+def _check_certify_monotone(seed: int) -> list[CheckResult]:
+    rng = derive_rng(seed, "verify:certify")
     f = GF(2)
     net = butterfly_network()
     m = 5
@@ -569,17 +562,17 @@ def _check_certify_monotone(opts: VerifyOptions) -> list[CheckResult]:
     ]
 
 
-def _check_report_determinism(opts: VerifyOptions) -> list[CheckResult]:
+def _check_report_determinism(seed: int) -> list[CheckResult]:
     from .experiments import DEFAULT_CONFIG, REPORT_COLUMNS, rows_to_csv, run_simulate
 
-    config = dict(DEFAULT_CONFIG, seed=opts.seed, trials={"L": 5, "B": 5})
+    config = dict(DEFAULT_CONFIG, seed=seed, trials={"L": 5, "B": 5})
     meta1, rows1 = run_simulate(config)
     meta2, rows2 = run_simulate(config)
     same = meta1 == meta2 and rows_to_csv(rows1, REPORT_COLUMNS) == rows_to_csv(rows2, REPORT_COLUMNS)
     bounded = all(
-        row["floor_nats"] - 1e-12
+        row["floor_nats"] - REAL_TOLERANCE
         <= row["leakage_nats"]
-        <= row["k_I"] * math.log(row["q"]) + 1e-12
+        <= row["k_I"] * math.log(row["q"]) + REAL_TOLERANCE
         for row in rows1
     )
     return [
@@ -588,7 +581,7 @@ def _check_report_determinism(opts: VerifyOptions) -> list[CheckResult]:
     ]
 
 
-def _check_capacity(opts: VerifyOptions) -> list[CheckResult]:
+def _check_capacity(seed: int) -> list[CheckResult]:
     cases = [
         ((1.5, 0.5), 2, True),
         ((2.5, 0.0), 2, False),
@@ -620,9 +613,8 @@ CHECKS = (
 )
 
 
-def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
-    opts = opts or VerifyOptions()
+def run_verification(seed: int) -> list[CheckResult]:
     rows: list[CheckResult] = []
     for fn in CHECKS:
-        rows.extend(fn(opts))
+        rows.extend(fn(seed))
     return rows

@@ -41,7 +41,7 @@ from muxnet import (
 from muxnet.bounds import family_statistics, rho_grid_argmin
 from muxnet.errors import DomainError
 from muxnet.network import parallel_coding, parallel_network
-from muxnet.verification import VerifyOptions, hand_instance_family, hand_instance_joint
+from muxnet.verification import RHO_GRID, hand_instance_family, hand_instance_joint
 
 LN2 = math.log(2)
 
@@ -116,7 +116,7 @@ def test_bounds_hold_on_random_joints():
         same_domain = [fam for fam in families if fam.domain_size == nx]
         for _ in range(n_joints):
             joint = JointDistribution.dirichlet(nx, rng.randrange(2, 9), rng)
-            for rho in VerifyOptions().rho_grid:
+            for rho in RHO_GRID:
                 for fam in same_domain:
                     mi = verify_hashed_mi_bound(joint, fam, rho)
                     ent = verify_hashed_entropy_bound(joint, fam, rho)
@@ -165,7 +165,7 @@ def test_family_statistics_with_repeated_maps_match_per_member_loop():
             assert family_statistics(joint, family) == (mis, ents)
             # one exp per distinct statistic, summed in member order: the
             # same floats as one exp per member
-            for rho in VerifyOptions().rho_grid:
+            for rho in RHO_GRID:
                 lhs_mi = sum(math.exp(rho * mi) for mi in mis) / len(mis)
                 lhs_ent = sum(math.exp(-rho * h) for h in ents) / len(ents)
                 assert verify_hashed_mi_bound(joint, family, rho)["lhs"] == lhs_mi
@@ -177,7 +177,7 @@ def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
     # rho, with the floats of a fresh computation.
     rng = random.Random(5)
     joint = JointDistribution.dirichlet(4, 3, rng)
-    grid = VerifyOptions().rho_grid
+    grid = RHO_GRID
     fresh = [JointDistribution(joint.probs).conditional_power_mean(rho) for rho in grid]
     calls = []
     marginal_z = JointDistribution.marginal_z

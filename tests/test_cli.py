@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from muxnet.experiments import (
     DEFAULT_CONFIG,
     MAX_TRIALS,
     REPORT_COLUMNS,
+    VERIFY_COLUMNS,
     apply_sweep_value,
     build_plan,
     run_capacity,
@@ -116,6 +119,13 @@ def with_inline(key, value):
                  "eavesdropper.links", id="tap-set-not-list"),
     pytest.param("eavesdropper", {"kind": "traditional", "mu": True},
                  "eavesdropper.mu", id="bool-mu"),
+    # A key the configured kind never reads is rejected, never ignored.
+    pytest.param("eavesdropper", {"kind": "statistical", "mu": 1, "links": ["e7"]},
+                 "eavesdropper.links", id="links-on-statistical"),
+    pytest.param("eavesdropper", {"kind": "direct", "mu": 1, "links": ["e7"]},
+                 "eavesdropper.links", id="links-on-direct"),
+    pytest.param("eavesdropper", dict(statistical([{"links": ["e7"], "p": 1}]), kind="traditional"),
+                 "eavesdropper.distribution", id="distribution-on-traditional"),
     pytest.param("trials", {"L": "x"}, "trials.L", id="string-trials"),
     pytest.param("trials", {"B": 2.0}, "trials.B", id="float-trials"),
     pytest.param("trials", {"L": True}, "trials.L", id="bool-trials"),
@@ -531,70 +541,75 @@ def test_verify_default_config_exits_zero(tmp_path):
     assert digest == "4ec2d82bb3967d6b3ff0e538b5908b9ebcdb2c8a95a1c33a9161cf25a6f23c71"
 
 
-def test_verify_fast_config_exits_zero(tmp_path, capsys):
-    config = {
-        "seed": 11,
-        "verify": {
-            "joint_trials": 6,
-            "gl_chi2_samples": 600,
-            "oracle_b_per_shape": 2,
-            "oracle_l_samples": 4,
-            "guarantee_l_trials": 10,
-        },
-    }
-    cfg = write_config(tmp_path, config)
-    out = tmp_path / "verify.json"
+def test_verify_seed_11_report_pinned(tmp_path):
+    # A seed names one report, whether it comes from --seed or a config.
+    want = "6375093561cd0751e693f3a691ac2d66974d024a33b849ac73fd92c325a50a72"
+    out = tmp_path / "seed.csv"
+    assert main(["verify", "--seed", "11", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+    cfg = write_config(tmp_path, {"seed": 11})
+    out = tmp_path / "config.json"
     assert main(["verify", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["all_hold"]
-    assert {"check", "instance", "lhs", "rhs", "holds"} <= set(doc["checks"][0])
+    csv_bytes = rows_to_csv(doc["checks"], VERIFY_COLUMNS).encode()
+    assert hashlib.sha256(csv_bytes).hexdigest() == want
 
 
-def test_verify_tampered_tolerance_fails_and_names_check(tmp_path, capsys):
-    config = {
-        "seed": 11,
-        "verify": {
-            "joint_trials": 6,
-            "gl_chi2_samples": 600,
-            "oracle_b_per_shape": 2,
-            "oracle_l_samples": 4,
-            "guarantee_l_trials": 10,
-            "tolerance": -1.0,
-        },
-    }
-    cfg = write_config(tmp_path, config)
+def test_readme_config_example_runs(tmp_path):
+    # The README's one json block is the documented schema; both commands take it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    cfg = write_config(tmp_path, block)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "checks.csv")]) == 0
+
+
+def test_verify_tampered_tolerance_fails_and_names_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("muxnet.verification.REAL_TOLERANCE", -1.0)
     out = tmp_path / "verify.csv"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert main(["verify", "--seed", "11", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "FAILED checks:" in err
     assert "hash_bounds_random" in err or "hash_bound_pinned" in err
 
 
-def test_verify_unknown_option_rejected(tmp_path):
+def test_verify_unknown_option_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"verify": {"bogus": 1}})
     assert main(["verify", "--config", cfg]) == 2
+    assert "['verify']" in capsys.readouterr().err
+
+
+# Sections that once set the battery's sizes, tolerances or seed.  The
+# verify section is gone: each of them is now an unknown key, named.
+RETIRED_VERIFY_SECTIONS = [
+    ("enum-cap-removed", {"enum_cap": 5}),
+    ("string-count", {"joint_trials": "x"}),
+    ("zero-count", {"gl_chi2_samples": 0}),
+    ("float-count", {"guarantee_l_trials": 2.0}),
+    ("bool-seed", {"seed": True}),
+    ("rho-grid-not-list", {"rho_grid": 5}),
+    ("rho-grid-empty", {"rho_grid": []}),
+    ("rho-outside-unit", {"rho_grid": [0.5, 1.5]}),
+    ("rho-not-number", {"rho_grid": ["x"]}),
+    ("string-tolerance", {"tolerance": "x"}),
+    ("null-tolerance", {"oracle_tolerance": None}),
+    ("section-not-object", []),
+    *[(f"{count}-over-bound", {count: MAX_TRIALS + 1})
+      for count in ("joint_trials", "gl_chi2_samples", "oracle_b_per_shape",
+                    "oracle_l_samples", "guarantee_l_trials")],
+    ("huge-count", {"joint_trials": 10**12}),
+]
 
 
 @pytest.mark.parametrize("config, path", [
-    pytest.param({"verify": {"enum_cap": 5}}, "enum_cap", id="enum-cap-removed"),
-    pytest.param({"verify": {"joint_trials": "x"}}, "verify.joint_trials", id="string-count"),
-    pytest.param({"verify": {"gl_chi2_samples": 0}}, "verify.gl_chi2_samples", id="zero-count"),
-    pytest.param({"verify": {"guarantee_l_trials": 2.0}}, "verify.guarantee_l_trials", id="float-count"),
-    pytest.param({"verify": {"seed": True}}, "verify.seed", id="bool-seed"),
-    pytest.param({"verify": {"rho_grid": 5}}, "verify.rho_grid", id="rho-grid-not-list"),
-    pytest.param({"verify": {"rho_grid": []}}, "verify.rho_grid", id="rho-grid-empty"),
-    pytest.param({"verify": {"rho_grid": [0.5, 1.5]}}, "verify.rho_grid[1]", id="rho-outside-unit"),
-    pytest.param({"verify": {"rho_grid": ["x"]}}, "verify.rho_grid[0]", id="rho-not-number"),
-    pytest.param({"verify": {"tolerance": "x"}}, "verify.tolerance", id="string-tolerance"),
-    pytest.param({"verify": {"oracle_tolerance": None}}, "verify.oracle_tolerance", id="null-tolerance"),
-    pytest.param({"verify": []}, "verify", id="section-not-object"),
-    *[pytest.param({"verify": {count: MAX_TRIALS + 1}}, f"verify.{count}", id=f"{count}-over-bound")
-      for count in ("joint_trials", "gl_chi2_samples", "oracle_b_per_shape",
-                    "oracle_l_samples", "guarantee_l_trials")],
-    pytest.param({"verify": {"joint_trials": 10**12}}, "verify.joint_trials", id="huge-count"),
+    *[pytest.param({"seed": 11, "verify": section}, "['verify']", id=case)
+      for case, section in RETIRED_VERIFY_SECTIONS],
     pytest.param(dict(BUTTERFLY_CONFIG, trials={"B": 10**12}), "trials.B",
                  id="experiment-trials-over-bound"),
-    # Without a layout, a config may hold only id, seed and verify.
+    # Without a layout, a config may hold only id and seed; with one, it
+    # is checked as for simulate, and a verify key is unknown there too.
+    pytest.param(dict(BUTTERFLY_CONFIG, verify={}), "['verify']", id="verify-key-with-layout"),
     pytest.param({"bounds": "junk", "network": 5, "trials": []}, "['bounds', 'network', 'trials']",
                  id="experiment-keys-without-layout"),
     pytest.param({"id": None}, "id", id="verify-only-null-id"),

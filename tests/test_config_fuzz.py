@@ -43,19 +43,7 @@ INLINE_CONFIG = {
     "trials": {"L": 3, "B": 3},
 }
 
-VERIFY_CONFIG = {
-    "seed": 11,
-    "verify": {
-        "joint_trials": 1,
-        "gl_chi2_samples": 50,
-        "oracle_b_per_shape": 1,
-        "oracle_l_samples": 1,
-        "guarantee_l_trials": 1,
-        "rho_grid": [0.5, 1.0],
-        "tolerance": 1e-12,
-        "oracle_tolerance": 1e-9,
-    },
-}
+VERIFY_CONFIG = {"id": "fuzz-verify", "seed": 11}
 
 
 def node_paths(doc, prefix=()):
@@ -105,7 +93,8 @@ def test_simulate_config_fuzz(base, workdir, data):
     run_with_one_value_replaced("simulate", base, workdir, data)
 
 
-# A verify run that passes the boundary costs about 0.3 s, so fewer examples.
+# Two keys and ten palette values make 20 inputs; a verify run that passes
+# the boundary costs about 0.4 s.
 @settings(FUZZ, max_examples=40)
 @given(data=st.data())
 def test_verify_config_fuzz(workdir, data):

@@ -1,36 +1,33 @@
 """The built-in check battery: green by default, honest when tampered."""
 
 import ast
+import hashlib
 import re
 from pathlib import Path
 
-from muxnet.verification import VerifyOptions, run_verification
+import pytest
+
+from muxnet.experiments import DEFAULT_CONFIG, VERIFY_COLUMNS, rows_to_csv
+from muxnet.verification import run_verification
 
 TESTS = Path(__file__).resolve().parent
+DEFAULT_VERIFY_SHA256 = "4ec2d82bb3967d6b3ff0e538b5908b9ebcdb2c8a95a1c33a9161cf25a6f23c71"
 
 
-def fast_options(**overrides):
-    opts = VerifyOptions(
-        joint_trials=6,
-        gl_chi2_samples=600,
-        oracle_b_per_shape=2,
-        oracle_l_samples=4,
-        guarantee_l_trials=10,
-    )
-    for key, val in overrides.items():
-        setattr(opts, key, val)
-    return opts
+@pytest.fixture(scope="module")
+def battery():
+    """The full battery at the default seed, run once for this module."""
+    return run_verification(DEFAULT_CONFIG["seed"])
 
 
-def test_default_battery_all_hold():
-    rows = run_verification(fast_options())
-    assert rows, "battery produced no checks"
-    failing = [r.check for r in rows if not r.holds]
+def test_default_battery_all_hold(battery):
+    assert battery, "battery produced no checks"
+    failing = [r.check for r in battery if not r.holds]
     assert failing == []
 
 
-def test_battery_covers_every_module():
-    names = {r.check for r in run_verification(fast_options())}
+def test_battery_covers_every_module(battery):
+    names = {r.check for r in battery}
     expected = {
         "field_axioms",
         "field_inverse_exhaustive",
@@ -68,16 +65,17 @@ def test_battery_covers_every_module():
     assert expected <= names
 
 
-def test_tampered_tolerance_fails_named_checks():
-    rows = run_verification(fast_options(tolerance=-1.0))
+def test_tampered_tolerance_fails_named_checks(monkeypatch):
+    monkeypatch.setattr("muxnet.verification.REAL_TOLERANCE", -1.0)
+    rows = run_verification(DEFAULT_CONFIG["seed"])
     failing = {r.check for r in rows if not r.holds}
     assert "hash_bound_pinned" in failing or "hash_bounds_random" in failing
 
 
-def test_battery_is_deterministic():
-    r1 = [(r.check, r.lhs, r.rhs, r.holds) for r in run_verification(fast_options())]
-    r2 = [(r.check, r.lhs, r.rhs, r.holds) for r in run_verification(fast_options())]
-    assert r1 == r2
+def test_battery_is_deterministic(battery):
+    # The seed alone names the report: this run matches the pinned bytes.
+    report = rows_to_csv([r.to_json() for r in battery], VERIFY_COLUMNS).encode()
+    assert hashlib.sha256(report).hexdigest() == DEFAULT_VERIFY_SHA256
 
 
 def traceability_rows():
@@ -95,10 +93,10 @@ def traceability_rows():
     return rows
 
 
-def test_readme_traceability_table_matches_battery_and_tests():
+def test_readme_traceability_table_matches_battery_and_tests(battery):
     rows = traceability_rows()
     listed = {check for checks, _ in rows for check in checks}
-    emitted = {r.check for r in run_verification(fast_options())}
+    emitted = {r.check for r in battery}
     assert emitted - listed == set(), "checks missing from the README table"
     assert listed - emitted == set(), "README rows name checks the battery lacks"
     for checks, refs in rows:
