@@ -19,8 +19,6 @@ from .bounds import (
     ub6_bound,
     ub7_bound,
     ub8_bound,
-    ub9_bound,
-    ub_bounds,
     verify_hashed_entropy_bound,
     verify_hashed_mi_bound,
 )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .matrix import FieldMatrix, enumerate_gl, sample_gl
+from .matrix import FieldMatrix, all_vectors, enumerate_gl, sample_gl
 from .multiplex import MultiplexLayout, SubsetIndex, all_nonempty_subsets
 from .leakage import average_over_support, worst_case_leakage
 
@@ -137,9 +137,7 @@ class HashFamilySpec:
         mn = layout.mn
         coords = layout.subset_coordinates(subset)
         mats = enumerate_gl(mn, layout.field)
-        vectors = []
-        for idx in range(q**mn):
-            vectors.append([(idx // q**i) % q for i in range(mn)])
+        vectors = all_vectors(layout.field, mn)
         maps = []
         for L in mats:
             fmap = []
@@ -226,34 +224,24 @@ def _mean_exp(scale: float, values: tuple[float, ...]) -> float:
     return sum(exps[v] for v in values) / len(values)
 
 
-def verify_hashed_mi_bound(
-    joint: JointDistribution,
-    family: HashFamilySpec,
-    rho: float,
-    tol: float = REAL_TOLERANCE,
-) -> dict:
+def verify_hashed_mi_bound(joint: JointDistribution, family: HashFamilySpec, rho: float) -> dict:
     """Check E_f exp(rho I(f(X);Z)) <= 1 + |S|^rho E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
     mis = family_statistics(joint, family)[0]
     lhs = _mean_exp(rho, mis)
     rhs = 1.0 + family.output_size**rho * joint.conditional_power_mean(rho)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + REAL_TOLERANCE}
 
 
-def verify_hashed_entropy_bound(
-    joint: JointDistribution,
-    family: HashFamilySpec,
-    rho: float,
-    tol: float = REAL_TOLERANCE,
-) -> dict:
+def verify_hashed_entropy_bound(joint: JointDistribution, family: HashFamilySpec, rho: float) -> dict:
     """Check E_f exp(-rho H(f(X)|Z)) <= |S|^-rho + E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
     ents = family_statistics(joint, family)[1]
     lhs = _mean_exp(-rho, ents)
     rhs = family.output_size ** (-rho) + joint.conditional_power_mean(rho)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + REAL_TOLERANCE}
 
 
 # ---------------------------------------------------------------------------
@@ -339,40 +327,11 @@ def ub8_bound(layout: MultiplexLayout, subset: SubsetIndex, mu: int, params: Bou
     return params.C1 * params.C2 * _decay_factor(layout, k_sub, mu, params.rho) / params.rho
 
 
-def ub9_bound(layout: MultiplexLayout, subset: SubsetIndex, mu: int, params: BoundParams) -> float:
-    """Per-slot bound on the leakage of a single good pair."""
-    overflow = _per_slot_overflow(layout, subset, mu)
-    return (1.0 + math.log(params.C2) + math.log(params.C1)) / (
-        layout.m * params.rho
-    ) + overflow * math.log(layout.q)
-
-
 def guarantee_probability(T: int, C: float) -> float:
     """1 - 2(2^T - 1)/C: with C = C1, a lower bound on the probability that a
     random map is good; with C = C2, on the per-observation probability for
     a good map."""
     return 1.0 - 2.0 * (2**T - 1) / C
-
-
-def ub_bounds(
-    layout: MultiplexLayout, subset: SubsetIndex, mu: int, params: BoundParams
-) -> dict:
-    """All bound values for one subset; per-slot entries are None below rate."""
-    params.validate_for(layout.T)
-    out = {
-        "ub5": ub5_bound(layout, subset, mu, params),
-        "ub6": ub6_bound(layout, subset, mu, params),
-        "ub8": ub8_bound(layout, subset, mu, params),
-        "prob_l": guarantee_probability(layout.T, params.C1),
-        "prob_lb": guarantee_probability(layout.T, params.C2),
-    }
-    try:
-        out["ub7"] = ub7_bound(layout, subset, mu, params)
-        out["ub9"] = ub9_bound(layout, subset, mu, params)
-    except DomainError:
-        out["ub7"] = None
-        out["ub9"] = None
-    return out
 
 
 # ---------------------------------------------------------------------------

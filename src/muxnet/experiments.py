@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import (
+    REAL_TOLERANCE,
     BoundParams,
     guarantee_experiment,
     leakage_floor,
@@ -219,18 +220,13 @@ def build_plan(config: dict) -> ExperimentPlan:
         raise ConfigError("config is missing the layout section")
 
     field_doc = config.get("field", {})
-    _require_keys(field_doc, {"q", "modulus"}, "field")
+    _require_keys(field_doc, {"modulus"}, "field")
     layout_doc = config["layout"]
     _require_keys(layout_doc, {"q", "m", "n", "T", "k"}, "layout")
-    for key in ("m", "n", "k"):
+    for key in ("q", "m", "n", "k"):
         if key not in layout_doc:
             raise ConfigError(f"layout.{key} is required")
-    field_q = _json_int(field_doc["q"], "field.q") if "q" in field_doc else None
-    q = _json_int(layout_doc["q"], "layout.q") if "q" in layout_doc else field_q
-    if q is None:
-        raise ConfigError("layout.q (or field.q) is required")
-    if field_q not in (None, q):
-        raise ConfigError(f"field.q = {field_q} but layout.q = {q}")
+    q = _json_int(layout_doc["q"], "layout.q")
     modulus = None
     if "modulus" in field_doc:
         modulus = tuple(_json_ints(field_doc["modulus"], "field.modulus"))
@@ -242,10 +238,9 @@ def build_plan(config: dict) -> ExperimentPlan:
         field = GF(q, modulus)
         layout = MultiplexLayout(field, m, n, T, k)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if modulus is not None and field.modulus != modulus:
-        i = next(i for i, (a, b) in enumerate(zip(modulus, field.modulus)) if a != b)
-        raise ConfigError(f"field.modulus[{i}] = {modulus[i]} is not an element of GF({field.p})")
+        # GF names its modulus argument, which a config spells field.modulus
+        message = str(exc)
+        raise ConfigError(f"field.{message}" if message.startswith("modulus") else message) from exc
 
     eav_doc = config.get("eavesdropper")
     if eav_doc is None:
@@ -423,7 +418,8 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
                 guarantee["per_subset"][sub.label]["fraction"] if guarantee else None
             ),
         }
-        if not (floor - 1e-12 <= first.nats <= first.k_sub * math.log(layout.q) + 1e-12):
+        ceiling = first.k_sub * math.log(layout.q)
+        if not floor - REAL_TOLERANCE <= first.nats <= ceiling + REAL_TOLERANCE:
             raise MuxnetError(
                 f"leakage {first.nats} violates floor/ceiling for subset {sub.label}"
             )
@@ -482,7 +478,6 @@ def apply_sweep_value(config: dict, param: str, value) -> dict:
     else:
         section[param] = value
     if param == "q" and isinstance(out.get("field"), dict):
-        out["field"].pop("q", None)
         out["field"].pop("modulus", None)
     return out
 

@@ -42,6 +42,14 @@ _DEFAULT_BINARY_MODULI: dict[int, tuple[int, ...]] = {
 }
 
 
+def is_element(value, q) -> bool:
+    """True iff value is a plain int in [0, q): the canonical encoding of an
+    element of GF(q), and the library's one test for an integer in a range.
+    Nothing is coerced: bool (an int subclass), float and str fail whatever
+    their value."""
+    return type(value) is int and 0 <= value < q
+
+
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"field size must be at least 2, got {q}")
@@ -205,7 +213,7 @@ class FieldSpec:
         self.e = e
         if e == 1:
             if modulus is not None:
-                raise ValueError("prime fields take no modulus")
+                raise ValueError(f"modulus given for the prime field GF({q})")
             self.modulus = None
             self._exp = None
             self._log = None
@@ -213,7 +221,10 @@ class FieldSpec:
             return
         if modulus is None:
             modulus = _DEFAULT_BINARY_MODULI.get(q) or _smallest_irreducible(p, e)
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(modulus)
+        for i, c in enumerate(modulus):
+            if not is_element(c, p):
+                raise ValueError(f"modulus[{i}] = {c!r} is not an element of GF({p})")
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {e}, got {modulus}")
         if not _poly_is_irreducible(modulus, p):
@@ -476,7 +487,8 @@ def GF(q: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
     q = operator.index(q)  # TypeError for 4.0, which would hit GF(4)'s key
     key = (q, tuple(modulus) if modulus is not None else None)
     spec = _FIELD_CACHE.get(key)
-    if spec is None:
+    # 1.0 and True hash and compare like 1, so only plain ints may hit a key
+    if spec is None or key[1] is not None and not all(is_element(c, q) for c in key[1]):
         spec = FieldSpec(q, key[1])
         spec = _FIELD_CACHE.setdefault((spec.q, spec.modulus), spec)  # canonical key
         _FIELD_CACHE[key] = spec

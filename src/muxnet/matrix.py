@@ -17,7 +17,7 @@ import bisect
 import random
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from .fields import FieldSpec
+from .fields import FieldSpec, is_element
 
 MAX_GL_ENUMERATION = 100_000  # largest |GL(dim, q)| that enumerate_gl lists
 
@@ -45,8 +45,7 @@ class FieldMatrix:
             if len(r) != self.ncols:
                 raise ShapeError("ragged rows in matrix literal")
             for v in r:
-                # bool is an int subclass; reject it too
-                if type(v) is not int or not 0 <= v < q:
+                if not is_element(v, q):
                     raise ValueError(f"matrix entry {v!r} is not an integer in [0, {q})")
         self._rows = data
         self._inverse = None
@@ -301,6 +300,13 @@ class _Echelon:
         self.rows.insert(at, row)
         return True
 
+    def space_key(self) -> tuple:
+        """A hashable key of the row space, equal for two bases exactly when
+        they span the same space: the rows of the unique reduced form, which
+        the call leaves in place by back-substituting first."""
+        self.back_substitute()
+        return tuple(self.rows) if self._bits else tuple(map(tuple, self.rows))
+
     def back_substitute(self) -> None:
         """Clear each pivot column above its pivot, bottom-up, leaving the
         reduced row echelon form of the span."""
@@ -359,15 +365,21 @@ def gl_order(dim: int, q: int) -> int:
     return order
 
 
+def all_vectors(field: FieldSpec, dim: int) -> list[list[int]]:
+    """Every vector of F_q^dim; vector idx has the base-q digits of idx as its
+    coordinates, least significant first, so the first coordinate varies
+    fastest."""
+    q = field.q
+    return [[(idx // q**i) % q for i in range(dim)] for idx in range(q**dim)]
+
+
 def enumerate_gl(dim: int, field: FieldSpec) -> list[FieldMatrix]:
     """All of GL(dim, q) in a deterministic order, at most MAX_GL_ENUMERATION."""
     total = gl_order(dim, field.q)
     if total > MAX_GL_ENUMERATION:
         raise EnumerationTooLarge(f"|GL({dim},{field.q})| = {total} exceeds {MAX_GL_ENUMERATION}")
-    q = field.q
     out: list[FieldMatrix] = []
-
-    vectors = [[(idx // q**i) % q for i in range(dim)] for idx in range(q**dim)]
+    vectors = all_vectors(field, dim)
     start = _Echelon(field)
     packed = [start.pack(v) for v in vectors]
 

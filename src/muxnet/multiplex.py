@@ -9,13 +9,14 @@ linear map L; the receiver applies L and splits.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from .fields import FieldSpec
+from .fields import FieldSpec, is_element
 from .matrix import FieldMatrix
 
 MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
@@ -32,15 +33,16 @@ class MultiplexLayout:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be at least 1")
-        if self.T < 1:
-            raise ValueError("at least one secret message is required")
+        for name in ("m", "n", "T"):
+            v = getattr(self, name)
+            if not is_element(v, math.inf) or v < 1:
+                raise ValueError(f"{name} = {v!r} is not a positive integer")
+        object.__setattr__(self, "k", tuple(self.k))
         if len(self.k) != self.T + 1:
             raise ValueError(f"expected {self.T + 1} block sizes, got {len(self.k)}")
-        if any(v < 0 for v in self.k):
-            raise ValueError("block sizes must be nonnegative")
+        for i, v in enumerate(self.k):
+            if not is_element(v, math.inf):
+                raise ValueError(f"k[{i}] = {v!r} is not a nonnegative integer")
         if sum(self.k) != self.m * self.n:
             raise ValueError(
                 f"block sizes {self.k} sum to {sum(self.k)}, expected m*n = {self.m * self.n}"
@@ -74,8 +76,7 @@ class MultiplexLayout:
         return coords
 
     def subset_length(self, subset: "SubsetIndex") -> int:
-        subset.validate_for(self)
-        return sum(self.k[i - 1] for i in subset.members)
+        return len(self.subset_coordinates(subset))
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,13 @@ class SubsetIndex:
     members: frozenset[int]
 
     def __init__(self, members):
-        ms = frozenset(int(i) for i in members)
-        if not ms:
+        members = list(members)
+        if not members:
             raise ValueError("subset must be nonempty")
-        if any(i < 1 for i in ms):
-            raise ValueError("message indices are 1-based")
-        object.__setattr__(self, "members", ms)
+        for i, v in enumerate(members):
+            if not is_element(v, math.inf) or v < 1:
+                raise ValueError(f"member {i} = {v!r} is not a 1-based message index")
+        object.__setattr__(self, "members", frozenset(members))
 
     def validate_for(self, layout: MultiplexLayout) -> None:
         if max(self.members) > layout.T:
@@ -110,9 +112,9 @@ def all_nonempty_subsets(T: int) -> list[SubsetIndex]:
 
 
 def _check_symbols(vec: list, q: int, what: str) -> None:
-    """Every symbol a plain int in [0, q), the rule for matrix entries."""
+    """Every symbol an element of GF(q)."""
     for i, v in enumerate(vec):
-        if type(v) is not int or not 0 <= v < q:  # bool is an int subclass
+        if not is_element(v, q):
             raise ValueError(f"{what} symbol {i} = {v!r} is not an integer in [0, {q})")
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
     WrongSlotCount,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, is_element
 from .matrix import FieldMatrix, _Echelon, sample_full_rank
 from .multiplex import MultiplexLayout
 
@@ -127,9 +127,8 @@ class LocalCoding:
         for cm in self.slot_maps:
             for link_id, coeffs in cm.items():
                 for key, c in coeffs.items():
-                    # the matrix-entry rule; bool is an int subclass.  The key
-                    # is shown as in a network document.
-                    if type(c) is not int or not 0 <= c < field.q:
+                    # the key is shown as in a network document
+                    if not is_element(c, field.q):
                         raise ValueError(
                             f"coding[{link_id!r}][{str(key)!r}] = {c!r} "
                             f"is not an element of GF({field.q})"
@@ -238,10 +237,9 @@ def global_coding_vectors(
             acc = [0] * n
             if v == net.source:
                 for j, c in coeffs.items():
-                    j = int(j)
-                    if not 0 <= j < n:
+                    if not is_element(j, n):
                         raise MissingCoefficient(
-                            f"source link {link.id!r} references input {j} outside 0..{n - 1}"
+                            f"source link {link.id!r} references input {j!r} outside 0..{n - 1}"
                         )
                     acc[j] = f.add(acc[j], c)
             else:
@@ -375,7 +373,7 @@ class ObservationSpaces:
     once.
 
     What an eavesdropper learns from z = B x depends on B only through
-    rowspace B, whose reduced row echelon form is unique and so keys it.
+    rowspace B, which `_Echelon.space_key` keys by its unique reduced form.
     `bases` holds one back-substituted `observation_basis` per distinct row
     space, in first-seen order, and `index[i]` is the position in `bases`
     of the i-th listed matrix's row space.
@@ -389,10 +387,7 @@ class ObservationSpaces:
         seen: dict[tuple, int] = {}
         for B in matrices:
             basis = observation_basis(layout, B)
-            basis.back_substitute()
-            # packed GF(2) rows are ints; other fields' rows are lists
-            key = tuple(r if isinstance(r, int) else tuple(r) for r in basis.rows)
-            at = seen.setdefault(key, len(self.bases))
+            at = seen.setdefault(basis.space_key(), len(self.bases))
             if at == len(self.bases):
                 self.bases.append(basis)
             self.index.append(at)

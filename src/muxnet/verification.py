@@ -450,7 +450,7 @@ def _check_hashing_inequalities(seed: int) -> list[CheckResult]:
     out = []
     fam = hand_instance_family()
     joint = hand_instance_joint()
-    res = verify_hashed_mi_bound(joint, fam, 1.0, tol=REAL_TOLERANCE)
+    res = verify_hashed_mi_bound(joint, fam, 1.0)
     pinned_ok = abs(res["lhs"] - 4 / 3) <= REAL_TOLERANCE and abs(res["rhs"] - 2.0) <= REAL_TOLERANCE
     out.append(CheckResult("hash_bound_pinned", "uniform GF(2)^2, Z = x0, rho=1", res["lhs"], res["rhs"], res["holds"] and pinned_ok))
 
@@ -467,8 +467,8 @@ def _check_hashing_inequalities(seed: int) -> list[CheckResult]:
             nz = rng.randrange(2, 9)
             joint = JointDistribution.dirichlet(family.domain_size, nz, rng)
             for rho in RHO_GRID:
-                r1 = verify_hashed_mi_bound(joint, family, rho, tol=REAL_TOLERANCE)
-                r2 = verify_hashed_entropy_bound(joint, family, rho, tol=REAL_TOLERANCE)
+                r1 = verify_hashed_mi_bound(joint, family, rho)
+                r2 = verify_hashed_entropy_bound(joint, family, rho)
                 worst_excess = max(worst_excess, r1["lhs"] - r1["rhs"], r2["lhs"] - r2["rhs"])
                 checked += 2
     out.append(CheckResult("hash_bounds_random", f"{checked} joint/rho checks", worst_excess, 0.0, worst_excess <= REAL_TOLERANCE))

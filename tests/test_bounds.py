@@ -33,12 +33,11 @@ from muxnet import (
     ub6_bound,
     ub7_bound,
     ub8_bound,
-    ub_bounds,
     verify_hashed_entropy_bound,
     verify_hashed_mi_bound,
     worst_case_leakage,
 )
-from muxnet.bounds import family_statistics, rho_grid_argmin
+from muxnet.bounds import family_statistics, guarantee_probability, rho_grid_argmin
 from muxnet.errors import DomainError
 from muxnet.network import parallel_coding, parallel_network
 from muxnet.verification import RHO_GRID, hand_instance_family, hand_instance_joint
@@ -249,20 +248,15 @@ def test_ub7_domain_error_below_rate():
         ub7_bound(layout, SubsetIndex({1}), 1, params_defaults(1))
 
 
-def test_ub_bounds_dict():
+def test_bound_values_at_zero_exponent():
     layout = MultiplexLayout(GF(2), 2, 2, 1, (2, 2))
     sub = SubsetIndex({1})
     params = BoundParams(C1=7, C2=9, rho=1.0)
-    out = ub_bounds(layout, sub, 1, params)
-    assert out["prob_l"] == pytest.approx(5 / 7)
-    assert out["prob_lb"] == pytest.approx(7 / 9)
-    assert out["ub5"] == pytest.approx(7.0)  # exponent 0
-    assert out["ub6"] == pytest.approx(14.0)
-    assert out["ub8"] == pytest.approx(63.0)
-    assert out["ub7"] is not None and out["ub9"] is not None
-    low_rate = MultiplexLayout(GF(2), 2, 2, 1, (1, 3))
-    out = ub_bounds(low_rate, sub, 1, params)
-    assert out["ub7"] is None and out["ub9"] is None
+    assert guarantee_probability(1, params.C1) == pytest.approx(5 / 7)
+    assert guarantee_probability(1, params.C2) == pytest.approx(7 / 9)
+    assert ub5_bound(layout, sub, 1, params) == pytest.approx(7.0)  # exponent 0
+    assert ub6_bound(layout, sub, 1, params) == pytest.approx(14.0)
+    assert ub8_bound(layout, sub, 1, params) == pytest.approx(63.0)
 
 
 def test_params_validation():

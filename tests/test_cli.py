@@ -139,7 +139,8 @@ def with_inline(key, value):
     pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], n=True), "layout.n", id="bool-n"),
     pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], q="2"), "layout.q", id="string-q"),
     pytest.param("layout", dict(BUTTERFLY_CONFIG["layout"], T=1.0), "layout.T", id="float-T"),
-    pytest.param("field", {"q": 2.0}, "field.q", id="float-field-q"),
+    # q is spelled layout.q only; field holds just the modulus
+    pytest.param("field", {"q": 2.0}, "in field: ['q']", id="float-field-q"),
     pytest.param("field", {"modulus": [1.5, 1, 1]}, "field.modulus[0]", id="float-modulus"),
     pytest.param("field", {"modulus": [5, 1, 1]}, "field.modulus[0]", id="modulus-out-of-range"),
     pytest.param("bounds", {"rho": True}, "bounds.rho", id="bool-rho"),

@@ -21,7 +21,7 @@ PALETTE = (None, True, 1.5, -1, 0, 10**12, "x", [], {}, [1])
 INLINE_CONFIG = {
     "id": "fuzz-inline",
     "layout": {"q": 3, "m": 2, "n": 2, "T": 1, "k": [2, 2]},
-    "field": {"q": 3},
+    "field": {},
     "network": {"inline": {
         "nodes": ["s", "a", "t"],
         "source": "s",

@@ -149,6 +149,19 @@ def test_default_odd_extension_modulus_is_deterministic():
     assert GF(27).modulus == (1, 2, 0, 1)
 
 
+@pytest.mark.parametrize("modulus, index", [
+    ((3, 1, 1), 0),             # 3 is no element of GF(2); never reduced mod 2
+    (("1", 1, 1), 0),
+    ((1, 1.0, 1), 1),
+    ((1, 1, True), 2),
+    ((1, -1, 1), 1),
+])
+def test_modulus_coefficients_are_never_coerced(modulus, index):
+    GF(4)  # the default modulus (1, 1, 1) is cached; 1.0 and True hash like 1
+    with pytest.raises(ValueError, match=rf"modulus\[{index}\] = .* is not an element of GF\(2\)"):
+        GF(4, modulus)
+
+
 def test_prime_field_takes_no_modulus():
     with pytest.raises(ValueError):
         FieldSpec(5, (1, 1))

@@ -1,6 +1,7 @@
 """Module layering: each muxnet module imports only from modules below it."""
 
 import ast
+import re
 from pathlib import Path
 
 import muxnet
@@ -52,3 +53,20 @@ def test_observation_spaces_reduce_below_leakage():
     assert "matrix" in imports
     assert not imports & {"leakage", "bounds"}
     assert muxnet.leakage.ObservationSpaces is muxnet.network.ObservationSpaces
+
+
+def modules_matching(pattern):
+    return {p.stem for p in SRC.glob("*.py") if re.search(pattern, p.read_text())}
+
+
+def test_each_library_rule_has_one_home():
+    # One real-valued tolerance, bounds.REAL_TOLERANCE.  One test for a
+    # plain int in a range, fields.is_element; the config boundary's JSON
+    # integer check, experiments._json_int, is the only other type test.
+    assert modules_matching(r"1e-12") == {"bounds"}
+    assert modules_matching(r"\bis (not )?int\b") == {"fields", "experiments"}
+    experiments = (SRC / "experiments.py").read_text()
+    json_int = experiments[experiments.index("def _json_int("):]
+    json_int = json_int[:json_int.index("\ndef ")]
+    assert len(re.findall(r"\bis (not )?int\b", experiments)) == 1
+    assert re.search(r"\bis not int\b", json_int)

@@ -299,3 +299,37 @@ def test_only_readers_of_reduced_rows_back_substitute(q, monkeypatch):
         before = len(calls)
         read()
         assert len(calls) == before + 1
+
+
+# ---------------------------------------------------------
+# row-space keys
+# ---------------------------------------------------------
+
+def echelon_of(f, rows):
+    from muxnet.matrix import _Echelon
+
+    ech = _Echelon(f)
+    for row in rows:
+        ech.insert(row)
+    return ech
+
+
+@pytest.mark.parametrize("q", [2, 9, 256])
+def test_space_key_names_the_row_space(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        rows = random_matrix(f, 3, 5, rng).rows_list()
+        key = echelon_of(f, rows).space_key()
+        # the same space written another way: reordered, each row scaled
+        # by a nonzero constant, and a dependent row added
+        scaled = [f.row_scale(rng.randrange(1, q), r) for r in reversed(rows)]
+        mix = f.row_sub_scaled(rows[0], rng.randrange(q), rows[1])
+        assert echelon_of(f, scaled + [mix]).space_key() == key
+        assert echelon_of(f, rows + [[0] * 5]).space_key() == key
+        # a row outside the space, or one row fewer, names another space
+        extra = rows + [[rng.randrange(q) for _ in range(5)]]
+        if FieldMatrix(f, extra).rank() > FieldMatrix(f, rows).rank():
+            assert echelon_of(f, extra).space_key() != key
+        if FieldMatrix(f, rows[:2]).rank() < FieldMatrix(f, rows).rank():
+            assert echelon_of(f, rows[:2]).space_key() != key

@@ -280,3 +280,25 @@ def test_message_enumeration_bound(monkeypatch):
     assert MAX_MESSAGE_VECTORS == 1 << 16
     # 2^16 vectors are accepted; the iterator is lazy and left unconsumed
     iter_message_vectors(MultiplexLayout(GF(2), 1, 16, 1, (8, 8)))
+
+
+@pytest.mark.parametrize("k, index", [
+    ((1.5, 1.5), 0), ((2, 1.0), 1), ((True, 2), 0), (("1", 2), 0), ((3, -1), 1),
+])
+def test_layout_sizes_are_never_coerced(k, index):
+    with pytest.raises(ValueError, match=rf"k\[{index}\] = .* is not a nonnegative integer"):
+        MultiplexLayout(GF(2), 1, 2, 1, k)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("m", (1.0, 2, 1)), ("n", (1, 2.0, 1)), ("T", (1, 2, True)), ("m", (0, 2, 1)),
+])
+def test_layout_shape_is_never_coerced(name, args):
+    with pytest.raises(ValueError, match=rf"{name} = .* is not a positive integer"):
+        MultiplexLayout(GF(2), *args, (1, 1))
+
+
+@pytest.mark.parametrize("members", [[1.9], ["2"], [True], [1, 2.0], [0], []])
+def test_subset_members_are_never_coerced(members):
+    with pytest.raises(ValueError, match="message index|nonempty"):
+        SubsetIndex(members)

@@ -101,6 +101,14 @@ def test_missing_coefficient_raises():
         global_coding_vectors(net, coding, 0)
 
 
+@pytest.mark.parametrize("key", [2, -1, 1.9, "1", True])
+def test_source_input_keys_are_never_coerced(key):
+    # a source link's key names an input in 0..n-1; 1.9 and "1" are not input 1
+    coding = LocalCoding(GF(3), 2, [{"e1": {key: 1}, "e2": {1: 1}}])
+    with pytest.raises(MissingCoefficient, match=r"references input .* outside 0\.\.1"):
+        global_coding_vectors(parallel_network(2), coding, 0)
+
+
 def test_vectors_deterministic_per_seed():
     net = butterfly_network()
     f = GF(5)
