@@ -201,14 +201,19 @@ def test_non_integer_entries_rejected():
 # pinned engine outputs
 # ---------------------------------------------------------
 
-# sha256 of `engine_digest()`; computed before sampling, enumeration and
-# elimination shared one echelon engine, which must leave every output,
-# and the number of RNG draws, unchanged.
+# sha256 of `engine_digest(DIGEST_FIELD_SIZES)`; computed before sampling,
+# enumeration and elimination shared one echelon engine, which must leave
+# every output, and the number of RNG draws, unchanged.
 ENGINE_DIGEST = "d36f08ddeeed92dbad4d56832fb6a9126d9c209c40f8b6a8c9747cb525e78415"
 DIGEST_FIELD_SIZES = (2, 3, 4, 9, 256, 65521)
+# The same recipe over the binary fields between GF(4) and GF(256); computed
+# while only GF(2) rows were byte-packed, before every characteristic-2
+# field up to GF(256) took that path.
+CHAR2_ENGINE_DIGEST = "ac66e64619f2c147a09271c0eeba09dadd1270f9cc3450885da10d7269016d84"
+CHAR2_DIGEST_FIELD_SIZES = (8, 16, 32, 64, 128)
 
 
-def engine_digest() -> str:
+def engine_digest(field_sizes) -> str:
     """sha256 over seeded GL and full-rank samples, the enumeration order of
     GL(3,2), GL(2,3) and GL(2,4), and rank, kernel, inverse, solve and the
     reduced form of seeded random matrices (full-rank and deficient)."""
@@ -217,7 +222,7 @@ def engine_digest() -> str:
     def put(obj) -> None:
         h.update(repr(obj).encode())
 
-    for q in DIGEST_FIELD_SIZES:
+    for q in field_sizes:
         f = GF(q)
         rng = random.Random(q)
         for dim in (1, 2, 3, 4, 6):
@@ -228,7 +233,7 @@ def engine_digest() -> str:
     for dim, q in ((3, 2), (2, 3), (2, 4)):
         put([m.as_tuples() for m in enumerate_gl(dim, GF(q))])
     rng = random.Random(2024)
-    for q in DIGEST_FIELD_SIZES:
+    for q in field_sizes:
         f = GF(q)
         for _ in range(12):
             nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
@@ -251,7 +256,11 @@ def engine_digest() -> str:
 
 
 def test_engine_outputs_are_pinned():
-    assert engine_digest() == ENGINE_DIGEST
+    assert engine_digest(DIGEST_FIELD_SIZES) == ENGINE_DIGEST
+
+
+def test_char2_engine_outputs_are_pinned():
+    assert engine_digest(CHAR2_DIGEST_FIELD_SIZES) == CHAR2_ENGINE_DIGEST
 
 
 # ---------------------------------------------------------
