@@ -18,8 +18,12 @@ tables are built once per field in O(q).
 
 The row primitives `row_sub_scaled`, `row_scale` and `row_dot` do the same
 arithmetic a whole row at a time: one branch on the field family per call
-and inline arithmetic per cell.  Elimination and matrix products run on
-them; the scalar ops stay the reference they are tested against.
+and inline arithmetic per cell.  Matrix products run on them, and so does
+elimination outside characteristic 2.  Fields of characteristic 2 up to
+GF(256) also carry `byte_products`, one 256-byte `bytes.translate` table
+per constant c mapping each element v to c*v, so that multiplying a row
+of byte symbols by c runs in C.  The scalar ops stay the reference all of
+these are tested against.
 """
 
 from __future__ import annotations
@@ -48,6 +52,22 @@ def is_element(value, q) -> bool:
     Nothing is coerced: bool (an int subclass), float and str fail whatever
     their value."""
     return type(value) is int and 0 <= value < q
+
+
+def random_symbols(rng: random.Random, q: int, n: int) -> list[int]:
+    """n uniform elements of GF(q), drawn as n calls of `rng.randrange(q)`
+    draw them in CPython: `getrandbits(q.bit_length())`, drawn again while
+    it is at least q.  The values, and the state `rng` is left in, equal
+    those of the n calls; randrange's two Python frames per draw are saved."""
+    getrandbits = rng.getrandbits
+    k = q.bit_length()
+    out = []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= q:
+            r = getrandbits(k)
+        out.append(r)
+    return out
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -200,9 +220,14 @@ class FieldSpec:
 
     All operations are pure and take/return canonical integer encodings.
     Instances are immutable and safe to share between threads.
+
+    `byte_products[c]`, for p = 2 and q <= 256, is a 256-byte
+    `bytes.translate` table whose entry v is c*v, and 0 for the bytes from
+    q up, which encode no element; it is None for every other field.  The
+    q tables are built once per field, at construction.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech")
+    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "byte_products")
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
         if q > MAX_FIELD_SIZE:
@@ -218,6 +243,7 @@ class FieldSpec:
             self._exp = None
             self._log = None
             self._zech = None
+            self.byte_products = self._byte_products([1], [0, 0]) if q == 2 else None
             return
         if modulus is None:
             modulus = _DEFAULT_BINARY_MODULI.get(q) or _smallest_irreducible(p, e)
@@ -270,6 +296,7 @@ class FieldSpec:
         self._exp = exp
         self._log = log
         self._zech = self._zech_table() if self.p != 2 else None
+        self.byte_products = self._byte_products(exp, log) if self.p == 2 and q <= 256 else None
 
     def _times(self, g: int):
         """The map v -> v*g, without a polynomial product per call.
@@ -308,6 +335,23 @@ class FieldSpec:
             return low_back[w & mask] + high_back[w >> shift]
 
         return times
+
+    def _byte_products(self, exp: list[int], log: list[int]) -> tuple[bytes, ...]:
+        """One `bytes.translate` table per constant c: entry v is c*v for
+        each element v, and 0 for the bytes q..255, which are no element.
+
+        Table c is the byte string of logs translated through the exp table
+        rotated by log c, so each costs O(1) calls in C.  Index 255 of the
+        rotated table lies past its q - 1 exponents, in the zero padding,
+        and stands as the log of 0 and of every non-element.
+        """
+        q = self.q
+        logs = bytes(log[v] if 0 < v < q else 255 for v in range(256))
+        exps = bytes(exp) * 2
+        pad = bytes(257 - q)
+        return (bytes(256),) + tuple(
+            logs.translate(exps[log[c]:log[c] + q - 1] + pad) for c in range(1, q)
+        )
 
     def _zech_table(self) -> list[int | None]:
         """Zech logarithms over two periods, shifted into [-(q-1), 0):
@@ -458,7 +502,7 @@ class FieldSpec:
         return range(self.q)
 
     def rand(self, rng: random.Random) -> int:
-        return rng.randrange(self.q)
+        return random_symbols(rng, self.q, 1)[0]
 
     # -- identity ------------------------------------------------------------------
 

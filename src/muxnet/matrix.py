@@ -5,10 +5,13 @@ rows keeps a row echelon form, which is all a rank, an invertibility test
 or a residue modulo the span needs; `_Echelon.back_substitute` turns it
 into the reduced row echelon form only where reduced rows are read
 (`kernel`, `inverse`, `solve`).  That form is unique, so kernels and
-inverses are identical across runs.  Over GF(2) the engine packs each
-row into one int and updates it with one XOR; over every other field row
-updates go through the field's row primitives (`FieldSpec.row_sub_scaled`,
-`row_scale`), and products through `row_dot`, never a scalar call per cell.
+inverses are identical across runs.  Over the fields of characteristic 2
+up to GF(256) the engine packs each row into one int, one byte per column,
+and subtracts c times a row with one XOR of its bytes translated through
+the field's table for c (`FieldSpec.byte_products`); over every other
+field row updates go through the field's row primitives
+(`FieldSpec.row_sub_scaled`, `row_scale`).  Products go through
+`row_dot`, never a scalar call per cell.
 """
 
 from __future__ import annotations
@@ -17,9 +20,17 @@ import bisect
 import random
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from .fields import FieldSpec, is_element
+from .fields import FieldSpec, is_element, random_symbols
 
 MAX_GL_ENUMERATION = 100_000  # largest |GL(dim, q)| that enumerate_gl lists
+
+
+def _check_vector(vec, q: int) -> None:
+    """Every entry of a vector operand an element of GF(q), as the
+    constructor requires of every matrix entry."""
+    for i, v in enumerate(vec):
+        if not is_element(v, q):
+            raise ValueError(f"vector entry {i} = {v!r} is not an integer in [0, {q})")
 
 
 class FieldMatrix:
@@ -113,6 +124,7 @@ class FieldMatrix:
     def mul_vector(self, vec) -> list[int]:
         if len(vec) != self.ncols:
             raise ShapeError(f"vector length {len(vec)} != {self.ncols}")
+        _check_vector(vec, self.field.q)
         dot = self.field.row_dot
         return [dot(row, vec) for row in self._rows]
 
@@ -186,6 +198,7 @@ class FieldMatrix:
             raise ShapeError("solve requires a square matrix")
         if len(vec) != self.nrows:
             raise ShapeError(f"rhs length {len(vec)} != {self.nrows}")
+        _check_vector(vec, self.field.q)
         x = self._solve_right([[v] for v in vec])
         if x is None:
             raise SingularMatrix("coefficient matrix is singular")
@@ -200,9 +213,14 @@ class FieldMatrix:
 # ---------------------------------------------------------------------------
 
 def random_matrix(field: FieldSpec, nrows: int, ncols: int, rng: random.Random) -> FieldMatrix:
-    q = field.q
-    return FieldMatrix._canonical(
-        field, [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)], ncols
+    rows = [random_symbols(rng, field.q, ncols) for _ in range(nrows)]
+    return FieldMatrix._canonical(field, rows, ncols)
+
+
+def _times(row: int, table: bytes) -> int:
+    """c*row for a byte-packed row, through c's `byte_products` table."""
+    return int.from_bytes(
+        row.to_bytes((row.bit_length() + 7) >> 3, "little").translate(table), "little"
     )
 
 
@@ -219,22 +237,26 @@ class _Echelon:
     against either form.  Rows are replaced, never changed in place, so a
     copy may share them.
 
-    The basis holds its rows packed.  Over GF(2) a packed row is one int
-    with column j in byte j, `int.from_bytes(bytes(row), "little")`, so
-    packing and unpacking run in C; a row update is one XOR, and the
-    lowest set bit gives the pivot.  Over every other field a packed row
-    is a list of symbols, updated by the field's row kernels.  `insert`
-    and `reduce` take list rows; `insert_packed` and `reduce_packed` take
-    rows from `pack`, and `unpack` turns one back into a list.
+    The basis holds its rows packed.  Over a field of characteristic 2 with
+    q <= 256 a packed row is one int with column j in byte j,
+    `int.from_bytes(bytes(row), "little")`, so packing and unpacking run in
+    C.  Addition is XOR, so subtracting c times a basis row is one XOR with
+    the row's bytes translated through the field's `byte_products` table
+    for c, or with the row itself when c = 1, as it always is over GF(2);
+    the lowest set bit gives the pivot.  Over every other field a packed
+    row is a list of symbols, updated by the field's row kernels.  `insert`
+    and `reduce` take list rows of field elements; `insert_packed` and
+    `reduce_packed` take rows from `pack`, and `unpack` turns one back into
+    a list.
     """
 
-    __slots__ = ("field", "rows", "pivots", "_bits")
+    __slots__ = ("field", "rows", "pivots", "_products")
 
     def __init__(self, field: FieldSpec):
         self.field = field
         self.rows: list = []
         self.pivots: list[int] = []
-        self._bits = field.q == 2
+        self._products = field.byte_products
 
     def copy(self) -> "_Echelon":
         other = _Echelon(self.field)
@@ -242,13 +264,13 @@ class _Echelon:
         return other
 
     def pack(self, vec):
-        """vec, a sequence of symbols, as a packed row."""
-        return int.from_bytes(bytes(vec), "little") if self._bits else vec
+        """vec, a sequence of field elements, as a packed row."""
+        return vec if self._products is None else int.from_bytes(bytes(vec), "little")
 
     def unpack(self, row, ncols: int) -> list[int]:
         """A packed row of width ncols as a list of symbols; over fields
-        other than GF(2) the row itself, which must not be changed."""
-        return list(row.to_bytes(ncols, "little")) if self._bits else row
+        whose rows are lists the row itself, which must not be changed."""
+        return row if self._products is None else list(row.to_bytes(ncols, "little"))
 
     def reduce(self, vec) -> list[int]:
         """vec reduced modulo the span, as a new list; all zero iff vec lies in it."""
@@ -262,10 +284,16 @@ class _Echelon:
     def reduce_packed(self, row):
         """A packed row reduced modulo the span, as a new packed row; zero
         (all zero) iff it lies in the span."""
-        if self._bits:
+        products = self._products
+        if products is not None:
+            from_bytes = int.from_bytes
             for pc, brow in zip(self.pivots, self.rows):
-                if row >> (pc << 3) & 1:
+                c = row >> (pc << 3) & 255
+                if c == 1:
                     row ^= brow
+                elif c:  # `_times`, inline in the engine's hottest loop
+                    data = brow.to_bytes((brow.bit_length() + 7) >> 3, "little")
+                    row ^= from_bytes(data.translate(products[c]), "little")
             return row
         sub_scaled = self.field.row_sub_scaled
         vec = list(row)
@@ -281,10 +309,13 @@ class _Echelon:
     def insert_packed(self, row) -> bool:
         """`insert` for a packed row."""
         row = self.reduce_packed(row)
-        if self._bits:
+        if self._products is not None:
             if not row:
                 return False
             p = ((row & -row).bit_length() - 1) >> 3
+            lead = row >> (p << 3) & 255
+            if lead != 1:
+                row = _times(row, self._products[self.field.inv(lead)])
         else:
             for p, lead in enumerate(row):
                 if lead:
@@ -305,19 +336,24 @@ class _Echelon:
         they span the same space: the rows of the unique reduced form, which
         the call leaves in place by back-substituting first."""
         self.back_substitute()
-        return tuple(self.rows) if self._bits else tuple(map(tuple, self.rows))
+        return tuple(map(tuple, self.rows)) if self._products is None else tuple(self.rows)
 
     def back_substitute(self) -> None:
         """Clear each pivot column above its pivot, bottom-up, leaving the
         reduced row echelon form of the span."""
         rows = self.rows
-        if self._bits:
+        products = self._products
+        if products is not None:
             for i in range(len(rows) - 1, 0, -1):
                 row = rows[i]
-                low = row & -row
+                shift = self.pivots[i] << 3
+                one, mask = 1 << shift, 255 << shift
                 for j in range(i):
-                    if rows[j] & low:
+                    c = rows[j] & mask  # the pivot column's entry, in place
+                    if c == one:
                         rows[j] ^= row
+                    elif c:
+                        rows[j] ^= _times(row, products[c >> shift])
             return
         sub_scaled = self.field.row_sub_scaled
         for i in range(len(rows) - 1, 0, -1):
@@ -341,11 +377,10 @@ def sample_full_rank(
     """
     if nrows > ncols:
         raise ShapeError(f"no full-rank {nrows}x{ncols} matrix exists")
-    q = field.q
     ech = _Echelon(field)
     rows = []
     while len(rows) < nrows:
-        cand = [rng.randrange(q) for _ in range(ncols)]
+        cand = random_symbols(rng, field.q, ncols)
         if ech.insert(cand):
             rows.append(cand)
     return FieldMatrix._canonical(field, rows, ncols)

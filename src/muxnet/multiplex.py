@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from .fields import FieldSpec, is_element
+from .fields import FieldSpec, is_element, random_symbols
 from .matrix import FieldMatrix
 
 MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
@@ -138,10 +138,7 @@ class MessageTuple:
 
     @classmethod
     def random(cls, layout: MultiplexLayout, rng: random.Random) -> "MessageTuple":
-        q = layout.q
-        return cls(
-            tuple(tuple(rng.randrange(q) for _ in range(sz)) for sz in layout.k)
-        )
+        return cls(tuple(tuple(random_symbols(rng, layout.q, sz)) for sz in layout.k))
 
 
 def projection_matrix(layout: MultiplexLayout, subset: SubsetIndex) -> FieldMatrix:
@@ -168,6 +165,7 @@ def encode(layout: MultiplexLayout, L: FieldMatrix, msgs: MessageTuple) -> list[
     s = msgs.concat()
     if len(s) != layout.mn:
         raise ShapeError("message blocks do not match the layout")
+    _check_symbols(s, layout.q, "message")
     return L.solve(s)
 
 

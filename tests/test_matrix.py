@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
 from muxnet import GF, FieldMatrix, enumerate_gl, random_matrix, sample_full_rank, sample_gl
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
+from muxnet.fields import is_element
 from muxnet.matrix import MAX_GL_ENUMERATION, gl_order
 
 CHI2_CRIT_DF5 = 20.515  # alpha = 0.001
@@ -195,6 +197,27 @@ def test_non_integer_entries_rejected():
     for entry in (1.0, 2.5, True, "1", None):
         with pytest.raises(ValueError, match="not an integer"):
             FieldMatrix(GF(9), [[0, entry]])
+
+
+@pytest.mark.parametrize("q, entry", [
+    (q, entry) for q in (2, 5, 16, 256) for entry in (1.5, True, -1, q, 200)
+])
+def test_vector_operands_must_be_field_elements(q, entry):
+    # The constructor's rule for matrix entries, named by index; 200 is an
+    # element of GF(256) only.  Over GF(16) an entry in 16..255 would
+    # otherwise go through a padded byte table and give a wrong answer.
+    f = GF(q)
+    L = sample_gl(3, f, random.Random(q))
+    vec = [1, entry, 0]
+    if is_element(entry, q):
+        x = L.solve(vec)
+        assert L.mul_vector(x) == vec
+        return
+    message = rf"vector entry 1 = {re.escape(repr(entry))} is not an integer in \[0, {q}\)"
+    with pytest.raises(ValueError, match=message):
+        L.solve(vec)
+    with pytest.raises(ValueError, match=message):
+        L.mul_vector(vec)
 
 
 # ---------------------------------------------------------

@@ -24,6 +24,7 @@ from muxnet import (
     sample_gl,
 )
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
+from muxnet.fields import is_element
 from muxnet import multiplex
 from muxnet.multiplex import MAX_MESSAGE_VECTORS, iter_message_vectors
 from muxnet.verification import _enumerate_layouts
@@ -153,6 +154,26 @@ def test_symbols_must_be_field_elements(symbol):
         MessageTuple.from_vector(layout, word)
     with pytest.raises(ValueError, match=message):
         decode(layout, L, word)
+
+
+@pytest.mark.parametrize("q, symbol", [
+    (q, symbol) for q in (2, 5, 16, 256) for symbol in (1.5, True, -1, q, 200)
+])
+def test_encode_and_decode_name_a_bad_symbol(q, symbol):
+    # A MessageTuple built directly skips from_vector's check, so encode
+    # checks its symbols as decode checks the received word's.
+    f = GF(q)
+    layout = MultiplexLayout(f, 1, 3, 1, (2, 1))
+    L = sample_gl(3, f, random.Random(q))
+    msgs = MessageTuple(((1, symbol), (0,)))
+    if is_element(symbol, q):
+        assert decode(layout, L, encode(layout, L, msgs)) == msgs
+        return
+    bad = rf"symbol 1 = {re.escape(repr(symbol))} is not an integer in \[0, {q}\)"
+    with pytest.raises(ValueError, match="message " + bad):
+        encode(layout, L, msgs)
+    with pytest.raises(ValueError, match="received " + bad):
+        decode(layout, L, [1, symbol, 0])
 
 
 def test_roundtrip_random():

@@ -1,10 +1,10 @@
 """Row primitives and the elimination built on them, against scalar ops.
 
 `FieldSpec.row_sub_scaled`, `row_scale` and `row_dot` must agree cell by
-cell with `sub`, `mul` and `add`, which stay the reference.  The echelon
-engine and the matrix products run on the row primitives, so they are
-checked against `RefEchelon` below: the per-cell elimination loop written
-with scalar calls only.
+cell with `sub`, `mul` and `add`, which stay the reference, and so must
+every entry of the `byte_products` tables.  The echelon engine and the
+matrix products run on them, so they are checked against `RefEchelon`
+below: the per-cell elimination loop written with scalar calls only.
 """
 
 import bisect
@@ -14,7 +14,7 @@ import pytest
 
 from muxnet import GF, FieldMatrix, random_matrix, sample_gl
 from muxnet.errors import SingularMatrix
-from muxnet.fields import _factor_prime_power
+from muxnet.fields import _factor_prime_power, random_symbols
 from muxnet.matrix import _Echelon
 from muxnet.verification import _prime_powers
 
@@ -153,6 +153,47 @@ def test_primitives_return_new_lists():
     assert vec == [1, 2, 3] and row == [4, 5, 6]
 
 
+# The characteristic-2 fields whose rows the engine packs into bytes.
+BYTE_FIELDS = (2, 4, 8, 16, 32, 64, 128, 256)
+
+
+@pytest.mark.parametrize("q", BYTE_FIELDS)
+def test_byte_products_match_scalar_mul(q):
+    f = GF(q)
+    tables = f.byte_products
+    assert len(tables) == q
+    for c, table in enumerate(tables):
+        assert list(table[:q]) == [f.mul(c, v) for v in range(q)], c
+        assert not any(table[q:]), c  # the bytes that are no element
+
+
+def test_rows_are_byte_packed_exactly_in_characteristic_2_up_to_256():
+    # A refactor must not quietly send these fields back to list rows.
+    for q in Q_USED:
+        f = GF(q)
+        packed = f.p == 2 and q <= 256
+        assert (f.byte_products is not None) == packed, q
+        row = _Echelon(f).pack([1, q - 1])
+        assert isinstance(row, int) == packed, q
+
+
+# ---------------------------------------------------------
+# the symbol sampler against randrange
+# ---------------------------------------------------------
+
+@pytest.mark.parametrize("q", Q_USED)
+def test_random_symbols_draw_as_randrange(q):
+    for seed in (0, 1, q):
+        for n in (0, 1, 7, 64):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert random_symbols(ours, q, n) == [ref.randrange(q) for _ in range(n)]
+            assert ours.getstate() == ref.getstate()
+    f = GF(q)
+    ours, ref = random.Random(q), random.Random(q)
+    assert [f.rand(ours) for _ in range(20)] == [ref.randrange(q) for _ in range(20)]
+    assert ours.getstate() == ref.getstate()
+
+
 # ---------------------------------------------------------
 # elimination and products against the per-cell reference
 # ---------------------------------------------------------
@@ -217,16 +258,18 @@ def test_elimination_matches_per_cell_reference(q):
 
 
 # ---------------------------------------------------------
-# packed GF(2) rows against the per-cell reference
+# byte-packed rows against the per-cell reference
 # ---------------------------------------------------------
 
-def check_gf2_against_reference(f, rows, ncols, rng):
-    """Everything the engine returns for one GF(2) matrix, against RefEchelon."""
+def check_packed_against_reference(f, rows, ncols, rng):
+    """Everything the engine returns for one matrix over a field whose rows
+    it packs into bytes, against RefEchelon."""
+    q = f.q
     M = FieldMatrix(f, rows, ncols=ncols)
     ech, ref = _Echelon(f), RefEchelon(f)
     for row in rows:
         assert ech.insert(row) == ref.insert(row)
-    vec = [rng.randrange(2) for _ in range(ncols)]
+    vec = [rng.randrange(q) for _ in range(ncols)]
     reduced = ref.reduce(vec)
     assert ech.reduce(vec) == reduced
     assert ech.unpack(ech.reduce_packed(ech.pack(vec)), ncols) == reduced
@@ -234,6 +277,7 @@ def check_gf2_against_reference(f, rows, ncols, rng):
     ech.back_substitute()
     assert [ech.unpack(row, ncols) for row in ech.rows] == ref.rows
     assert ech.reduce(vec) == reduced
+    assert ech.space_key() == tuple(ech.pack(row) for row in ref.rows)
 
     got = M._rref_rows()
     got.back_substitute()
@@ -246,7 +290,7 @@ def check_gf2_against_reference(f, rows, ncols, rng):
         return
     n = ncols
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    b = [rng.randrange(2) for _ in range(n)]
+    b = [rng.randrange(q) for _ in range(n)]
     ref_inv = ref_solve_right(f, rows, ident)
     if ref_inv is None:
         assert not M.is_invertible()
@@ -260,32 +304,54 @@ def check_gf2_against_reference(f, rows, ncols, rng):
     assert M.solve(b) == [r[0] for r in ref_solve_right(f, rows, [[v] for v in b])]
 
 
-def test_packed_gf2_exhaustive():
-    # Every GF(2) matrix with at most 12 cells.
-    f = GF(2)
+def check_exhaustive(q, max_cells):
+    """check_packed_against_reference on every GF(q) matrix of at most
+    max_cells cells."""
+    f = GF(q)
     rng = random.Random(7)
-    shapes = [(r, c) for r in range(1, 13) for c in range(1, 13) if r * c <= 12]
+    shapes = [(r, c) for r in range(1, max_cells + 1) for c in range(1, max_cells + 1)
+              if r * c <= max_cells]
     for r, c in shapes:
-        for idx in range(2 ** (r * c)):
-            flat = [(idx >> i) & 1 for i in range(r * c)]
+        for idx in range(q ** (r * c)):
+            flat = [idx // q**i % q for i in range(r * c)]
             rows = [flat[i * c:(i + 1) * c] for i in range(r)]
-            check_gf2_against_reference(f, rows, c, rng)
+            check_packed_against_reference(f, rows, c, rng)
+
+
+def check_seeded(q, nrows, ncols, rank, repeats):
+    """check_packed_against_reference on random GF(q) matrices, rank-deficient
+    ones built as a product through a rank-sized middle dimension, and a GL
+    sample when the shape is square."""
+    f = GF(q)
+    rng = random.Random(q * 100_000 + nrows * 1000 + ncols)
+    for _ in range(repeats):
+        if rank is None:
+            M = random_matrix(f, nrows, ncols, rng)
+        else:
+            M = random_matrix(f, nrows, rank, rng) @ random_matrix(f, rank, ncols, rng)
+            assert M.rank() <= rank
+        check_packed_against_reference(f, M.rows_list(), ncols, rng)
+    if nrows == ncols:
+        check_packed_against_reference(f, sample_gl(nrows, f, rng).rows_list(), ncols, rng)
+
+
+def test_packed_gf2_exhaustive():
+    check_exhaustive(2, 12)
+
+
+def test_packed_gf4_exhaustive():
+    check_exhaustive(4, 6)
 
 
 @pytest.mark.parametrize("nrows, ncols, rank", [
     (32, 32, None), (64, 128, None), (32, 32, 20), (48, 40, 13), (16, 64, 5),
 ])
 def test_packed_gf2_seeded(nrows, ncols, rank):
-    # Large random matrices, and rank-deficient ones built as a product
-    # through a rank-sized middle dimension.
-    f = GF(2)
-    rng = random.Random(nrows * 1000 + ncols)
-    for _ in range(3):
-        if rank is None:
-            M = random_matrix(f, nrows, ncols, rng)
-        else:
-            M = random_matrix(f, nrows, rank, rng) @ random_matrix(f, rank, ncols, rng)
-            assert M.rank() <= rank
-        check_gf2_against_reference(f, M.rows_list(), ncols, rng)
-    if nrows == ncols:
-        check_gf2_against_reference(f, sample_gl(nrows, f, rng).rows_list(), ncols, rng)
+    check_seeded(2, nrows, ncols, rank, 3)
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64, 128, 256])
+def test_packed_char2_seeded(q):
+    shapes = ((16, 17, None), (16, 16, None), (17, 16, 9), (12, 17, 5), (4, 3, None))
+    for nrows, ncols, rank in shapes:
+        check_seeded(q, nrows, ncols, rank, 2)
