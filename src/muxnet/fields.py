@@ -54,6 +54,14 @@ def is_element(value, q) -> bool:
     return type(value) is int and 0 <= value < q
 
 
+def check_elements(values, q, what: str) -> None:
+    """Raise ValueError naming the first of `values` that `is_element`
+    refuses, by its index: `{what} {i} = {value!r} is not ...`."""
+    for i, v in enumerate(values):
+        if not is_element(v, q):
+            raise ValueError(f"{what} {i} = {v!r} is not an integer in [0, {q})")
+
+
 def random_symbols(rng: random.Random, q: int, n: int) -> list[int]:
     """n uniform elements of GF(q), drawn as n calls of `rng.randrange(q)`
     draw them in CPython: `getrandbits(q.bit_length())`, drawn again while

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from .fields import FieldSpec, is_element, random_symbols
+from .fields import FieldSpec, check_elements, is_element, random_symbols
 from .matrix import FieldMatrix
 
 MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
@@ -111,13 +111,6 @@ def all_nonempty_subsets(T: int) -> list[SubsetIndex]:
     return out
 
 
-def _check_symbols(vec: list, q: int, what: str) -> None:
-    """Every symbol an element of GF(q)."""
-    for i, v in enumerate(vec):
-        if not is_element(v, q):
-            raise ValueError(f"{what} symbol {i} = {v!r} is not an integer in [0, {q})")
-
-
 @dataclass(frozen=True)
 class MessageTuple:
     """The T+1 message blocks of one coding block."""
@@ -132,7 +125,7 @@ class MessageTuple:
         vec = list(vec)
         if len(vec) != layout.mn:
             raise ShapeError(f"vector length {len(vec)} != m*n = {layout.mn}")
-        _check_symbols(vec, layout.q, "message")
+        check_elements(vec, layout.q, "message symbol")
         offs = layout.offsets()
         return cls(tuple(tuple(vec[offs[i]:offs[i + 1]]) for i in range(layout.T + 1)))
 
@@ -165,7 +158,7 @@ def encode(layout: MultiplexLayout, L: FieldMatrix, msgs: MessageTuple) -> list[
     s = msgs.concat()
     if len(s) != layout.mn:
         raise ShapeError("message blocks do not match the layout")
-    _check_symbols(s, layout.q, "message")
+    check_elements(s, layout.q, "message symbol")
     return L.solve(s)
 
 
@@ -175,7 +168,7 @@ def decode(layout: MultiplexLayout, L: FieldMatrix, x) -> MessageTuple:
     x = list(x)
     if len(x) != layout.mn:
         raise ShapeError(f"received word length {len(x)} != m*n = {layout.mn}")
-    _check_symbols(x, layout.q, "received")
+    check_elements(x, layout.q, "received symbol")
     if not L.is_invertible():
         raise SingularMatrix(
             f"decoding map of rank {L.rank()} < {L.nrows} is not invertible"
