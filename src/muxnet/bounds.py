@@ -218,10 +218,8 @@ def _map_statistics(
 
 
 def _mean_exp(scale: float, values: tuple[float, ...]) -> float:
-    """The mean of exp(scale * v) over `values`, one exp per distinct value
-    and summed in member order, so the float equals the per-member sum."""
-    exps = {v: math.exp(scale * v) for v in dict.fromkeys(values)}
-    return sum(exps[v] for v in values) / len(values)
+    """The mean of exp(scale * v) over `values`, summed in member order."""
+    return sum(math.exp(scale * v) for v in values) / len(values)
 
 
 def verify_hashed_mi_bound(joint: JointDistribution, family: HashFamilySpec, rho: float) -> dict:

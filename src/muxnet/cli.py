@@ -127,10 +127,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            if args.config:
-                seed = verify_seed(_load_config(args))
-            else:
-                seed = DEFAULT_CONFIG["seed"] if args.seed is None else args.seed
+            seed = verify_seed(_load_config(args))
             rows, all_hold = run_verify(seed)
             if args.format == "json":
                 _emit(report_to_json({"checks": rows, "all_hold": all_hold}), args.out)

@@ -446,8 +446,6 @@ class FieldSpec:
         if not c:
             return list(vec)
         if self.e == 1:
-            if self.p == 2:  # c = 1
-                return [v ^ r for v, r in zip(vec, row)]
             p = self.p
             return [(v - c * r) % p for v, r in zip(vec, row)]
         exp, log, n = self._exp, self._log, self.q - 1

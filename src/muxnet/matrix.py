@@ -4,7 +4,9 @@ Every elimination runs through one echelon basis, `_Echelon`.  Inserting
 rows keeps a row echelon form, which is all a rank, an invertibility test
 or a residue modulo the span needs; `_Echelon.back_substitute` turns it
 into the reduced row echelon form only where reduced rows are read
-(`kernel`, `inverse`, `solve`).  That form is unique, so kernels and
+(`kernel`, `inverse`, `solve`, row-space keys), by reducing each row
+modulo the rows below it.  So one loop, `_Echelon.reduce_packed`, does
+every row subtraction.  The reduced form is unique, so kernels and
 inverses are identical across runs.  Over the fields of characteristic 2
 up to GF(256) the engine packs each row into one int, one byte per column,
 and subtracts c times a row with one XOR of its bytes translated through
@@ -222,8 +224,9 @@ class _Echelon:
 
     Rows are normalized (pivot entry 1), kept in pivot-column order, and
     zero left of their pivots.  Inserting a row touches no earlier row, so
-    rank queries pay for no reduced form.  `back_substitute` also clears every pivot column
-    above its pivot, which leaves the unique reduced row echelon form.  The
+    rank queries pay for no reduced form.  `back_substitute` replaces each
+    row by its residue modulo the rows below it, with the same loop as
+    `reduce`, which leaves the unique reduced row echelon form.  The
     residue of a vector modulo the span is the one member of its coset that
     is zero in every pivot column, so `reduce` gives the same residue
     against either form.  Rows are replaced, never changed in place, so a
@@ -331,31 +334,15 @@ class _Echelon:
         return tuple(self.rows) if self._products is not None else tuple(map(tuple, self.rows))
 
     def back_substitute(self) -> None:
-        """Clear each pivot column above its pivot, bottom-up, leaving the
-        reduced row echelon form of the span."""
-        rows = self.rows
-        products = self._products
-        if products is not None:
-            for i in range(len(rows) - 1, 0, -1):
-                row = rows[i]
-                shift = self.pivots[i] << 3
-                one, mask = 1 << shift, 255 << shift
-                for j in range(i):
-                    c = rows[j] & mask  # the pivot column's entry, in place
-                    if c == one:
-                        rows[j] ^= row
-                    elif c:
-                        rows[j] ^= _times(row, products[c >> shift])
-            return
-        sub_scaled = self.field.row_sub_scaled
-        for i in range(len(rows) - 1, 0, -1):
-            p = self.pivots[i]
-            tail = rows[i][p + 1:]
-            for j in range(i):
-                brow = rows[j]
-                c = brow[p]
-                if c:
-                    rows[j] = brow[:p] + [0] + sub_scaled(brow[p + 1:], c, tail)
+        """Replace each row, bottom-up, by its residue modulo the rows below
+        it.  Those rows are already reduced, so the residue is zero in every
+        later pivot column, and the rows left form the reduced row echelon
+        form of the span, in a new `rows` list."""
+        below = _Echelon(self.field)
+        for row, p in zip(reversed(self.rows), reversed(self.pivots)):
+            below.rows.insert(0, below.reduce_packed(row))
+            below.pivots.insert(0, p)
+        self.rows = below.rows
 
 
 def sample_full_rank(

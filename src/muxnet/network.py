@@ -362,10 +362,7 @@ def observation_basis(layout: MultiplexLayout, B: FieldMatrix) -> _Echelon:
     """The row echelon basis of rowspace B, for B observing words of
     `layout`; shared bases are read, never changed."""
     _check_observation(layout, B)
-    basis = _Echelon(layout.field)
-    for row in B.rows_list():
-        basis.insert(row)
-    return basis
+    return B._rref_rows()
 
 
 class ObservationSpaces:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -67,13 +67,7 @@ class CheckResult:
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": self.instance,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 # The rho values at which the hashing inequalities are checked.

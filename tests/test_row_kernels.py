@@ -257,6 +257,28 @@ def test_elimination_matches_per_cell_reference(q):
         assert M.solve(b) == [r[0] for r in ref_solve_right(f, rows, [[v] for v in b])]
 
 
+@pytest.mark.parametrize("q", [2, 16, 256, 3, 81, 512, 65521])
+def test_back_substitute_leaves_copies_intact(q):
+    # enumerate_gl grows copies of one basis that share its rows, so
+    # back-substituting a copy must not change the rows it shares.
+    f = GF(q)
+    rng = random.Random(2000 + q)
+    M = random_matrix(f, 7, 5, rng) @ random_matrix(f, 5, 9, rng)
+    ech = M._rref_rows()
+    rows = [list(ech.unpack(r, M.ncols)) for r in ech.rows]
+    pivots = list(ech.pivots)
+    vecs = [seeded_rows(f, rng, M.ncols) for _ in range(6)]
+    residues = [ech.reduce(v) for v in vecs]
+
+    grown = ech.copy()
+    grown.back_substitute()
+    assert grown.pivots == pivots and grown.rows != ech.rows
+    assert [ech.unpack(r, M.ncols) for r in ech.rows] == rows
+    assert ech.pivots == pivots
+    assert [ech.reduce(v) for v in vecs] == residues
+    assert [grown.reduce(v) for v in vecs] == residues
+
+
 # ---------------------------------------------------------
 # byte-packed rows against the per-cell reference
 # ---------------------------------------------------------
