@@ -21,9 +21,9 @@ arithmetic a whole row at a time: one branch on the field family per call
 and inline arithmetic per cell.  Matrix products run on them, and so does
 elimination outside characteristic 2.  Fields of characteristic 2 up to
 GF(256) also carry `byte_products`, one 256-byte `bytes.translate` table
-per constant c mapping each element v to c*v, so that multiplying a row
-of byte symbols by c runs in C.  The scalar ops stay the reference all of
-these are tested against.
+per constant c mapping each element v to c*v, built at the field's first
+elimination, so that multiplying a row of byte symbols by c runs in C.
+The scalar ops stay the reference all of these are tested against.
 """
 
 from __future__ import annotations
@@ -232,10 +232,12 @@ class FieldSpec:
     `byte_products[c]`, for p = 2 and q <= 256, is a 256-byte
     `bytes.translate` table whose entry v is c*v, and 0 for the bytes from
     q up, which encode no element; it is None for every other field.  The
-    q tables are built once per field, at construction.
+    q tables are built once per field, on the first read, which is the
+    first elimination over it, so a field no elimination runs over never
+    builds them.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "byte_products")
+    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "_byte_products")
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
         if q > MAX_FIELD_SIZE:
@@ -244,6 +246,7 @@ class FieldSpec:
         self.q = q
         self.p = p
         self.e = e
+        self._byte_products = None
         if e == 1:
             if modulus is not None:
                 raise ValueError(f"modulus given for the prime field GF({q})")
@@ -251,7 +254,6 @@ class FieldSpec:
             self._exp = None
             self._log = None
             self._zech = None
-            self.byte_products = self._byte_products([1], [0, 0]) if q == 2 else None
             return
         if modulus is None:
             modulus = _DEFAULT_BINARY_MODULI.get(q) or _smallest_irreducible(p, e)
@@ -304,7 +306,6 @@ class FieldSpec:
         self._exp = exp
         self._log = log
         self._zech = self._zech_table() if self.p != 2 else None
-        self.byte_products = self._byte_products(exp, log) if self.p == 2 and q <= 256 else None
 
     def _times(self, g: int):
         """The map v -> v*g, without a polynomial product per call.
@@ -344,9 +345,11 @@ class FieldSpec:
 
         return times
 
-    def _byte_products(self, exp: list[int], log: list[int]) -> tuple[bytes, ...]:
+    @property
+    def byte_products(self) -> tuple[bytes, ...] | None:
         """One `bytes.translate` table per constant c: entry v is c*v for
-        each element v, and 0 for the bytes q..255, which are no element.
+        each element v, and 0 for the bytes q..255, which are no element;
+        None unless p = 2 and q <= 256.  Built on the first read.
 
         Table c is the byte string of logs translated through the exp table
         rotated by log c, so each costs O(1) calls in C.  Index 255 of the
@@ -354,12 +357,16 @@ class FieldSpec:
         and stands as the log of 0 and of every non-element.
         """
         q = self.q
+        if self._byte_products is not None or self.p != 2 or q > 256:
+            return self._byte_products
+        exp, log = (self._exp, self._log) if self.e > 1 else ([1], [0, 0])
         logs = bytes(log[v] if 0 < v < q else 255 for v in range(256))
         exps = bytes(exp) * 2
         pad = bytes(257 - q)
-        return (bytes(256),) + tuple(
+        self._byte_products = (bytes(256),) + tuple(
             logs.translate(exps[log[c]:log[c] + q - 1] + pad) for c in range(1, q)
         )
+        return self._byte_products
 
     def _zech_table(self) -> list[int | None]:
         """Zech logarithms over two periods, shifted into [-(q-1), 0):

@@ -128,11 +128,14 @@ def brute_force_leakage(
         blocks = [tuple(s[c] for c in coords) for s in messages]
         columns.append((sub.label, blocks, Counter(blocks)))
     log = math.log
+    dot = layout.field.row_dot
     out = []
     for L in maps:
         _check_map(layout, L)
         C = B @ L.inverse()
-        zs = [tuple(C.mul_vector(s)) for s in messages]
+        # the library enumerated `messages` itself, so mul_vector's operand
+        # check would only repeat on every symbol
+        zs = [tuple([dot(r, s) for r in C._rows]) for s in messages]
         marg_z = Counter(zs)
         mis = {}
         for label, blocks, marg_a in columns:

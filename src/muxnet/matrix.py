@@ -4,10 +4,11 @@ Every elimination runs through one echelon basis, `_Echelon`.  Inserting
 rows keeps a row echelon form, which is all a rank, an invertibility test
 or a residue modulo the span needs; `_Echelon.back_substitute` turns it
 into the reduced row echelon form only where reduced rows are read
-(`kernel`, `inverse`, `solve`, row-space keys), by reducing each row
-modulo the rows below it.  So one loop, `_Echelon.reduce_packed`, does
-every row subtraction.  The reduced form is unique, so kernels and
-inverses are identical across runs.  Over the fields of characteristic 2
+(`kernel`, `inverse`, row-space keys), by reducing each row modulo the
+rows below it.  So one loop, `_Echelon.reduce_packed`, does every row
+subtraction.  `solve` back-substitutes its right-hand side alone, one
+scalar per row.  The reduced form is unique, so kernels and inverses are
+identical across runs.  Over the fields of characteristic 2
 up to GF(256) the engine packs each row into one int, one byte per column,
 and subtracts c times a row with one XOR of its bytes translated through
 the field's table for c (`FieldSpec.byte_products`); over every other
@@ -158,45 +159,52 @@ class FieldMatrix:
             out[pc] = [neg(row[j]) for j in free]
         return FieldMatrix._canonical(self.field, out, len(free))
 
-    def _solve_right(self, rhs: list[list[int]]) -> list[list[int]] | None:
-        """X with self @ X = rhs for square self, read off the reduced
-        [self | rhs]; None when self is singular."""
-        n = self.nrows
-        width = n + (len(rhs[0]) if rhs else 0)
-        aug = FieldMatrix._canonical(
-            self.field, [row + extra for row, extra in zip(self._rows, rhs)], width
-        )
-        ech = aug._rref_rows()
-        if ech.pivots[:n] != list(range(n)):
-            return None
-        ech.back_substitute()
-        return [ech.unpack(r, width)[n:] for r in ech.rows]
-
     def inverse(self) -> "FieldMatrix":
         """The inverse, computed on the first call and cached; a singular
-        matrix raises `SingularMatrix` on every call."""
+        matrix raises `SingularMatrix` on every call.  Read off the reduced
+        [self | I]."""
         if self._inverse is not None:
             return self._inverse
         if self.nrows != self.ncols:
             raise ShapeError("only square matrices can be inverted")
         n = self.nrows
-        inv = self._solve_right(FieldMatrix.identity(self.field, n)._rows)
-        if inv is None:
+        ident = FieldMatrix.identity(self.field, n)._rows
+        aug = FieldMatrix._canonical(
+            self.field, [row + extra for row, extra in zip(self._rows, ident)], 2 * n
+        )
+        ech = aug._rref_rows()
+        if ech.pivots[:n] != list(range(n)):
             raise SingularMatrix(f"matrix of rank {self.rank()} < {n} has no inverse")
+        ech.back_substitute()
+        inv = [ech.unpack(r, 2 * n)[n:] for r in ech.rows]
         self._inverse = FieldMatrix._canonical(self.field, inv, n)
         return self._inverse
 
     def solve(self, vec) -> list[int]:
-        """Solution x of self @ x = vec for square invertible self."""
+        """Solution x of self @ x = vec for square invertible self.
+
+        Forward elimination of [self | vec] leaves normalized rows u with
+        pivots 0..n-1, so x_i = u_(i,n) - sum over j > i of u_(i,j) x_j,
+        bottom-up: only the right-hand side is back-substituted.
+        """
         if self.nrows != self.ncols:
             raise ShapeError("solve requires a square matrix")
-        if len(vec) != self.nrows:
-            raise ShapeError(f"rhs length {len(vec)} != {self.nrows}")
+        n = self.nrows
+        if len(vec) != n:
+            raise ShapeError(f"rhs length {len(vec)} != {n}")
         check_elements(vec, self.field.q, "vector entry")
-        x = self._solve_right([[v] for v in vec])
-        if x is None:
+        aug = FieldMatrix._canonical(
+            self.field, [row + [v] for row, v in zip(self._rows, vec)], n + 1
+        )
+        ech = aug._rref_rows()
+        if ech.pivots[:n] != list(range(n)):
             raise SingularMatrix("coefficient matrix is singular")
-        return [r[0] for r in x]
+        dot, sub = self.field.row_dot, self.field.sub
+        x: list[int] = []
+        for i in range(n - 1, -1, -1):
+            u = ech.unpack(ech.rows[i], n + 1)
+            x.insert(0, sub(u[n], dot(u[i + 1:n], x)))
+        return x
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and len(self._rref_rows().pivots) == self.nrows
@@ -224,13 +232,13 @@ class _Echelon:
 
     Rows are normalized (pivot entry 1), kept in pivot-column order, and
     zero left of their pivots.  Inserting a row touches no earlier row, so
-    rank queries pay for no reduced form.  `back_substitute` replaces each
-    row by its residue modulo the rows below it, with the same loop as
-    `reduce`, which leaves the unique reduced row echelon form.  The
-    residue of a vector modulo the span is the one member of its coset that
-    is zero in every pivot column, so `reduce` gives the same residue
-    against either form.  Rows are replaced, never changed in place, so a
-    copy may share them.
+    rank queries and `solve` pay for no reduced form.  `back_substitute`
+    replaces each row by its residue modulo the rows below it, with the
+    same loop as `reduce`, which leaves the unique reduced row echelon
+    form.  The residue of a vector modulo the span is the one member of its
+    coset that is zero in every pivot column, so `reduce` gives the same
+    residue against either form.  Rows are replaced, never changed in
+    place, so a copy may share them.
 
     The basis holds its rows packed.  Over a field of characteristic 2 with
     q <= 256 a packed row is one int with column j in byte j,

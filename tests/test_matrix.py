@@ -8,7 +8,7 @@ import pytest
 
 from muxnet import GF, FieldMatrix, enumerate_gl, random_matrix, sample_full_rank, sample_gl
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from muxnet.fields import is_element
+from muxnet.fields import is_element, random_symbols
 from muxnet.matrix import MAX_GL_ENUMERATION, gl_order
 
 CHI2_CRIT_DF5 = 20.515  # alpha = 0.001
@@ -93,6 +93,33 @@ def test_singular_matrix_raises():
         singular.inverse()
     with pytest.raises(SingularMatrix):
         FieldMatrix(GF(3), [[1, 2], [2, 1]]).solve([1, 0])
+
+
+@pytest.mark.parametrize("q", [2, 16, 256, 3, 81, 65521])
+def test_singular_solve_raises(q):
+    # Forward elimination of [A | b] over a singular A either falls short of
+    # a pivot inside A's columns (b in A's column space) or puts one in the
+    # b column (b outside it).  Both raise, over byte-packed rows (q = 2,
+    # 16, 256) and list rows.
+    f = GF(q)
+    rng = random.Random(q)
+    n = 6
+    for r in range(n):
+        A = random_matrix(f, n, r, rng) @ random_matrix(f, r, n, rng)
+        rows, rank = A.rows_list(), A.rank()
+        assert rank <= r
+
+        def augmented_rank(b):
+            return FieldMatrix(f, [row + [v] for row, v in zip(rows, b)]).rank()
+
+        inside = A.mul_vector(random_symbols(rng, q, n))
+        assert augmented_rank(inside) == rank
+        outside = random_symbols(rng, q, n)
+        while augmented_rank(outside) == rank:
+            outside = random_symbols(rng, q, n)
+        for b in (inside, outside):
+            with pytest.raises(SingularMatrix):
+                A.solve(b)
 
 
 def test_inverse_roundtrip_random():
@@ -292,9 +319,10 @@ def test_char2_engine_outputs_are_pinned():
 
 @pytest.mark.parametrize("q", [2, 9])
 def test_only_readers_of_reduced_rows_back_substitute(q, monkeypatch):
-    # Ranks, invertibility tests, sampling, enumeration and leakage span
-    # counts need only the echelon form; kernel, inverse, solve and the
-    # row-space keys of ObservationSpaces read reduced rows.
+    # Ranks, invertibility tests, sampling, enumeration, leakage span
+    # counts and solve need only the echelon form (solve back-substitutes
+    # its right-hand side alone); kernel, inverse and the row-space keys of
+    # ObservationSpaces read reduced rows.
     from muxnet.leakage import leakage_profile
     from muxnet.matrix import _Echelon
     from muxnet.multiplex import MultiplexLayout, all_nonempty_subsets
@@ -319,13 +347,13 @@ def test_only_readers_of_reduced_rows_back_substitute(q, monkeypatch):
     assert len(enumerate_gl(2, GF(2))) == 6
     assert len(observation_basis(layout, B).pivots) == B.rank()
     leakage_profile(layout, L, B, all_nonempty_subsets(1))
+    assert M.mul_vector(M.solve([1, 0, 0, 0])) == [1, 0, 0, 0]
 
     calls = []
     monkeypatch.setattr(_Echelon, "back_substitute", lambda self: calls.append(1) or real(self))
     for read in (
         M.kernel,
         M.inverse,
-        lambda: M.solve([1, 0, 0, 0]),
         lambda: ObservationSpaces(layout, [B]),
     ):
         before = len(calls)
