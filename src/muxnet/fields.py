@@ -19,7 +19,9 @@ tables are built once per field in O(q).
 The row primitives `row_sub_scaled`, `row_scale` and `row_dot` do the same
 arithmetic a whole row at a time: one branch on the field family per call
 and inline arithmetic per cell.  Matrix products run on them, and so does
-elimination outside characteristic 2.  Fields of characteristic 2 up to
+elimination over odd-characteristic extension fields and GF(2^e) with
+e > 8 (the engine packs the rows of prime fields into 64-bit cells and
+does not call them there).  Fields of characteristic 2 up to
 GF(256) also carry `byte_products`, one 256-byte `bytes.translate` table
 per constant c mapping each element v to c*v, built at the field's first
 elimination, so that multiplying a row of byte symbols by c runs in C.

@@ -8,24 +8,37 @@ into the reduced row echelon form only where reduced rows are read
 rows below it.  So one loop, `_Echelon.reduce_packed`, does every row
 subtraction.  `solve` back-substitutes its right-hand side alone, one
 scalar per row.  The reduced form is unique, so kernels and inverses are
-identical across runs.  Over the fields of characteristic 2
-up to GF(256) the engine packs each row into one int, one byte per column,
-and subtracts c times a row with one XOR of its bytes translated through
-the field's table for c (`FieldSpec.byte_products`); over every other
-field row updates go through the field's row primitives
-(`FieldSpec.row_sub_scaled`, `row_scale`).  Products go through
+identical across runs.  The engine packs each row into one int over the
+fields of characteristic 2 up to GF(256), one byte per column, and over
+the prime fields with p > 2, one 64-bit cell per column.  Over the former
+it subtracts c times a row with one XOR of its bytes translated through
+the field's table for c (`FieldSpec.byte_products`); over the latter with
+one integer multiply-add, reducing the cells mod p only where a row is
+stored, tested or read.  Over odd-characteristic extension fields and
+GF(2^e) with e > 8 rows stay lists, updated through the field's row
+primitives (`FieldSpec.row_sub_scaled`, `row_scale`).  Products go through
 `row_dot`, never a scalar call per cell.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import random
+import struct
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from .fields import FieldSpec, check_elements, is_element, random_symbols
 
 MAX_GL_ENUMERATION = 100_000  # largest |GL(dim, q)| that enumerate_gl lists
+
+# One column of a packed prime-field row.  Every p is below
+# MAX_FIELD_SIZE = 2^16, so (p - 1)^2 < 2^32, and a cell that starts below
+# p stays below p + 2^32 (p - 1)^2 < 2^64 through 2^32 subtractions of
+# canonical rows: no carry reaches the next cell (see `_Echelon`).
+_CELL_BYTES = 8
+_CELL_BITS = 8 * _CELL_BYTES
+_CELL_MASK = (1 << _CELL_BITS) - 1
 
 
 class FieldMatrix:
@@ -120,6 +133,11 @@ class FieldMatrix:
         if len(vec) != self.ncols:
             raise ShapeError(f"vector length {len(vec)} != {self.ncols}")
         check_elements(vec, self.field.q, "vector entry")
+        return self._mul_vector(vec)
+
+    def _mul_vector(self, vec) -> list[int]:
+        """`mul_vector` for a vector its caller has checked: ncols
+        canonical symbols."""
         dot = self.field.row_dot
         return [dot(row, vec) for row in self._rows]
 
@@ -155,7 +173,7 @@ class FieldMatrix:
         # it is minus the entry of pc's reduced row in column j.
         out = [[int(c == j) for j in free] for c in range(self.ncols)]
         for row, pc in zip(ech.rows, ech.pivots):
-            row = ech.unpack(row, self.ncols)
+            row = ech.unpack_canonical(row, self.ncols)
             out[pc] = [neg(row[j]) for j in free]
         return FieldMatrix._canonical(self.field, out, len(free))
 
@@ -176,7 +194,7 @@ class FieldMatrix:
         if ech.pivots[:n] != list(range(n)):
             raise SingularMatrix(f"matrix of rank {self.rank()} < {n} has no inverse")
         ech.back_substitute()
-        inv = [ech.unpack(r, 2 * n)[n:] for r in ech.rows]
+        inv = [ech.unpack_canonical(r, 2 * n)[n:] for r in ech.rows]
         self._inverse = FieldMatrix._canonical(self.field, inv, n)
         return self._inverse
 
@@ -193,6 +211,12 @@ class FieldMatrix:
         if len(vec) != n:
             raise ShapeError(f"rhs length {len(vec)} != {n}")
         check_elements(vec, self.field.q, "vector entry")
+        return self._solve(vec)
+
+    def _solve(self, vec) -> list[int]:
+        """`solve` for a square self and a right-hand side its caller has
+        checked: n canonical symbols."""
+        n = self.nrows
         aug = FieldMatrix._canonical(
             self.field, [row + [v] for row, v in zip(self._rows, vec)], n + 1
         )
@@ -202,7 +226,7 @@ class FieldMatrix:
         dot, sub = self.field.row_dot, self.field.sub
         x: list[int] = []
         for i in range(n - 1, -1, -1):
-            u = ech.unpack(ech.rows[i], n + 1)
+            u = ech.unpack_canonical(ech.rows[i], n + 1)
             x.insert(0, sub(u[n], dot(u[i + 1:n], x)))
         return x
 
@@ -226,6 +250,13 @@ def _times(row: int, table: bytes) -> int:
     )
 
 
+@functools.cache
+def _cells(ncols: int) -> struct.Struct:
+    """The layout of a packed prime-field row of width ncols: one
+    little-endian 64-bit cell per column, built once per width."""
+    return struct.Struct("<%dQ" % ncols)  # "Q": _CELL_BYTES bytes
+
+
 class _Echelon:
     """Row echelon basis of a growing row space: the one elimination engine
     behind sampling, enumeration, rank, kernel, inverse, solve and leakage.
@@ -240,26 +271,42 @@ class _Echelon:
     residue against either form.  Rows are replaced, never changed in
     place, so a copy may share them.
 
-    The basis holds its rows packed.  Over a field of characteristic 2 with
-    q <= 256 a packed row is one int with column j in byte j,
-    `int.from_bytes(bytes(row), "little")`, so packing and unpacking run in
-    C.  Addition is XOR, so subtracting c times a basis row is one XOR with
-    the row's bytes translated through the field's `byte_products` table
-    for c, or with the row itself when c = 1, as it always is over GF(2);
-    the lowest set bit gives the pivot.  Over every other field a packed
-    row is a list of symbols, updated by the field's row kernels.  `insert`
-    and `reduce` take list rows of field elements; `insert_packed` and
-    `reduce_packed` take rows from `pack`, and `unpack` turns one back into
-    a list.
+    The basis holds its rows packed, in one of three forms:
+
+    - Characteristic 2 with q <= 256: one int with column j in byte j,
+      `int.from_bytes(bytes(row), "little")`, so packing and unpacking run
+      in C.  Addition is XOR, so subtracting c times a basis row is one XOR
+      with the row's bytes translated through the field's `byte_products`
+      table for c, or with the row itself when c = 1, as it always is over
+      GF(2); the lowest set bit gives the pivot.
+    - A prime field with p > 2: one int with column j in the 64-bit cell j,
+      packed and unpacked through one cached `struct.Struct` per width.
+      Subtracting c times a basis row is `row += (p - c) * brow`, with no
+      work per cell, and the coefficient at pivot pc is cell pc mod p.
+      Cells are reduced mod p only where a row is stored in the basis,
+      zero-tested, keyed or unpacked, so basis rows are canonical.  Each
+      subtraction adds at most (p - 1)^2 to a cell, and a row is reduced at
+      most twice between canonical forms (a residue from `reduce_packed`
+      that `insert_packed` takes), so a cell of a row of width ncols stays
+      below p + 2 ncols (p - 1)^2, inside its `_CELL_BITS` bits for every
+      width up to 2^31.
+    - Every other field: a list of symbols, updated by the field's row
+      primitives.
+
+    `insert` and `reduce` take list rows of field elements; `insert_packed`
+    and `reduce_packed` take rows from `pack` (or residues from
+    `reduce_packed`), and `unpack` turns one back into a list.
     """
 
-    __slots__ = ("field", "rows", "pivots", "_products")
+    __slots__ = ("field", "rows", "pivots", "_products", "_p")
 
     def __init__(self, field: FieldSpec):
         self.field = field
         self.rows: list = []
         self.pivots: list[int] = []
         self._products = field.byte_products
+        # p when rows are 64-bit cells, else 0
+        self._p = field.p if field.e == 1 and field.p > 2 else 0
 
     def copy(self) -> "_Echelon":
         other = _Echelon(self.field)
@@ -268,12 +315,30 @@ class _Echelon:
 
     def pack(self, vec):
         """vec, a sequence of field elements, as a packed row."""
-        return int.from_bytes(bytes(vec), "little") if self._products is not None else vec
+        if self._products is not None:
+            return int.from_bytes(bytes(vec), "little")
+        if self._p:
+            return int.from_bytes(_cells(len(vec)).pack(*vec), "little")
+        return vec
 
     def unpack(self, row, ncols: int) -> list[int]:
-        """A packed row of width ncols as a list of symbols; over fields
-        whose rows are lists the row itself, which must not be changed."""
-        return list(row.to_bytes(ncols, "little")) if self._products is not None else row
+        """A packed row of width ncols, canonical or a residue from
+        `reduce_packed`, as a list of symbols; over fields whose rows are
+        lists the row itself, which must not be changed."""
+        p = self._p
+        if p:
+            cells = _cells(ncols).unpack(row.to_bytes(ncols * _CELL_BYTES, "little"))
+            return [v % p for v in cells]
+        return self.unpack_canonical(row, ncols)
+
+    def unpack_canonical(self, row, ncols: int) -> list[int]:
+        """`unpack` for a canonical row, such as a row of the basis: over a
+        prime field its cells are read as they are, with no reduction."""
+        if self._p:
+            return list(_cells(ncols).unpack(row.to_bytes(ncols * _CELL_BYTES, "little")))
+        if self._products is not None:
+            return list(row.to_bytes(ncols, "little"))
+        return row
 
     def reduce(self, vec) -> list[int]:
         """vec reduced modulo the span, as a new list; all zero iff vec lies in it."""
@@ -285,8 +350,9 @@ class _Echelon:
         return self.insert_packed(self.pack(vec))
 
     def reduce_packed(self, row):
-        """A packed row reduced modulo the span, as a new packed row; zero
-        (all zero) iff it lies in the span."""
+        """A packed row reduced modulo the span, as a new packed row whose
+        symbols are all zero iff it lies in the span; over a prime field its
+        cells are not reduced mod p, and `unpack` reads them."""
         products = self._products
         if products is not None:
             from_bytes = int.from_bytes
@@ -297,6 +363,14 @@ class _Echelon:
                 elif c:  # `_times` inline: at GF(256) its call is ~1/4 of this loop
                     data = brow.to_bytes((brow.bit_length() + 7) >> 3, "little")
                     row ^= from_bytes(data.translate(products[c]), "little")
+            return row
+        p = self._p
+        if p:
+            bits, mask = _CELL_BITS, _CELL_MASK
+            for pc, brow in zip(self.pivots, self.rows):
+                c = (row >> bits * pc & mask) % p
+                if c:
+                    row += (p - c) * brow
             return row
         sub_scaled = self.field.row_sub_scaled
         vec = list(row)
@@ -315,22 +389,39 @@ class _Echelon:
         if self._products is not None:
             if not row:
                 return False
-            p = ((row & -row).bit_length() - 1) >> 3
-            lead = row >> (p << 3) & 255
+            pc = ((row & -row).bit_length() - 1) >> 3
+            lead = row >> (pc << 3) & 255
             if lead != 1:
                 row = _times(row, self._products[self.field.inv(lead)])
+        elif self._p:
+            p = self._p
+            n = -(-row.bit_length() // _CELL_BITS)  # up to the highest nonzero cell
+            cells = _cells(n)
+            lazy = cells.unpack(row.to_bytes(n * _CELL_BYTES, "little"))
+            for pc, lead in enumerate(lazy):
+                lead %= p
+                if lead:
+                    break
+            else:
+                return False
+            if lead == 1:
+                vals = [v % p for v in lazy]
+            else:
+                s = self.field.inv(lead)
+                vals = [s * v % p for v in lazy]
+            row = int.from_bytes(cells.pack(*vals), "little")
         else:
-            for p, lead in enumerate(row):
+            for pc, lead in enumerate(row):
                 if lead:
                     break
             else:
                 return False
             if lead != 1:
                 f = self.field
-                row[p] = 1
-                row[p + 1:] = f.row_scale(f.inv(lead), row[p + 1:])
-        at = bisect.bisect(self.pivots, p)
-        self.pivots.insert(at, p)
+                row[pc] = 1
+                row[pc + 1:] = f.row_scale(f.inv(lead), row[pc + 1:])
+        at = bisect.bisect(self.pivots, pc)
+        self.pivots.insert(at, pc)
         self.rows.insert(at, row)
         return True
 
@@ -339,7 +430,9 @@ class _Echelon:
         they span the same space: the rows of the unique reduced form, which
         the call leaves in place by back-substituting first."""
         self.back_substitute()
-        return tuple(self.rows) if self._products is not None else tuple(map(tuple, self.rows))
+        if self._products is None and not self._p:
+            return tuple(map(tuple, self.rows))
+        return tuple(self.rows)
 
     def back_substitute(self) -> None:
         """Replace each row, bottom-up, by its residue modulo the rows below
@@ -347,9 +440,13 @@ class _Echelon:
         later pivot column, and the rows left form the reduced row echelon
         form of the span, in a new `rows` list."""
         below = _Echelon(self.field)
-        for row, p in zip(reversed(self.rows), reversed(self.pivots)):
-            below.rows.insert(0, below.reduce_packed(row))
-            below.pivots.insert(0, p)
+        for row, pc in zip(reversed(self.rows), reversed(self.pivots)):
+            reduced = below.reduce_packed(row)
+            if self._p and reduced is not row:  # store it canonical
+                ncols = -(-reduced.bit_length() // _CELL_BITS)
+                reduced = self.pack(self.unpack(reduced, ncols))
+            below.rows.insert(0, reduced)
+            below.pivots.insert(0, pc)
         self.rows = below.rows
 
 

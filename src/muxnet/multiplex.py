@@ -126,6 +126,12 @@ class MessageTuple:
         if len(vec) != layout.mn:
             raise ShapeError(f"vector length {len(vec)} != m*n = {layout.mn}")
         check_elements(vec, layout.q, "message symbol")
+        return cls._split(layout, vec)
+
+    @classmethod
+    def _split(cls, layout: MultiplexLayout, vec: list[int]) -> "MessageTuple":
+        """The blocks of m*n canonical symbols the library computed itself,
+        so `from_vector`'s checks are skipped."""
         offs = layout.offsets()
         return cls(tuple(tuple(vec[offs[i]:offs[i + 1]]) for i in range(layout.T + 1)))
 
@@ -159,7 +165,7 @@ def encode(layout: MultiplexLayout, L: FieldMatrix, msgs: MessageTuple) -> list[
     if len(s) != layout.mn:
         raise ShapeError("message blocks do not match the layout")
     check_elements(s, layout.q, "message symbol")
-    return L.solve(s)
+    return L._solve(s)  # s is checked: skip solve's second pass over it
 
 
 def decode(layout: MultiplexLayout, L: FieldMatrix, x) -> MessageTuple:
@@ -173,7 +179,7 @@ def decode(layout: MultiplexLayout, L: FieldMatrix, x) -> MessageTuple:
         raise SingularMatrix(
             f"decoding map of rank {L.rank()} < {L.nrows} is not invertible"
         )
-    return MessageTuple.from_vector(layout, L.mul_vector(x))
+    return MessageTuple._split(layout, L._mul_vector(x))  # x is checked once, above
 
 
 def iter_message_vectors(layout: MultiplexLayout):

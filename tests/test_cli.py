@@ -416,6 +416,40 @@ def test_sweep_q_over_odd_extension_fields_pinned(tmp_path):
     assert digest == "354b70242cf5c41ee7a0e6e3077e980bbebe731e907b5314a26965216f95cd9e"
 
 
+# Butterfly, m = 8 and two messages, statistical taps: each L and B is
+# 16 x 16.  The digests were computed on list rows, before prime fields
+# were packed into 64-bit cells.
+PRIME_FIELD_CONFIG = dict(
+    BUTTERFLY_CONFIG,
+    layout={"q": 3, "m": 8, "n": 2, "T": 2, "k": [5, 4, 7]},
+    eavesdropper={"kind": "statistical", "mu": 1},
+    trials={"L": 16, "B": 12},
+)
+
+
+@pytest.mark.parametrize("q, digest", [
+    (3, "247c4b631e49c3853dedf7b4ce1d7068d40d595962faa1c2fb1bd3ecd88f9213"),
+    (251, "b6b8465b37b62ce7f6386aa3c32b7abb2c028d27aa95aa6355c4eae22714da8a"),
+    (65521, "bf21d19cd4e7e9fde10f87fae7cb7709903520eb12667b95f845277d1e3645a9"),
+])
+def test_simulate_prime_field_pinned(q, digest, tmp_path):
+    config = json.loads(json.dumps(PRIME_FIELD_CONFIG))
+    config["layout"]["q"] = q
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sweep_q_over_prime_fields_pinned(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = write_config(tmp_path, PRIME_FIELD_CONFIG)
+    assert main(
+        ["sweep", "--config", cfg, "--param", "q", "--values", "3,5,251,65521", "--out", str(out)]
+    ) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ed986a546282b383624fa4eb98505a8ea9b914932900dbcf4ce1a7e5a0a2b2a8"
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path, BUTTERFLY_CONFIG)
     p1 = tmp_path / "s1.json"

@@ -176,6 +176,50 @@ def test_encode_and_decode_name_a_bad_symbol(q, symbol):
         decode(layout, L, [1, symbol, 0])
 
 
+@pytest.mark.parametrize("q", [3, 251, 65521])
+@pytest.mark.parametrize("symbol", [1.5, True, -1, "q", 2**64])
+def test_bad_symbol_raises_through_every_codec_entry_point(q, symbol):
+    # encode and decode check their symbols once and reach the engine past
+    # solve's and mul_vector's own checks, which still hold when those are
+    # called directly; a prime field's 64-bit cells never see a non-element.
+    symbol = q if symbol == "q" else symbol
+    f = GF(q)
+    layout = MultiplexLayout(f, 1, 3, 1, (2, 1))
+    L = sample_gl(3, f, random.Random(q))
+    bad = rf"symbol 1 = {re.escape(repr(symbol))} is not an integer in \[0, {q}\)"
+    with pytest.raises(ValueError, match="message " + bad):
+        encode(layout, L, MessageTuple(((1, symbol), (0,))))
+    with pytest.raises(ValueError, match="received " + bad):
+        decode(layout, L, [1, symbol, 0])
+    entry = rf"vector entry 1 = {re.escape(repr(symbol))} is not an integer in \[0, {q}\)"
+    with pytest.raises(ValueError, match=entry):
+        L.solve([1, symbol, 0])
+    with pytest.raises(ValueError, match=entry):
+        L.mul_vector([1, symbol, 0])
+
+
+@pytest.mark.parametrize("q", [2, 81, 256, 65521])
+def test_codec_checks_each_symbol_list_once(q, monkeypatch):
+    f = GF(q)
+    layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
+    rng = random.Random(q)
+    L = sample_gl(4, f, rng)
+    msgs = MessageTuple.random(layout, rng)
+    checked = []
+
+    def counting(values, q, what):
+        checked.append(what)
+        real(values, q, what)
+
+    real = multiplex.check_elements
+    monkeypatch.setattr(multiplex, "check_elements", counting)
+    monkeypatch.setattr("muxnet.matrix.check_elements", counting)
+    word = encode(layout, L, msgs)
+    assert checked == ["message symbol"]
+    assert decode(layout, L, word) == msgs
+    assert checked == ["message symbol", "received symbol"]
+
+
 def test_roundtrip_random():
     rng = random.Random(5)
     for q in (2, 3, 4, 5, 9, 16, 25):

@@ -8,14 +8,15 @@ below: the per-cell elimination loop written with scalar calls only.
 """
 
 import bisect
+import copy
 import random
 
 import pytest
 
 from muxnet import GF, FieldMatrix, random_matrix, sample_gl
 from muxnet.errors import SingularMatrix
-from muxnet.fields import _factor_prime_power, random_symbols
-from muxnet.matrix import _Echelon
+from muxnet.fields import MAX_FIELD_SIZE, _factor_prime_power, random_symbols
+from muxnet.matrix import _CELL_BITS, _Echelon, _cells
 from muxnet.verification import _prime_powers
 
 # Every field size the test modules build: all prime powers up to 256, the
@@ -168,13 +169,20 @@ def test_byte_products_match_scalar_mul(q):
 
 
 def test_rows_are_byte_packed_exactly_in_characteristic_2_up_to_256():
-    # A refactor must not quietly send these fields back to list rows.
+    # A refactor must not quietly move a field to another row form: one
+    # byte per column in characteristic 2 up to GF(256), one 64-bit cell
+    # per column over the odd primes, a list over every other field.
     for q in Q_USED:
         f = GF(q)
-        packed = f.p == 2 and q <= 256
-        assert (f.byte_products is not None) == packed, q
+        in_bytes = f.p == 2 and q <= 256
+        assert (f.byte_products is not None) == in_bytes, q
         row = _Echelon(f).pack([1, q - 1])
-        assert isinstance(row, int) == packed, q
+        if in_bytes:
+            assert row == 1 | (q - 1) << 8, q
+        elif f.e == 1:
+            assert row == 1 | (q - 1) << 64, q
+        else:
+            assert row == [1, q - 1], q
 
 
 # ---------------------------------------------------------
@@ -280,12 +288,12 @@ def test_back_substitute_leaves_copies_intact(q):
 
 
 # ---------------------------------------------------------
-# byte-packed rows against the per-cell reference
+# packed rows against the per-cell reference
 # ---------------------------------------------------------
 
 def check_packed_against_reference(f, rows, ncols, rng):
     """Everything the engine returns for one matrix over a field whose rows
-    it packs into bytes, against RefEchelon."""
+    it packs into an int, against RefEchelon."""
     q = f.q
     M = FieldMatrix(f, rows, ncols=ncols)
     ech, ref = _Echelon(f), RefEchelon(f)
@@ -326,13 +334,13 @@ def check_packed_against_reference(f, rows, ncols, rng):
     assert M.solve(b) == [r[0] for r in ref_solve_right(f, rows, [[v] for v in b])]
 
 
-def check_exhaustive(q, max_cells):
+def check_exhaustive(q, max_cells, max_width=None):
     """check_packed_against_reference on every GF(q) matrix of at most
-    max_cells cells."""
+    max_cells cells and max_width columns."""
     f = GF(q)
     rng = random.Random(7)
-    shapes = [(r, c) for r in range(1, max_cells + 1) for c in range(1, max_cells + 1)
-              if r * c <= max_cells]
+    shapes = [(r, c) for r in range(1, max_cells + 1)
+              for c in range(1, (max_width or max_cells) + 1) if r * c <= max_cells]
     for r, c in shapes:
         for idx in range(q ** (r * c)):
             flat = [idx // q**i % q for i in range(r * c)]
@@ -377,3 +385,80 @@ def test_packed_char2_seeded(q):
     shapes = ((16, 17, None), (16, 16, None), (17, 16, 9), (12, 17, 5), (4, 3, None))
     for nrows, ncols, rank in shapes:
         check_seeded(q, nrows, ncols, rank, 2)
+
+
+# ---------------------------------------------------------
+# prime-field rows: 64-bit cells reduced mod p lazily
+# ---------------------------------------------------------
+
+def test_cell_width_holds_every_lazy_row_below_max_field_size():
+    # A cell starts below p, and each subtraction of a canonical row adds at
+    # most (p - 1)^2.  A row takes at most 2 * ncols subtractions between
+    # canonical forms (a residue inserted into a second basis), so for every
+    # p below MAX_FIELD_SIZE one cell holds any width up to 2^31 with no
+    # carry into the next.
+    p = MAX_FIELD_SIZE - 1
+    assert p + 2 * 2**31 * (p - 1) ** 2 < 2**_CELL_BITS
+    # ... and the struct that packs a row has exactly that many bits a cell
+    assert _cells(5).size * 8 == 5 * _CELL_BITS
+
+
+@pytest.mark.parametrize("q, max_cells", [(3, 6), (5, 4)])
+def test_prime_cells_exhaustive(q, max_cells):
+    check_exhaustive(q, max_cells, max_width=3)
+
+
+def staircase(p, n, rank):
+    """rank rows of width n, row i with its pivot 1 in column i and p - 1 in
+    every column right of it: canonical rows whose cells are all maximal."""
+    return [[0] * i + [1] + [p - 1] * (n - i - 1) for i in range(rank)]
+
+
+def worst_vector(p, n):
+    """Against `staircase`, the vector whose coefficient is 1 at every pivot,
+    so every subtraction adds (p - 1)^2 to each cell right of the pivot."""
+    return [(1 - j) % p for j in range(n)]
+
+
+@pytest.mark.parametrize("p", [251, 65521])
+def test_prime_cells_match_reference_at_full_width(p):
+    f = GF(p)
+    n = 48
+    rng = random.Random(p)
+    bases = [
+        staircase(p, n, n),
+        staircase(p, n, 40),
+        sample_gl(n, f, rng).rows_list(),
+        [[p - 1] * n] + staircase(p, n, n)[1:],
+        (random_matrix(f, 40, 30, rng) @ random_matrix(f, 30, n, rng)).rows_list(),
+    ]
+    vectors = [worst_vector(p, n), [p - 1] * n, [1] * n, seeded_rows(f, rng, n)]
+    for rows in bases:
+        check_packed_against_reference(f, rows, n, rng)
+        ech, ref = _Echelon(f), RefEchelon(f)
+        for row in rows:
+            assert ech.insert(row) == ref.insert(row)
+        for vec in vectors:
+            assert ech.reduce(vec) == ref.reduce(vec)
+
+    # A lazy residue inserted into a second basis, as leakage_profile does:
+    # up to 2n subtractions between canonical forms.
+    first, first_ref = _Echelon(f), RefEchelon(f)
+    for row in staircase(p, n, 40):
+        first.insert(row)
+        first_ref.insert(row)
+    second, second_ref = _Echelon(f), RefEchelon(f)
+    for row in ([0] * 40 + r[40:] for r in staircase(p, n, n)[40:47]):
+        second.insert(row)
+        second_ref.insert(row)
+    for vec in vectors:
+        residue = first.reduce_packed(first.pack(vec))
+        ref = copy.deepcopy(second_ref)
+        assert second.copy().insert_packed(residue) == ref.insert(first_ref.reduce(vec))
+    worst = worst_vector(p, n)
+    assert second.insert_packed(first.reduce_packed(first.pack(worst)))
+    assert second_ref.insert(first_ref.reduce(worst))
+    second.back_substitute()
+    assert second.pivots == second_ref.pivots
+    assert [second.unpack(r, n) for r in second.rows] == second_ref.rows
+    assert second.space_key() == tuple(second.pack(r) for r in second_ref.rows)
