@@ -270,12 +270,6 @@ class BoundParams:
         c = 4 * (2**T - 1) + 1
         return cls(C1=c, C2=c, rho=1.0)
 
-    @classmethod
-    def for_universal(cls, T: int, n_tap_sets: int) -> "BoundParams":
-        """The default C1, and C2 large enough that the per-realization
-        guarantee exceeds 1 - 1/C_E."""
-        return cls(C1=4 * (2**T - 1) + 1, C2=2 * (2**T - 1) * n_tap_sets + 1, rho=1.0)
-
 
 def _decay_factor(layout: MultiplexLayout, k_sub: int, mu: int, rho: float) -> float:
     """q^(-m rho (n - mu - k_sub/m)) via the integer exponent k_sub - m(n - mu)."""

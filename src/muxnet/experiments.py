@@ -26,7 +26,7 @@ from .bounds import (
     ub8_bound,
 )
 from .errors import ConfigError, MuxnetError
-from .fields import GF, FieldSpec
+from .fields import GF
 from .leakage import observation_profiles
 from .matrix import sample_gl
 from .multiplex import (
@@ -188,7 +188,6 @@ def _network_document(doc, where: str) -> dict:
 @dataclass
 class ExperimentPlan:
     experiment_id: str
-    field: FieldSpec
     layout: MultiplexLayout
     network: Network | None
     coding: LocalCoding | None
@@ -331,7 +330,6 @@ def build_plan(config: dict) -> ExperimentPlan:
 
     return ExperimentPlan(
         experiment_id=experiment_id,
-        field=field,
         layout=layout,
         network=network,
         coding=coding,
@@ -361,7 +359,7 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
             for t in range(layout.m)
         )
 
-    L = sample_gl(layout.mn, plan.field, derive_rng(seed, "L"))
+    L = sample_gl(layout.mn, layout.field, derive_rng(seed, "L"))
     msgs = MessageTuple.random(layout, derive_rng(seed, "messages"))
     word = encode(layout, L, msgs)
     decode_ok = decode(layout, L, word) == msgs

@@ -23,8 +23,8 @@ elimination over odd-characteristic extension fields and GF(2^e) with
 e > 8 (the engine packs the rows of prime fields into 64-bit cells and
 does not call them there).  Fields of characteristic 2 up to
 GF(256) also carry `byte_products`, one 256-byte `bytes.translate` table
-per constant c mapping each element v to c*v, built at the field's first
-elimination, so that multiplying a row of byte symbols by c runs in C.
+per constant c mapping each element v to c*v, built with the field, so
+that multiplying a row of byte symbols by c runs in C.
 The scalar ops stay the reference all of these are tested against.
 """
 
@@ -234,12 +234,10 @@ class FieldSpec:
     `byte_products[c]`, for p = 2 and q <= 256, is a 256-byte
     `bytes.translate` table whose entry v is c*v, and 0 for the bytes from
     q up, which encode no element; it is None for every other field.  The
-    q tables are built once per field, on the first read, which is the
-    first elimination over it, so a field no elimination runs over never
-    builds them.
+    q tables are built with the field.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "_byte_products")
+    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "byte_products")
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
         if q > MAX_FIELD_SIZE:
@@ -248,7 +246,7 @@ class FieldSpec:
         self.q = q
         self.p = p
         self.e = e
-        self._byte_products = None
+        self.byte_products = None
         if e == 1:
             if modulus is not None:
                 raise ValueError(f"modulus given for the prime field GF({q})")
@@ -256,6 +254,8 @@ class FieldSpec:
             self._exp = None
             self._log = None
             self._zech = None
+            if q == 2:  # the tables of c = 0 and c = 1
+                self.byte_products = (bytes(256), bytes((0, 1)) + bytes(254))
             return
         if modulus is None:
             modulus = _DEFAULT_BINARY_MODULI.get(q) or _smallest_irreducible(p, e)
@@ -308,6 +308,18 @@ class FieldSpec:
         self._exp = exp
         self._log = log
         self._zech = self._zech_table() if self.p != 2 else None
+        if self.p == 2 and q <= 256:
+            # Table c is the byte string of logs translated through the exp
+            # table rotated by log c, so each costs O(1) calls in C.  Index
+            # 255 of the rotated table lies past its q - 1 exponents, in the
+            # zero padding, and stands as the log of 0 and of every
+            # non-element.
+            logs = bytes(log[v] if 0 < v < q else 255 for v in range(256))
+            exps = bytes(exp) * 2
+            pad = bytes(257 - q)
+            self.byte_products = (bytes(256),) + tuple(
+                logs.translate(exps[log[c]:log[c] + q - 1] + pad) for c in range(1, q)
+            )
 
     def _times(self, g: int):
         """The map v -> v*g, without a polynomial product per call.
@@ -346,29 +358,6 @@ class FieldSpec:
             return low_back[w & mask] + high_back[w >> shift]
 
         return times
-
-    @property
-    def byte_products(self) -> tuple[bytes, ...] | None:
-        """One `bytes.translate` table per constant c: entry v is c*v for
-        each element v, and 0 for the bytes q..255, which are no element;
-        None unless p = 2 and q <= 256.  Built on the first read.
-
-        Table c is the byte string of logs translated through the exp table
-        rotated by log c, so each costs O(1) calls in C.  Index 255 of the
-        rotated table lies past its q - 1 exponents, in the zero padding,
-        and stands as the log of 0 and of every non-element.
-        """
-        q = self.q
-        if self._byte_products is not None or self.p != 2 or q > 256:
-            return self._byte_products
-        exp, log = (self._exp, self._log) if self.e > 1 else ([1], [0, 0])
-        logs = bytes(log[v] if 0 < v < q else 255 for v in range(256))
-        exps = bytes(exp) * 2
-        pad = bytes(257 - q)
-        self._byte_products = (bytes(256),) + tuple(
-            logs.translate(exps[log[c]:log[c] + q - 1] + pad) for c in range(1, q)
-        )
-        return self._byte_products
 
     def _zech_table(self) -> list[int | None]:
         """Zech logarithms over two periods, shifted into [-(q-1), 0):

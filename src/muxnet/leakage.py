@@ -46,7 +46,6 @@ class LeakageResult:
     rank_b: int
     kernel_dim: int
     nats: float
-    conditional_entropy_nats: float
 
     @property
     def bits(self) -> float:
@@ -85,7 +84,6 @@ def leakage_profile(
             rank_b=rank_b,
             kernel_dim=kernel_dim,
             nats=(k_sub - kernel_dim) * lnq,
-            conditional_entropy_nats=kernel_dim * lnq,
         )
     return out
 
@@ -128,14 +126,13 @@ def brute_force_leakage(
         blocks = [tuple(s[c] for c in coords) for s in messages]
         columns.append((sub.label, blocks, Counter(blocks)))
     log = math.log
-    dot = layout.field.row_dot
     out = []
     for L in maps:
         _check_map(layout, L)
         C = B @ L.inverse()
         # the library enumerated `messages` itself, so mul_vector's operand
         # check would only repeat on every symbol
-        zs = [tuple([dot(r, s) for r in C._rows]) for s in messages]
+        zs = [tuple(C._mul_vector(s)) for s in messages]
         marg_z = Counter(zs)
         mis = {}
         for label, blocks, marg_a in columns:

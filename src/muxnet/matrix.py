@@ -265,11 +265,11 @@ class _Echelon:
     zero left of their pivots.  Inserting a row touches no earlier row, so
     rank queries and `solve` pay for no reduced form.  `back_substitute`
     replaces each row by its residue modulo the rows below it, with the
-    same loop as `reduce`, which leaves the unique reduced row echelon
-    form.  The residue of a vector modulo the span is the one member of its
-    coset that is zero in every pivot column, so `reduce` gives the same
-    residue against either form.  Rows are replaced, never changed in
-    place, so a copy may share them.
+    same loop as `reduce_packed`, which leaves the unique reduced row
+    echelon form.  The residue of a vector modulo the span is the one
+    member of its coset that is zero in every pivot column, so
+    `reduce_packed` gives the same residue against either form.  Rows are
+    replaced, never changed in place, so a copy may share them.
 
     The basis holds its rows packed, in one of three forms:
 
@@ -293,8 +293,8 @@ class _Echelon:
     - Every other field: a list of symbols, updated by the field's row
       primitives.
 
-    `insert` and `reduce` take list rows of field elements; `insert_packed`
-    and `reduce_packed` take rows from `pack` (or residues from
+    `insert` takes a list row of field elements; `insert_packed` and
+    `reduce_packed` take rows from `pack` (or residues from
     `reduce_packed`), and `unpack` turns one back into a list.
     """
 
@@ -339,10 +339,6 @@ class _Echelon:
         if self._products is not None:
             return list(row.to_bytes(ncols, "little"))
         return row
-
-    def reduce(self, vec) -> list[int]:
-        """vec reduced modulo the span, as a new list; all zero iff vec lies in it."""
-        return self.unpack(self.reduce_packed(self.pack(vec)), len(vec))
 
     def insert(self, vec) -> bool:
         """Add vec to the basis; False, leaving the basis unchanged, when vec

@@ -184,15 +184,14 @@ class EavesdropperModel:
     (links=None means uniformly random over all mu-subsets).
     kind "statistical": fresh mu-subset per slot from `distribution`
     (None means uniform; otherwise a list of (links, weight) pairs).
-    kind "direct": a raw observation matrix, by default uniform over the
-    full-rank mu*m x m*n matrices.
+    kind "direct": a raw observation matrix, uniform over the full-rank
+    mu*m x m*n matrices.
     """
 
     kind: str
     mu: int
     links: tuple[str, ...] | None = None
     distribution: tuple[tuple[tuple[str, ...], float], ...] | None = None
-    matrices: tuple[tuple[FieldMatrix, float], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("traditional", "statistical", "direct"):
@@ -319,15 +318,7 @@ def sample_eavesdropper(
     if model.mu > layout.n:
         raise InfeasibleMu(f"mu = {model.mu} exceeds n = {layout.n}")
     if model.kind == "direct":
-        if model.matrices is not None:
-            mats = [m for m, _ in model.matrices]
-            weights = [w for _, w in model.matrices]
-            pick = rng.choices(range(len(mats)), weights=weights)[0]
-            return mats[pick]
-        mu_m = model.mu * layout.m
-        if mu_m > layout.mn:
-            raise InfeasibleMu(f"mu*m = {mu_m} rows exceed m*n = {layout.mn} columns")
-        return sample_full_rank(layout.field, mu_m, layout.mn, rng)
+        return sample_full_rank(layout.field, model.mu * layout.m, layout.mn, rng)
     if net is None:
         raise ValueError(f"{model.kind} model requires a network")
     ids = sorted(net.link_ids())

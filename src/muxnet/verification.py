@@ -352,25 +352,20 @@ def _check_butterfly(seed: int) -> list[CheckResult]:
     return out
 
 
-def oracle_suite_layouts() -> list[MultiplexLayout]:
-    """Layouts used by the oracle-equivalence suite."""
-    f = GF(2)
-    return [
-        MultiplexLayout(f, 1, 2, 1, (1, 1)),
-        MultiplexLayout(f, 1, 3, 1, (2, 1)),
-        MultiplexLayout(f, 2, 2, 2, (1, 2, 1)),
-    ]
-
-
 def _check_oracle_equivalence(seed: int) -> list[CheckResult]:
     rng = derive_rng(seed, "verify:oracle")
     f = GF(2)
+    layouts = (
+        MultiplexLayout(f, 1, 2, 1, (1, 1)),
+        MultiplexLayout(f, 1, 3, 1, (2, 1)),
+        MultiplexLayout(f, 2, 2, 2, (1, 2, 1)),
+    )
     tol = 1e-9
     worst = 0.0
     quant_worst = 0.0
     floor_margin = math.inf
     instances = 0
-    for layout in oracle_suite_layouts():
+    for layout in layouts:
         mn = layout.mn
         if mn == 2:
             l_pool = enumerate_gl(mn, f)

@@ -214,7 +214,7 @@ def test_criterion_05_universal_security():
     net = butterfly_network()
     layout = MultiplexLayout(f, 3, 2, 2, (2, 2, 2))
     coding = butterfly_coding(f, 3)
-    params = BoundParams.for_universal(2, 9)  # C1 = 13, C2 = 55
+    params = BoundParams(C1=13, C2=55)
     lnq = math.log(16)
     singles = [SubsetIndex({1}), SubsetIndex({2})]
     gate_active = all(ub8_bound(layout, s, 1, params) < lnq for s in singles)

@@ -265,7 +265,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BoundParams(C1=5, C2=5, rho=0.0).validate_for(1)
     assert BoundParams.defaults(2).C1 == 13
-    assert BoundParams.for_universal(2, 9).C2 == 55
 
 
 def test_ub5_decreasing_in_rho_on_grid():
@@ -361,7 +360,7 @@ def test_certify_reports_worst_case_and_gate():
     net = butterfly_network()
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     coding = butterfly_coding(f, 1)
-    params = BoundParams.for_universal(1, 9)
+    params = BoundParams(C1=5, C2=19)
     swap = FieldMatrix(f, [[0, 1], [1, 0]])
     observations = constant_tap_observations(net, coding, 1, layout)
     res = certify_universal_zero(layout, observations, 1, params, swap)

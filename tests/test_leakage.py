@@ -92,9 +92,7 @@ def test_conditional_entropy_complements_leakage():
         B = random_matrix(GF(2), rng.randrange(1, 5), 4, rng)
         for sub in (SubsetIndex({1}), SubsetIndex({2}), SubsetIndex({1, 2})):
             res = exact_leakage(layout, L, B, sub)
-            assert res.nats + res.conditional_entropy_nats == pytest.approx(
-                res.k_sub * LN2
-            )
+            assert res.nats + res.kernel_dim * LN2 == pytest.approx(res.k_sub * LN2)
             assert res.kernel_dim <= min(res.k_sub, layout.mn - res.rank_b)
 
 
@@ -318,17 +316,8 @@ def test_average_zero_observation():
     f = GF(2)
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     zero = FieldMatrix.zeros(f, 1, 2)
-    model = EavesdropperModel("direct", 1, matrices=((zero, 1.0),))
-    res = average_leakage(
-        layout,
-        FieldMatrix.identity(f, 2),
-        model,
-        None,
-        None,
-        [SubsetIndex({1})],
-        random.Random(0),
-        20,
-    )["1"]
+    L = FieldMatrix.identity(f, 2)
+    res = next(average_over_support(layout, [L], [(zero, 1.0)], [SubsetIndex({1})]))["1"]
     assert res["mean_nats"] == 0.0
     assert res["mean_exp_rho"] == pytest.approx(1.0)
 

@@ -261,6 +261,11 @@ DIGEST_FIELD_SIZES = (2, 3, 4, 9, 256, 65521)
 # field up to GF(256) took that path.
 CHAR2_ENGINE_DIGEST = "ac66e64619f2c147a09271c0eeba09dadd1270f9cc3450885da10d7269016d84"
 CHAR2_DIGEST_FIELD_SIZES = (8, 16, 32, 64, 128)
+# The same recipe over fields whose rows are still lists (odd-characteristic
+# extensions and characteristic 2 above GF(256)); computed before their row
+# form is replaced.
+LIST_ENGINE_DIGEST = "4620f6ccb7a98d0ae159a260c684f486fe1b98db3b86e680b97fe234bd77f29b"
+LIST_DIGEST_FIELD_SIZES = (27, 81, 512, 625, 65536)
 
 
 def engine_digest(field_sizes) -> str:
@@ -311,6 +316,10 @@ def test_engine_outputs_are_pinned():
 
 def test_char2_engine_outputs_are_pinned():
     assert engine_digest(CHAR2_DIGEST_FIELD_SIZES) == CHAR2_ENGINE_DIGEST
+
+
+def test_list_row_engine_outputs_are_pinned():
+    assert engine_digest(LIST_DIGEST_FIELD_SIZES) == LIST_ENGINE_DIGEST
 
 
 # ---------------------------------------------------------
