@@ -71,7 +71,6 @@ from .network import (
     parallel_coding,
     parallel_network,
     realize_eavesdropper,
-    sample_eavesdropper,
 )
 from .rng import derive_rng
 

@@ -37,6 +37,7 @@ from .multiplex import (
     encode,
 )
 from .network import (
+    MAX_TAP_SETS,
     EavesdropperModel,
     LocalCoding,
     Network,
@@ -45,7 +46,6 @@ from .network import (
     butterfly_network,
     check_decodability,
     coding_from_json,
-    enumerate_eavesdropper_sets,
     observation_support,
     realize_eavesdropper,
 )
@@ -310,6 +310,13 @@ def build_plan(config: dict) -> ExperimentPlan:
             for i, link in enumerate(links):
                 if link not in known:
                     raise ConfigError(f"{where}[{i}] = {link!r} is not a link of the network")
+        # simulate lists every constant tap set for C_E and the guarantee
+        count = math.comb(len(known), model.mu)
+        if count > MAX_TAP_SETS:
+            raise ConfigError(
+                f"eavesdropper.mu = {model.mu} gives {count} tap sets of the network's "
+                f"{len(known)} links, more than {MAX_TAP_SETS}"
+            )
 
     bounds_doc = config.get("bounds", {})
     _require_keys(bounds_doc, {"rho", "C1", "C2"}, "bounds")
@@ -351,12 +358,25 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
     layout, model = plan.layout, plan.model
     seed = plan.seed
 
-    decodable = None
-    if plan.network is not None and plan.coding is not None:
+    decodable = guarantee = C_E = None
+    if plan.network is not None:
         decodable = all(
             check_decodability(plan.network, plan.coding, sink, t)
             for sink in plan.network.sinks
             for t in range(layout.m)
+        )
+        # the uniform constant tap sets, whatever the configured model
+        support = observation_support(
+            EavesdropperModel("traditional", model.mu), plan.network, plan.coding, layout
+        )
+        C_E = len(support)
+        guarantee = guarantee_experiment(
+            layout,
+            support,
+            model.mu,
+            plan.params,
+            derive_rng(seed, "guarantee"),
+            plan.trials_l,
         )
 
     L = sample_gl(layout.mn, layout.field, derive_rng(seed, "L"))
@@ -371,21 +391,6 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
     ]
     subsets = all_nonempty_subsets(layout.T)
     profiles = observation_profiles(layout, L, ObservationSpaces(layout, draws), subsets)
-
-    guarantee = None
-    if plan.network is not None and plan.coding is not None:
-        # the uniform constant tap sets, whatever the configured model
-        support = observation_support(
-            EavesdropperModel("traditional", model.mu), plan.network, plan.coding, layout
-        )
-        guarantee = guarantee_experiment(
-            layout,
-            support,
-            model.mu,
-            plan.params,
-            derive_rng(seed, "guarantee"),
-            plan.trials_l,
-        )
 
     rows = []
     for sub in subsets:
@@ -436,11 +441,7 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
         "eve_symbols": draws[0].nrows,
         "decodable": decodable,
         "decode_ok": decode_ok,
-        "C_E": (
-            len(enumerate_eavesdropper_sets(plan.network, model.mu))
-            if plan.network is not None
-            else None
-        ),
+        "C_E": C_E,
         "guarantee_fraction": guarantee["fraction_good"] if guarantee else None,
         "guarantee_threshold": guarantee["threshold"] if guarantee else None,
     }

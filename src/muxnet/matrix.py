@@ -57,6 +57,8 @@ class FieldMatrix:
         self.nrows = len(data)
         if data:
             self.ncols = len(data[0])
+            if ncols is not None and ncols != self.ncols:
+                raise ShapeError(f"rows have {self.ncols} columns, ncols = {ncols}")
         else:
             self.ncols = 0 if ncols is None else ncols
         q = field.q

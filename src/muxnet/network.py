@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -119,6 +120,8 @@ class LocalCoding:
     """
 
     def __init__(self, field: FieldSpec, n: int, slot_maps):
+        if not is_element(n, math.inf):  # n = 0 passes; check_decodability reads it
+            raise ValueError(f"n = {n!r} is not a nonnegative integer")
         self.field = field
         self.n = n
         self.slot_maps = tuple(dict(m) for m in slot_maps)
@@ -183,9 +186,13 @@ class EavesdropperModel:
     kind "traditional": one fixed mu-subset, constant over the block
     (links=None means uniformly random over all mu-subsets).
     kind "statistical": fresh mu-subset per slot from `distribution`
-    (None means uniform; otherwise a list of (links, weight) pairs).
+    (None means uniform; otherwise (links, weight) pairs, each weight a
+    finite number >= 0 and their sum a positive float).
     kind "direct": a raw observation matrix, uniform over the full-rank
     mu*m x m*n matrices.
+    Every field is checked when the model is built: mu is a plain int
+    >= 1, and `links` on a non-traditional model or `distribution` on a
+    non-statistical one raises ValueError instead of being ignored.
     """
 
     kind: str
@@ -196,8 +203,13 @@ class EavesdropperModel:
     def __post_init__(self):
         if self.kind not in ("traditional", "statistical", "direct"):
             raise ValueError(f"unknown eavesdropper kind {self.kind!r}")
+        if not is_element(self.mu, math.inf):
+            raise ValueError(f"mu = {self.mu!r} is not an integer")
         if self.mu < 1:
             raise ValueError("mu must be at least 1")
+        for name, reader in (("links", "traditional"), ("distribution", "statistical")):
+            if getattr(self, name) is not None and self.kind != reader:
+                raise ValueError(f"{name} is read only by the {reader} kind, not {self.kind!r}")
         if self.links is not None:
             links = tuple(self.links)
             if len(set(links)) != len(links):
@@ -207,9 +219,14 @@ class EavesdropperModel:
             object.__setattr__(self, "links", links)
         if self.distribution is not None:
             entries = tuple((tuple(s), w) for s, w in self.distribution)
-            for links, _ in entries:
+            for links, w in entries:
                 if len(set(links)) != len(links) or len(links) != self.mu:
                     raise DuplicateLink(f"distribution entry {links} is not a mu-subset")
+                if not (type(w) in (int, float) and 0 <= w <= sys.float_info.max):
+                    raise ValueError(f"distribution weight {w!r} of {links} is not finite and >= 0")
+            total = sum(w for _, w in entries)
+            if not 0 < total <= sys.float_info.max:
+                raise ValueError(f"distribution weights sum to {total}, not a positive float")
             object.__setattr__(self, "distribution", entries)
 
 
@@ -304,45 +321,6 @@ def enumerate_eavesdropper_sets(net: Network, mu: int) -> list[tuple[str, ...]]:
     return [tuple(c) for c in itertools.combinations(ids, mu)]
 
 
-def sample_eavesdropper(
-    model: EavesdropperModel,
-    net: Network | None,
-    layout: MultiplexLayout,
-    rng: random.Random,
-):
-    """Draw one eavesdropper realization.
-
-    Returns a list of m tap sets for the traditional and statistical kinds,
-    or the observation matrix for kind "direct".
-    """
-    if model.mu > layout.n:
-        raise InfeasibleMu(f"mu = {model.mu} exceeds n = {layout.n}")
-    if model.kind == "direct":
-        return sample_full_rank(layout.field, model.mu * layout.m, layout.mn, rng)
-    if net is None:
-        raise ValueError(f"{model.kind} model requires a network")
-    ids = sorted(net.link_ids())
-    if model.mu > len(ids):
-        raise InfeasibleMu(f"mu = {model.mu} exceeds the {len(ids)} links available")
-    if model.kind == "traditional":
-        if model.links is not None:
-            chosen = tuple(model.links)
-        else:
-            chosen = tuple(sorted(rng.sample(ids, model.mu)))
-        return [chosen] * layout.m
-    # statistical: independent draw per slot
-    out = []
-    for _ in range(layout.m):
-        if model.distribution is None:
-            out.append(tuple(sorted(rng.sample(ids, model.mu))))
-        else:
-            sets = [s for s, _ in model.distribution]
-            weights = [w for _, w in model.distribution]
-            pick = rng.choices(range(len(sets)), weights=weights)[0]
-            out.append(sets[pick])
-    return out
-
-
 def _check_observation(layout: MultiplexLayout, B: FieldMatrix) -> None:
     """B observes words of `layout`: m*n columns over its field."""
     if B.field != layout.field or B.ncols != layout.mn:
@@ -388,13 +366,28 @@ def realize_eavesdropper(
     layout: MultiplexLayout,
     rng: random.Random,
 ) -> FieldMatrix:
-    """Draw a realization and materialize its observation matrix."""
-    drawn = sample_eavesdropper(model, net, layout, rng)
-    if isinstance(drawn, FieldMatrix):
-        return drawn
+    """Draw one realization of `model` and return its observation matrix:
+    `eavesdrop_matrix` of the drawn tap sets, or for a direct model the drawn
+    B itself, which needs no network.  mu, the network and its coding are
+    checked before any draw."""
+    if model.mu > layout.n:
+        raise InfeasibleMu(f"mu = {model.mu} exceeds n = {layout.n}")
+    if model.kind == "direct":
+        return sample_full_rank(layout.field, model.mu * layout.m, layout.mn, rng)
     if net is None or coding is None:
-        raise ValueError("tap-set models need a network and its coding")
-    return eavesdrop_matrix(net, coding, drawn, layout)
+        raise ValueError(f"{model.kind} model requires a network and its coding")
+    ids = sorted(net.link_ids())
+    if model.mu > len(ids):
+        raise InfeasibleMu(f"mu = {model.mu} exceeds the {len(ids)} links available")
+    if model.kind == "traditional":
+        chosen = model.links or tuple(sorted(rng.sample(ids, model.mu)))
+        slots = [chosen] * layout.m
+    elif model.distribution is None:
+        slots = [tuple(sorted(rng.sample(ids, model.mu))) for _ in range(layout.m)]
+    else:
+        sets = [s for s, _ in model.distribution]
+        slots = rng.choices(sets, [w for _, w in model.distribution], k=layout.m)
+    return eavesdrop_matrix(net, coding, slots, layout)
 
 
 def constant_tap_observations(

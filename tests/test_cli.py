@@ -4,10 +4,12 @@ import hashlib
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from muxnet import network
 from muxnet.cli import main
 from muxnet.errors import ConfigError
 from muxnet.experiments import (
@@ -22,6 +24,7 @@ from muxnet.experiments import (
     run_simulate,
     run_sweep,
 )
+from muxnet.network import MAX_TAP_SETS
 
 BUTTERFLY_CONFIG = {
     "id": "bf",
@@ -107,6 +110,9 @@ def with_inline(key, value):
                  "eavesdropper.distribution[0].p", id="infinite-p"),
     pytest.param("eavesdropper", statistical([{"links": ["e7"], "p": 0}]),
                  "eavesdropper.distribution", id="zero-total-weight"),
+    pytest.param("eavesdropper", statistical(
+        [{"links": ["e7"], "p": 1e308}, {"links": ["e1"], "p": 1e308}]),
+        "distribution weights sum to inf", id="overflowing-total-weight"),
     pytest.param("eavesdropper", statistical([5]),
                  "eavesdropper.distribution[0]", id="entry-not-object"),
     pytest.param("eavesdropper", statistical([{"links": ["e1", "e2"], "p": 1}]),
@@ -371,6 +377,46 @@ def test_simulate_direct_mode_needs_no_network():
     assert meta["decodable"] is None
     assert rows[0]["guarantee_fraction"] is None
     assert rows[0]["rank_B"] == 1
+
+
+def test_simulate_enumerates_tap_sets_once_before_the_draws(monkeypatch):
+    # C_E and the guarantee support share one list of the constant tap
+    # sets, made before the first eavesdropper draw.
+    calls = []
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "muxnet"]
+    for name in ("enumerate_eavesdropper_sets", "realize_eavesdropper"):
+        original = getattr(network, name)
+
+        def record(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, record)
+    meta, _ = run_simulate(BUTTERFLY_CONFIG)
+    assert meta["C_E"] == 9
+    assert calls.count("enumerate_eavesdropper_sets") == 1
+    assert calls.index("enumerate_eavesdropper_sets") < calls.index("realize_eavesdropper")
+
+
+def test_tap_set_bound_checked_at_the_config_boundary():
+    # 40 parallel links and mu = 4 give C(40, 4) = 91,390 constant tap
+    # sets; simulate would list them all after its draws.
+    links = [{"id": f"e{j}", "tail": "s", "head": "t"} for j in range(1, 41)]
+    config = {
+        "layout": {"q": 2, "m": 1, "n": 4, "T": 1, "k": [2, 2]},
+        "network": {"inline": {
+            "nodes": ["s", "t"], "source": "s", "sinks": ["t"], "links": links, "coding": "random",
+        }},
+        "eavesdropper": {"kind": "traditional", "mu": 4},
+        "trials": {"L": 4, "B": 2000},
+    }
+    with pytest.raises(ConfigError) as exc:
+        build_plan(config)
+    assert all(part in str(exc.value) for part in ("eavesdropper.mu", "91390", str(MAX_TAP_SETS)))
+    config["eavesdropper"]["mu"] = 3  # C(40, 3) = 9,880
+    assert build_plan(config).model.mu == 3
 
 
 def test_simulate_deterministic_csv_bytes(tmp_path):

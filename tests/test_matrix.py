@@ -153,6 +153,8 @@ def test_shape_errors():
     f = GF(2)
     with pytest.raises(ShapeError):
         FieldMatrix(f, [[1, 0], [1]])
+    with pytest.raises(ShapeError, match="ncols = 3"):
+        FieldMatrix(GF(3), [[1, 0]], ncols=3)
     with pytest.raises(ShapeError):
         FieldMatrix(f, [[1, 0]]) @ FieldMatrix(f, [[1, 0]])
     with pytest.raises(ShapeError):

@@ -1,6 +1,9 @@
 """Network coding propagation, decodability, and eavesdropper machinery."""
 
+import hashlib
+import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +22,7 @@ from muxnet import (
     enumerate_eavesdropper_sets,
     global_coding_vectors,
     realize_eavesdropper,
-    sample_eavesdropper,
+    sample_full_rank,
 )
 from muxnet.errors import (
     CycleDetected,
@@ -107,6 +110,15 @@ def test_source_input_keys_are_never_coerced(key):
     coding = LocalCoding(GF(3), 2, [{"e1": {key: 1}, "e2": {1: 1}}])
     with pytest.raises(MissingCoefficient, match=r"references input .* outside 0\.\.1"):
         global_coding_vectors(parallel_network(2), coding, 0)
+
+
+def test_local_coding_input_count_is_a_plain_int():
+    for n in (1.5, True, -1, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"n = {n!r}")):
+            LocalCoding(GF(3), n, [{}])
+    # n = 0 is kept: a sink with no incoming links decodes zero inputs
+    empty = Network(["s", "t"], "s", [], ["t"])
+    assert check_decodability(empty, LocalCoding(GF(3), 0, [{}]), "t", 0)
 
 
 def test_vectors_deterministic_per_seed():
@@ -239,29 +251,98 @@ def test_eavesdrop_blocks_follow_each_slot_map(which):
 # sampling
 # ---------------------------------------------------------
 
+# sha256 of `draw_digest()`; computed before the tap-set sampler was folded
+# into realize_eavesdropper, which must leave every draw, and the number of
+# RNG draws, unchanged.
+DRAW_DIGEST = "325f126ed667a7f5b00b55871e674de7b0b4e4c6e5982701b1f40cd0c78b7a07"
+
+
+def draw_digest() -> str:
+    """sha256 over 20 seeded realize_eavesdropper draws of each model kind
+    (traditional fixed and uniform, statistical uniform and weighted,
+    direct) on the butterfly under a random coding, at q in {2, 3, 256}."""
+    h = hashlib.sha256()
+    net = butterfly_network()
+    weighted = ((("e1", "e2"), 1.0), (("e3", "e7"), 2.0), (("e5", "e9"), 0.5))
+    models = (
+        EavesdropperModel("traditional", 2, links=("e3", "e7")),
+        EavesdropperModel("traditional", 2),
+        EavesdropperModel("statistical", 2),
+        EavesdropperModel("statistical", 2, distribution=weighted),
+        EavesdropperModel("direct", 2),
+    )
+    for q in (2, 3, 256):
+        f = GF(q)
+        layout = MultiplexLayout(f, 3, 2, 1, (3, 3))
+        coding = LocalCoding.random(net, f, 2, 3, random.Random(q + 1))
+        rng = random.Random(q)
+        for model in models:
+            for _ in range(20):
+                B = realize_eavesdropper(model, net, coding, layout, rng)
+                h.update(repr(B.as_tuples()).encode())
+        h.update(repr(rng.random()).encode())  # pins the number of draws as well
+    return h.hexdigest()
+
+
+def test_eavesdropper_draws_are_pinned():
+    assert draw_digest() == DRAW_DIGEST
+
+
 def test_traditional_sampling_repeats_fixed_set():
     net = butterfly_network()
     f = GF(2)
+    coding = butterfly_coding(f, 3)
     layout = MultiplexLayout(f, 3, 2, 1, (3, 3))
     model = EavesdropperModel("traditional", 1, links=("e3",))
-    drawn = sample_eavesdropper(model, net, layout, random.Random(0))
-    assert drawn == [("e3",)] * 3
+    B = realize_eavesdropper(model, net, coding, layout, random.Random(0))
+    assert B == eavesdrop_matrix(net, coding, [("e3",)] * 3, layout)
 
 
 def test_statistical_sampling_uniform_chi2():
     net = parallel_network(2)
     f = GF(2)
+    coding = parallel_coding(f, 2, 1)
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     model = EavesdropperModel("statistical", 1)
     rng = random.Random(20210907)
+    tapped = {
+        eavesdrop_matrix(net, coding, [(link,)], layout).as_tuples()[0]: link
+        for link in ("e1", "e2")
+    }
     counts = {"e1": 0, "e2": 0}
     n = 10_000
     for _ in range(n):
-        (slot,) = sample_eavesdropper(model, net, layout, rng)
-        counts[slot[0]] += 1
+        (row,) = realize_eavesdropper(model, net, coding, layout, rng).as_tuples()
+        counts[tapped[row]] += 1
     expected = n / 2
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 <= CHI2_CRIT_DF1
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    pytest.param(dict(kind="traditional", mu=True), "mu = True", id="bool-mu"),
+    pytest.param(dict(kind="traditional", mu=1.0), "mu = 1.0", id="float-mu"),
+    pytest.param(dict(kind="statistical", mu=1, links=("e7",)), "links", id="links-on-statistical"),
+    pytest.param(dict(kind="direct", mu=1, links=("e7",)), "links", id="links-on-direct"),
+    pytest.param(dict(kind="traditional", mu=1, distribution=((("e7",), 1.0),)), "distribution",
+                 id="distribution-on-traditional"),
+    pytest.param(dict(kind="direct", mu=1, distribution=((("e7",), 1.0),)), "distribution",
+                 id="distribution-on-direct"),
+    pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), -1.0), (("e1",), 2.0))),
+                 "weight -1.0", id="negative-weight"),
+    pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), math.nan),)),
+                 "weight nan", id="nan-weight"),
+    pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), 10**400),)),
+                 "is not finite", id="overflowing-weight"),
+    pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), 0.0), (("e1",), 0))),
+                 "distribution weights sum to 0", id="zero-total-weight"),
+    pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), 1e308), (("e1",), 1e308))),
+                 "distribution weights sum to inf", id="overflowing-total-weight"),
+])
+def test_eavesdropper_model_rejects_bad_or_unread_fields(kwargs, named):
+    # each would otherwise be coerced, ignored, or fail only while sampling
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EavesdropperModel(**kwargs)
 
 
 def test_distribution_entry_must_be_a_mu_subset():
@@ -273,10 +354,12 @@ def test_distribution_entry_must_be_a_mu_subset():
 def test_statistical_weighted_distribution():
     net = parallel_network(2)
     f = GF(2)
+    coding = parallel_coding(f, 2, 1)
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
     model = EavesdropperModel("statistical", 1, distribution=((("e1",), 1.0),))
+    expected = eavesdrop_matrix(net, coding, [("e1",)], layout)
     for _ in range(5):
-        assert sample_eavesdropper(model, net, layout, random.Random(1)) == [("e1",)]
+        assert realize_eavesdropper(model, net, coding, layout, random.Random(1)) == expected
 
 
 def test_direct_sampling_rank_invariant():
@@ -284,34 +367,44 @@ def test_direct_sampling_rank_invariant():
     layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
     model = EavesdropperModel("direct", 1)
     rng = random.Random(8)
+    replay = random.Random(8)
     for _ in range(40):
-        B = sample_eavesdropper(model, None, layout, rng)
+        B = realize_eavesdropper(model, None, None, layout, rng)
         assert B.nrows == 2 and B.ncols == 4
-        assert B.rank() <= 2
+        assert B.rank() == 2
+        assert B == sample_full_rank(f, 2, 4, replay)
 
 
 def test_mu_validation():
     net = parallel_network(2)
     f = GF(2)
     layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
+    coding = parallel_coding(f, 2, 1)
     with pytest.raises(InfeasibleMu):
-        sample_eavesdropper(EavesdropperModel("traditional", 3), net, layout, random.Random(0))
+        realize_eavesdropper(
+            EavesdropperModel("traditional", 3), net, coding, layout, random.Random(0)
+        )
     tiny = parallel_network(2)
     layout5 = MultiplexLayout(GF(2), 1, 5, 1, (2, 3))
     with pytest.raises(InfeasibleMu):
-        sample_eavesdropper(
-            EavesdropperModel("statistical", 3), tiny, layout5, random.Random(0)
+        realize_eavesdropper(
+            EavesdropperModel("statistical", 3), tiny, LocalCoding(f, 5, [{}]), layout5,
+            random.Random(0),
         )
 
 
 def test_realize_traditional_matches_eavesdrop_matrix():
+    # a uniform traditional model taps one sorted mu-subset, drawn once
     net = butterfly_network()
     f = GF(2)
     coding = butterfly_coding(f, 2)
     layout = MultiplexLayout(f, 2, 2, 1, (2, 2))
-    model = EavesdropperModel("traditional", 1, links=("e7",))
-    B = realize_eavesdropper(model, net, coding, layout, random.Random(0))
-    assert B == eavesdrop_matrix(net, coding, [("e7",)] * 2, layout)
+    model = EavesdropperModel("traditional", 2)
+    rng, replay = random.Random(0), random.Random(0)
+    for _ in range(10):
+        B = realize_eavesdropper(model, net, coding, layout, rng)
+        chosen = tuple(sorted(replay.sample(sorted(net.link_ids()), 2)))
+        assert B == eavesdrop_matrix(net, coding, [chosen] * 2, layout)
 
 
 # ---------------------------------------------------------
