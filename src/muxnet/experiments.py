@@ -9,7 +9,6 @@ byte-identical across runs and across sweep parallelization.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
@@ -495,6 +494,8 @@ def run_sweep(config: dict, param: str, values, parallel: int = 1) -> list[dict]
     jobs = [(json.dumps(config, sort_keys=True), param, v) for v in values]
     workers = min(parallel, len(jobs))
     if workers > 1:
+        import concurrent.futures  # a serial sweep never loads the pool machinery
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:

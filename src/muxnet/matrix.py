@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import random
 import struct
 
@@ -52,6 +53,8 @@ class FieldMatrix:
     __slots__ = ("field", "nrows", "ncols", "_rows", "_inverse")
 
     def __init__(self, field: FieldSpec, rows, ncols: int | None = None):
+        if ncols is not None and not is_element(ncols, math.inf):
+            raise ValueError(f"ncols = {ncols!r} is not a non-negative integer")
         data = [list(r) for r in rows]
         self.field = field
         self.nrows = len(data)

@@ -12,7 +12,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
@@ -200,6 +199,8 @@ def hash_collision_probability(layout: MultiplexLayout, subset: SubsetIndex) -> 
     (#nonzero vectors killed by the projection) / (q^mn - 1), the same
     for every d.  Returned as an exact rational.
     """
+    from fractions import Fraction  # only this exact-rational path needs it
+
     k_sub = layout.subset_length(subset)
     kernel_size = layout.q ** (layout.mn - k_sub)
     return Fraction(kernel_size - 1, layout.q ** layout.mn - 1)

@@ -163,6 +163,21 @@ def test_shape_errors():
         FieldMatrix.identity(f, 2).solve([1])
 
 
+@pytest.mark.parametrize("ncols", [-1, 1.5, True])
+def test_ncols_must_be_a_non_negative_int(ncols):
+    with pytest.raises(ValueError, match="ncols"):
+        FieldMatrix(GF(2), [], ncols=ncols)
+
+
+def test_empty_matrix_keeps_a_valid_ncols():
+    f = GF(2)
+    assert FieldMatrix(f, [], ncols=0).ncols == 0
+    assert FieldMatrix(f, [], ncols=3).ncols == 3
+    zeros = FieldMatrix.zeros(f, 0, 3)
+    assert (zeros.nrows, zeros.ncols) == (0, 3)
+    assert zeros.kernel().ncols == 3
+
+
 # ---------------------------------------------------------
 # GL sampling
 # ---------------------------------------------------------
