@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
+from .fields import is_element
 from .matrix import FieldMatrix, all_vectors, enumerate_gl, sample_gl
 from .multiplex import MultiplexLayout, SubsetIndex, all_nonempty_subsets
 from .leakage import average_over_support, worst_case_leakage
@@ -43,17 +45,22 @@ class JointDistribution:
     _marginal_z: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.probs)
-        object.__setattr__(self, "probs", rows)
+        rows = tuple(tuple(row) for row in self.probs)
         if not rows or not rows[0]:
-            raise ValueError("joint table must be nonempty")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("joint table must be rectangular")
-        if any(v < 0 for r in rows for v in r):
-            raise ValueError("probabilities must be nonnegative")
+            raise ValueError("probs is empty")
+        for x, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"probs[{x}] has {len(row)} cells, expected {len(rows[0])}")
+            for z, v in enumerate(row):
+                # nan fails both comparisons; bool, str and ints beyond the
+                # float range fail too
+                if not (type(v) in (int, float) and 0 <= v <= sys.float_info.max):
+                    raise ValueError(f"probs[{x}][{z}] = {v!r} is not a finite number >= 0")
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        object.__setattr__(self, "probs", rows)
         total = sum(v for r in rows for v in r)
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"joint table sums to {total}, expected 1")
+            raise ValueError(f"probs sums to {total}, expected 1")
 
     @property
     def nx(self) -> int:
@@ -113,13 +120,14 @@ class HashFamilySpec:
 
     def __post_init__(self):
         if not self.maps:
-            raise ValueError("family must be nonempty")
+            raise ValueError("maps is empty")
         nx = len(self.maps[0])
-        for fmap in self.maps:
+        for f, fmap in enumerate(self.maps):
             if len(fmap) != nx:
-                raise ValueError("family maps must share a domain")
-            if any(not 0 <= s < self.output_size for s in fmap):
-                raise ValueError("map value outside the output range")
+                raise ValueError(f"maps[{f}] has {len(fmap)} values, expected {nx}")
+            for x, s in enumerate(fmap):
+                if not is_element(s, self.output_size):
+                    raise ValueError(f"maps[{f}][{x}] = {s!r} is not an integer in [0, {self.output_size})")
 
     @property
     def domain_size(self) -> int:
@@ -256,12 +264,12 @@ class BoundParams:
 
     def validate_for(self, T: int) -> "BoundParams":
         floor = 2 * (2**T - 1)
+        # each comparison is written so that nan fails it
         if not 0 < self.rho <= 1:
             raise ValueError(f"rho = {self.rho} outside (0, 1]")
-        if self.C1 <= floor:
-            raise ValueError(f"C1 = {self.C1} must exceed 2(2^T - 1) = {floor}")
-        if self.C2 <= floor:
-            raise ValueError(f"C2 = {self.C2} must exceed 2(2^T - 1) = {floor}")
+        for name, c in (("C1", self.C1), ("C2", self.C2)):
+            if not floor < c < math.inf:
+                raise ValueError(f"{name} = {c} must be finite and exceed 2(2^T - 1) = {floor}")
         return self
 
     @classmethod

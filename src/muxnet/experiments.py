@@ -38,13 +38,13 @@ from .multiplex import (
 from .network import (
     MAX_TAP_SETS,
     EavesdropperModel,
+    Link,
     LocalCoding,
     Network,
     ObservationSpaces,
     butterfly_coding,
     butterfly_network,
     check_decodability,
-    coding_from_json,
     observation_support,
     realize_eavesdropper,
 )
@@ -124,64 +124,103 @@ def _json_number(value, where: str):
     return value
 
 
+def _json_list(doc, where: str) -> list:
+    if not isinstance(doc, list):
+        raise ConfigError(f"{where} must be a list, got {doc!r}")
+    return doc
+
+
 def _json_ints(doc, where: str) -> list[int]:
-    if not isinstance(doc, list):
-        raise ConfigError(f"{where} must be a list of integers, got {doc!r}")
-    return [_json_int(v, f"{where}[{i}]") for i, v in enumerate(doc)]
+    return [_json_int(v, f"{where}[{i}]") for i, v in enumerate(_json_list(doc, where))]
 
 
-def _tap_set(doc, mu: int, where: str) -> tuple[str, ...]:
-    """A list of mu distinct link ids; whether the network has them is
-    checked once the network is built."""
-    if not isinstance(doc, list):
-        raise ConfigError(f"{where} must be a list of link ids, got {doc!r}")
-    for i, link in enumerate(doc):
-        if not isinstance(link, str):
-            raise ConfigError(f"{where}[{i}] = {link!r} is not a link id")
-        if link in doc[:i]:
-            raise ConfigError(f"{where}[{i}] = {link!r} repeats a link")
-    if len(doc) != mu:
-        raise ConfigError(f"{where} has {len(doc)} links, but mu = {mu}")
+def _json_strs(doc, where: str, what: str) -> tuple[str, ...]:
+    """A list of strings, each `what` (a node name, a link id)."""
+    for i, s in enumerate(_json_list(doc, where)):
+        if not isinstance(s, str):
+            raise ConfigError(f"{where}[{i}] = {s!r} is not {what}")
     return tuple(doc)
 
 
-def _distribution(doc, mu: int) -> tuple[tuple[tuple[str, ...], float], ...]:
-    if not isinstance(doc, list):
-        raise ConfigError(f"eavesdropper.distribution must be a list, got {doc!r}")
+def _built(where: str, make, *args):
+    """`make(*args)`: a library type built, or checked, from one config
+    section.  The library's ValueError starts with the offending field, so
+    it is reported as a ConfigError at the section's JSON path `where`
+    followed by that message."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+
+
+def _distribution(doc) -> tuple[tuple[tuple[str, ...], object], ...]:
+    """The (links, p) entries of eavesdropper.distribution; the model
+    checks their values."""
     out = []
-    for i, entry in enumerate(doc):
+    for i, entry in enumerate(_json_list(doc, "eavesdropper.distribution")):
         where = f"eavesdropper.distribution[{i}]"
         _require_keys(entry, {"links", "p"}, where)
-        p = _json_number(entry.get("p"), f"{where}.p")
-        if p < 0:
-            raise ConfigError(f"{where}.p = {p!r} is negative")
-        out.append((_tap_set(entry.get("links"), mu, f"{where}.links"), float(p)))
-    if sum(p for _, p in out) == 0:
-        raise ConfigError("eavesdropper.distribution weights sum to 0")
+        out.append((_json_strs(entry.get("links"), f"{where}.links", "a link id"), entry.get("p")))
     return tuple(out)
 
 
-def _network_document(doc, where: str) -> dict:
-    """Check the JSON types of a network document; `where` prefixes each path."""
+def _network_from_document(
+    doc, where: str, field, n: int, m: int, rng
+) -> tuple[Network, LocalCoding]:
+    """The network and coding of a network document; `where` prefixes each
+    JSON path.
+
+    The document is {"nodes", "source", "sinks", "links": [{"id", "tail",
+    "head"}], "coding"}.  Its JSON types are checked here and its values by
+    `Network` and `LocalCoding`.  "coding" is "random" (the default: iid
+    uniform coefficients, the same in every slot) or a map link id ->
+    {key: coefficient}, where a source link's key is an input index, the
+    decimal string of one of 0..n-1, and any other link's key an incoming
+    link id.
+    """
     _require_keys(doc, {"nodes", "source", "sinks", "links", "coding"}, where.rstrip(".: "))
     for key in ("nodes", "source", "sinks", "links"):
         if key not in doc:
             raise ConfigError(f"{where}{key} is required")
     if not isinstance(doc["source"], str):
         raise ConfigError(f"{where}source must be a node name, got {doc['source']!r}")
-    for key in ("nodes", "sinks", "links"):
-        if not isinstance(doc[key], list):
-            raise ConfigError(f"{where}{key} must be a list, got {doc[key]!r}")
-    for key in ("nodes", "sinks"):
-        for i, name in enumerate(doc[key]):
-            if not isinstance(name, str):
-                raise ConfigError(f"{where}{key}[{i}] = {name!r} is not a node name")
-    for i, link in enumerate(doc["links"]):
+    nodes = _json_strs(doc["nodes"], f"{where}nodes", "a node name")
+    sinks = _json_strs(doc["sinks"], f"{where}sinks", "a node name")
+    links = []
+    for i, link in enumerate(_json_list(doc["links"], f"{where}links")):
         _require_keys(link, {"id", "tail", "head"}, f"{where}links[{i}]")
         for key in ("id", "tail", "head"):
             if not isinstance(link.get(key), str):
                 raise ConfigError(f"{where}links[{i}].{key} = {link.get(key)!r} is not a string")
-    return doc
+        links.append(Link(link["id"], link["tail"], link["head"]))
+    network = _built(where, Network, nodes, doc["source"], links, sinks)
+    emitted = len(network.out_links(network.source))
+    if emitted < n:
+        raise ConfigError(f"{where}source has {emitted} outgoing links, fewer than layout.n = {n}")
+
+    coding = doc.get("coding", "random")
+    if coding == "random":
+        return network, LocalCoding.random(network, field, n, m, rng)
+    if not isinstance(coding, dict):
+        raise ConfigError(f'{where}coding = {coding!r} is neither "random" nor an object')
+    tails = {link.id: link.tail for link in links}
+    # str(j) is input j's one spelling, so "00" cannot name input 0 twice
+    inputs = {str(j): j for j in range(n)}
+    coeffs: dict = {}
+    for link_id, inner in coding.items():
+        at = f"{where}coding[{link_id!r}]"
+        if not isinstance(inner, dict):
+            raise ConfigError(f"{at} = {inner!r} is not an object")
+        if link_id not in tails:
+            raise ConfigError(f"{at} names no link of the network")
+        keyed = {str(key): c for key, c in inner.items()}
+        if tails[link_id] == network.source:
+            for key in keyed:
+                if key not in inputs:
+                    raise ConfigError(f"{at}[{key!r}] is not a source input in 0..{n - 1}")
+            keyed = {inputs[key]: c for key, c in keyed.items()}
+        coeffs[link_id] = keyed
+    return network, _built(where, LocalCoding.constant, field, n, coeffs, m)
 
 
 @dataclass
@@ -208,7 +247,14 @@ def _config_header(config, allowed: set[str], where: str) -> tuple[int, str]:
 
 
 def build_plan(config: dict) -> ExperimentPlan:
-    """Validate a config document and materialize every component."""
+    """Check a config document and materialize every component.
+
+    Only JSON shapes are checked here: objects, known keys, lists, and the
+    numbers no library type owns.  The library type built from a section
+    checks that section's values; `_built` reports its error at the
+    section's JSON path.  Rules that join two sections (mu <= n, tap sets
+    of the network's links) are checked here once both are built.
+    """
     seed, experiment_id = _config_header(
         config,
         {"id", "field", "layout", "network", "eavesdropper", "bounds", "seed", "trials"},
@@ -224,83 +270,61 @@ def build_plan(config: dict) -> ExperimentPlan:
     for key in ("q", "m", "n", "k"):
         if key not in layout_doc:
             raise ConfigError(f"layout.{key} is required")
-    q = _json_int(layout_doc["q"], "layout.q")
-    modulus = None
+    # GF checks q before any modulus; the two live in different sections
+    field = _built("layout.", GF, _json_int(layout_doc["q"], "layout.q"))
     if "modulus" in field_doc:
         modulus = tuple(_json_ints(field_doc["modulus"], "field.modulus"))
-    k = tuple(_json_ints(layout_doc["k"], "layout.k"))
-    m = _json_int(layout_doc["m"], "layout.m")
-    n = _json_int(layout_doc["n"], "layout.n")
-    T = _json_int(layout_doc.get("T", len(k) - 1), "layout.T")
-    try:
-        field = GF(q, modulus)
-        layout = MultiplexLayout(field, m, n, T, k)
-    except ValueError as exc:
-        # GF names its modulus argument, which a config spells field.modulus
-        message = str(exc)
-        raise ConfigError(f"field.{message}" if message.startswith("modulus") else message) from exc
+        field = _built("field.", GF, field.q, modulus)
+    k = tuple(_json_list(layout_doc["k"], "layout.k"))
+    layout = _built(
+        "layout.", MultiplexLayout,
+        field, layout_doc["m"], layout_doc["n"], layout_doc.get("T", len(k) - 1), k,
+    )
 
     eav_doc = config.get("eavesdropper")
     if eav_doc is None:
         raise ConfigError("config is missing the eavesdropper section")
     _require_keys(eav_doc, {"kind", "mu", "links", "distribution"}, "eavesdropper")
-    kind = eav_doc.get("kind", "traditional")
-    for key, reader in (("links", "traditional"), ("distribution", "statistical")):
-        if key in eav_doc and kind != reader:
-            raise ConfigError(f"eavesdropper.{key} is read only by the {reader} kind, not {kind!r}")
-    mu = _json_int(eav_doc.get("mu", 1), "eavesdropper.mu")
-    links = eav_doc.get("links")
-    if links is not None:
-        links = _tap_set(links, mu, "eavesdropper.links")
-    distribution = eav_doc.get("distribution")
-    if distribution is not None:
-        distribution = _distribution(distribution, mu)
-    try:
-        model = EavesdropperModel(
-            kind=kind, mu=mu, links=links, distribution=distribution
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad eavesdropper section: {exc}") from exc
+    links = distribution = None
+    if "links" in eav_doc:
+        links = _json_strs(eav_doc["links"], "eavesdropper.links", "a link id")
+    if "distribution" in eav_doc:
+        distribution = _distribution(eav_doc["distribution"])
+    model = _built(
+        "eavesdropper.", EavesdropperModel,
+        eav_doc.get("kind", "traditional"), eav_doc.get("mu", 1), links, distribution,
+    )
     if model.mu > layout.n:
         raise ConfigError(f"eavesdropper.mu = {model.mu} exceeds layout.n = {layout.n}")
 
     network = None
     coding = None
     net_doc = config.get("network")
-    if model.kind != "direct":
-        if net_doc is None:
-            raise ConfigError(f"{model.kind} eavesdropper requires a network")
-    if net_doc is not None:
-        coding_rng = derive_rng(seed, "coding")
-        try:
-            if net_doc == "butterfly":
-                network = butterfly_network()
-                if layout.n != 2:
-                    raise ConfigError("the butterfly preset has n = 2")
-                coding = butterfly_coding(field, layout.m)
-            elif isinstance(net_doc, dict) and len(net_doc) == 1 and set(net_doc) <= {"path", "inline"}:
-                if "path" in net_doc:
-                    path = net_doc["path"]
-                    if not isinstance(path, str):
-                        raise ConfigError(f"network.path must be a string, got {path!r}")
-                    with open(path, "r", encoding="utf-8") as fh:
-                        doc = json.load(fh)
-                    where = f"network document {path!r}: "
-                else:
-                    doc = net_doc["inline"]
-                    where = "network.inline."
-                network = Network.from_json(_network_document(doc, where))
-                coding = coding_from_json(
-                    network, doc.get("coding", "random"), field, layout.n, layout.m, coding_rng
-                )
-            else:
-                raise ConfigError(f"unrecognized network source {net_doc!r}")
-        except ConfigError:
-            raise
-        except (OSError, ValueError, MuxnetError) as exc:
-            raise ConfigError(f"bad network section: {exc}") from exc
-        if len(network.out_links(network.source)) < layout.n:
-            raise ConfigError("network source cannot emit n symbols per slot")
+    if model.kind != "direct" and net_doc is None:
+        raise ConfigError(f"{model.kind} eavesdropper requires a network")
+    if net_doc == "butterfly":
+        if layout.n != 2:
+            raise ConfigError("the butterfly preset has n = 2")
+        network, coding = butterfly_network(), butterfly_coding(field, layout.m)
+    elif isinstance(net_doc, dict) and len(net_doc) == 1 and set(net_doc) <= {"path", "inline"}:
+        if "path" in net_doc:
+            path = net_doc["path"]
+            if not isinstance(path, str):
+                raise ConfigError(f"network.path must be a string, got {path!r}")
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+            except (OSError, ValueError) as exc:  # unreadable, or not JSON
+                raise ConfigError(f"network.path = {path!r} is not a readable JSON file: {exc}") from exc
+            where = f"network document {path!r}: "
+        else:
+            doc, where = net_doc["inline"], "network.inline."
+        network, coding = _network_from_document(
+            doc, where, field, layout.n, layout.m, derive_rng(seed, "coding")
+        )
+    elif net_doc is not None:
+        raise ConfigError(f"unrecognized network source {net_doc!r}")
+    if network is not None:
         known = set(network.link_ids())
         tap_sets = [("eavesdropper.links", model.links)] if model.links is not None else []
         for i, (links, _) in enumerate(model.distribution or ()):
@@ -320,14 +344,12 @@ def build_plan(config: dict) -> ExperimentPlan:
     bounds_doc = config.get("bounds", {})
     _require_keys(bounds_doc, {"rho", "C1", "C2"}, "bounds")
     defaults = BoundParams.defaults(layout.T)
-    try:
-        params = BoundParams(
-            C1=float(_json_number(bounds_doc.get("C1", defaults.C1), "bounds.C1")),
-            C2=float(_json_number(bounds_doc.get("C2", defaults.C2), "bounds.C2")),
-            rho=float(_json_number(bounds_doc.get("rho", defaults.rho), "bounds.rho")),
-        ).validate_for(layout.T)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = BoundParams(
+        C1=float(_json_number(bounds_doc.get("C1", defaults.C1), "bounds.C1")),
+        C2=float(_json_number(bounds_doc.get("C2", defaults.C2), "bounds.C2")),
+        rho=float(_json_number(bounds_doc.get("rho", defaults.rho), "bounds.rho")),
+    )
+    _built("bounds.", params.validate_for, layout.T)
 
     trials_doc = config.get("trials", {})
     _require_keys(trials_doc, {"L", "B"}, "trials")

@@ -82,7 +82,7 @@ def random_symbols(rng: random.Random, q: int, n: int) -> list[int]:
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
-        raise ValueError(f"field size must be at least 2, got {q}")
+        raise ValueError(f"q = {q} is below 2")
     p = q
     for d in range(2, q):
         if d * d > q:
@@ -96,7 +96,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         n //= p
         e += 1
     if n != 1:
-        raise ValueError(f"field size {q} is not a prime power")
+        raise ValueError(f"q = {q} is not a prime power")
     return p, e
 
 
@@ -241,7 +241,7 @@ class FieldSpec:
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
         if q > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
+            raise ValueError(f"q = {q} exceeds the supported maximum {MAX_FIELD_SIZE}")
         p, e = _factor_prime_power(q)
         self.q = q
         self.p = p
@@ -264,9 +264,9 @@ class FieldSpec:
             if not is_element(c, p):
                 raise ValueError(f"modulus[{i}] = {c!r} is not an element of GF({p})")
         if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {e}, got {modulus}")
+            raise ValueError(f"modulus = {modulus} is not monic of degree {e}")
         if not _poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            raise ValueError(f"modulus = {modulus} is reducible over GF({p})")
         self.modulus = modulus
         self._build_tables()
 

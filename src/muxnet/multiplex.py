@@ -23,7 +23,10 @@ MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
 
 @dataclass(frozen=True)
 class MultiplexLayout:
-    """Block structure (q, m, n, T, k_1..k_{T+1}) of one coding block."""
+    """Block structure (q, m, n, T, k_1..k_{T+1}) of one coding block.
+
+    A bad value raises ValueError starting with its field, e.g. `k has 3
+    block sizes, expected T + 1 = 2`."""
 
     field: FieldSpec
     m: int
@@ -38,14 +41,12 @@ class MultiplexLayout:
                 raise ValueError(f"{name} = {v!r} is not a positive integer")
         object.__setattr__(self, "k", tuple(self.k))
         if len(self.k) != self.T + 1:
-            raise ValueError(f"expected {self.T + 1} block sizes, got {len(self.k)}")
+            raise ValueError(f"k has {len(self.k)} block sizes, expected T + 1 = {self.T + 1}")
         for i, v in enumerate(self.k):
             if not is_element(v, math.inf):
                 raise ValueError(f"k[{i}] = {v!r} is not a nonnegative integer")
         if sum(self.k) != self.m * self.n:
-            raise ValueError(
-                f"block sizes {self.k} sum to {sum(self.k)}, expected m*n = {self.m * self.n}"
-            )
+            raise ValueError(f"k = {self.k} sums to {sum(self.k)}, expected m*n = {self.m * self.n}")
         # subset members -> their coordinates, filled by subset_coordinates
         object.__setattr__(self, "_coordinates", {})
 

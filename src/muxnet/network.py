@@ -46,26 +46,27 @@ class Network:
         self.nodes = tuple(nodes)
         self.source = source
         self.sinks = tuple(sinks)
-        node_set = set(self.nodes)
+        node_set = set()
+        for i, v in enumerate(self.nodes):
+            if v in node_set:
+                raise ValueError(f"nodes[{i}] = {v!r} repeats a node")
+            node_set.add(v)
         if source not in node_set:
-            raise ValueError(f"source {source!r} is not a node")
-        for s in self.sinks:
+            raise ValueError(f"source = {source!r} is not a node")
+        for i, s in enumerate(self.sinks):
             if s not in node_set:
-                raise ValueError(f"sink {s!r} is not a node")
-        self.links: tuple[Link, ...] = tuple(
-            l if isinstance(l, Link) else Link(l["id"], l["tail"], l["head"])
-            for l in links
-        )
-        seen = set()
-        for l in self.links:
-            if l.id in seen:
-                raise ValueError(f"duplicate link id {l.id!r}")
-            seen.add(l.id)
-            if l.tail not in node_set or l.head not in node_set:
-                raise ValueError(f"link {l.id!r} references unknown nodes")
+                raise ValueError(f"sinks[{i}] = {s!r} is not a node")
+        self.links: tuple[Link, ...] = tuple(links)
+        self._by_id: dict[str, Link] = {}
+        for i, l in enumerate(self.links):
+            if l.id in self._by_id:
+                raise ValueError(f"links[{i}].id = {l.id!r} repeats a link id")
+            self._by_id[l.id] = l
+            for end in ("tail", "head"):
+                if getattr(l, end) not in node_set:
+                    raise ValueError(f"links[{i}].{end} = {getattr(l, end)!r} is not a node")
             if l.tail == l.head:
-                raise CycleDetected(f"self-loop on node {l.tail!r}")
-        self._by_id = {l.id: l for l in self.links}
+                raise CycleDetected(f"links[{i}] = {l.id!r} loops on node {l.tail!r}")
         self._out: dict[str, list[Link]] = {v: [] for v in self.nodes}
         self._in: dict[str, list[Link]] = {v: [] for v in self.nodes}
         for l in self.links:
@@ -87,14 +88,14 @@ class Network:
                 if indeg[l.head] == 0:
                     queue.append(l.head)
         if len(order) != len(self.nodes):
-            raise CycleDetected("link graph contains a directed cycle")
+            raise CycleDetected("links contain a directed cycle")
         return tuple(order)
 
     def link(self, link_id: str) -> Link:
         try:
             return self._by_id[link_id]
         except KeyError:
-            raise ValueError(f"unknown link id {link_id!r}") from None
+            raise ValueError(f"link_id = {link_id!r} is not a link of the network") from None
 
     def out_links(self, node: str) -> list[Link]:
         return list(self._out[node])
@@ -104,10 +105,6 @@ class Network:
 
     def link_ids(self) -> tuple[str, ...]:
         return tuple(l.id for l in self.links)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Network":
-        return cls(doc["nodes"], doc["source"], doc["links"], doc["sinks"])
 
 
 class LocalCoding:
@@ -126,7 +123,7 @@ class LocalCoding:
         self.n = n
         self.slot_maps = tuple(dict(m) for m in slot_maps)
         if not self.slot_maps:
-            raise WrongSlotCount("need at least one slot map")
+            raise WrongSlotCount("slot_maps is empty; need one map per slot")
         for cm in self.slot_maps:
             for link_id, coeffs in cm.items():
                 for key, c in coeffs.items():
@@ -161,9 +158,7 @@ class LocalCoding:
     ) -> "LocalCoding":
         """All local coefficients iid uniform, the same in every slot."""
         if len(net.out_links(net.source)) < n:
-            raise ValueError(
-                f"source has {len(net.out_links(net.source))} outgoing links, needs {n}"
-            )
+            raise ValueError(f"n = {n} exceeds the {len(net.out_links(net.source))} source links")
 
         def one_slot() -> dict:
             cm: dict = {}
@@ -186,13 +181,15 @@ class EavesdropperModel:
     kind "traditional": one fixed mu-subset, constant over the block
     (links=None means uniformly random over all mu-subsets).
     kind "statistical": fresh mu-subset per slot from `distribution`
-    (None means uniform; otherwise (links, weight) pairs, each weight a
+    (None means uniform; otherwise (links, p) pairs, each weight p a
     finite number >= 0 and their sum a positive float).
     kind "direct": a raw observation matrix, uniform over the full-rank
     mu*m x m*n matrices.
     Every field is checked when the model is built: mu is a plain int
     >= 1, and `links` on a non-traditional model or `distribution` on a
-    non-statistical one raises ValueError instead of being ignored.
+    non-statistical one raises ValueError instead of being ignored.  Each
+    message starts with the offending field, e.g. `links[1] = 'e7'
+    repeats a link`.
     """
 
     kind: str
@@ -202,28 +199,27 @@ class EavesdropperModel:
 
     def __post_init__(self):
         if self.kind not in ("traditional", "statistical", "direct"):
-            raise ValueError(f"unknown eavesdropper kind {self.kind!r}")
-        if not is_element(self.mu, math.inf):
-            raise ValueError(f"mu = {self.mu!r} is not an integer")
-        if self.mu < 1:
-            raise ValueError("mu must be at least 1")
+            raise ValueError(f"kind = {self.kind!r} is not traditional, statistical or direct")
+        if not is_element(self.mu, math.inf) or self.mu < 1:
+            raise ValueError(f"mu = {self.mu!r} is not a positive integer")
         for name, reader in (("links", "traditional"), ("distribution", "statistical")):
             if getattr(self, name) is not None and self.kind != reader:
                 raise ValueError(f"{name} is read only by the {reader} kind, not {self.kind!r}")
         if self.links is not None:
             links = tuple(self.links)
-            if len(set(links)) != len(links):
-                raise DuplicateLink(f"fixed tap set {links} repeats a link")
+            for i, link in enumerate(links):
+                if link in links[:i]:
+                    raise DuplicateLink(f"links[{i}] = {link!r} repeats a link")
             if len(links) != self.mu:
-                raise ValueError(f"fixed tap set has {len(links)} links, mu = {self.mu}")
+                raise ValueError(f"links = {links} has {len(links)} links, expected mu = {self.mu}")
             object.__setattr__(self, "links", links)
         if self.distribution is not None:
             entries = tuple((tuple(s), w) for s, w in self.distribution)
-            for links, w in entries:
+            for i, (links, w) in enumerate(entries):
                 if len(set(links)) != len(links) or len(links) != self.mu:
-                    raise DuplicateLink(f"distribution entry {links} is not a mu-subset")
+                    raise DuplicateLink(f"distribution[{i}].links = {links} is not a mu-subset")
                 if not (type(w) in (int, float) and 0 <= w <= sys.float_info.max):
-                    raise ValueError(f"distribution weight {w!r} of {links} is not finite and >= 0")
+                    raise ValueError(f"distribution[{i}].p = {w!r} is not finite and >= 0")
             total = sum(w for _, w in entries)
             if not 0 < total <= sys.float_info.max:
                 raise ValueError(f"distribution weights sum to {total}, not a positive float")
@@ -436,7 +432,7 @@ def observation_support(
 
 
 # ---------------------------------------------------------------------------
-# Presets and JSON wiring
+# Presets
 # ---------------------------------------------------------------------------
 
 def butterfly_network() -> Network:
@@ -483,41 +479,3 @@ def parallel_coding(field: FieldSpec, n: int, m: int) -> LocalCoding:
     coeffs = {f"e{j + 1}": {j: 1} for j in range(n)}
     return LocalCoding.constant(field, n, coeffs, m)
 
-
-def coding_from_json(
-    net: Network,
-    doc,
-    field: FieldSpec,
-    n: int,
-    m: int,
-    rng: random.Random | None = None,
-) -> LocalCoding:
-    """Parse the "coding" entry of a network document.
-
-    "random" draws iid uniform coefficients (slot-constant), anything else
-    must be a map link-id -> {in-key: coefficient}.
-    """
-    if doc == "random":
-        if rng is None:
-            raise ValueError("random coding needs an rng")
-        return LocalCoding.random(net, field, n, m, rng)
-    if not isinstance(doc, dict):
-        raise ValueError(f'coding = {doc!r} is neither "random" nor an object')
-    coeffs: dict = {}
-    for link_id, inner in doc.items():
-        if not isinstance(inner, dict):
-            raise ValueError(f"coding[{link_id!r}] = {inner!r} is not an object")
-        if net.link(link_id).tail == net.source:
-            coeffs[link_id] = {_source_input(link_id, k, n): v for k, v in inner.items()}
-        else:
-            coeffs[link_id] = {str(k): v for k, v in inner.items()}
-    return LocalCoding.constant(field, n, coeffs, m)
-
-
-def _source_input(link_id: str, key, n: int) -> int:
-    """A source link's coefficient key, a decimal string in a network
-    document, as the source input index it names in 0..n-1."""
-    text = str(key)
-    if not (text.isdecimal() and int(text) < n):
-        raise ValueError(f"coding[{link_id!r}][{text!r}] is not a source input in 0..{n - 1}")
-    return int(text)

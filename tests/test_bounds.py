@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -48,6 +49,39 @@ LN2 = math.log(2)
 # ---------------------------------------------------------
 # hashing inequalities
 # ---------------------------------------------------------
+
+@pytest.mark.parametrize("probs, named", [
+    pytest.param(((math.nan, 0.5), (0.5, 0.0)), "probs[0][0] = nan", id="nan"),
+    pytest.param(((0.5, math.inf), (0.5, 0.0)), "probs[0][1] = inf", id="inf"),
+    pytest.param(((0.5, "0.5"), (0.0, 0.0)), "probs[0][1] = '0.5'", id="string"),
+    pytest.param(((0.5, 0.0), (True, 0.0)), "probs[1][0] = True", id="bool"),
+    pytest.param(((1.5, -0.5), (0.0, 0.0)), "probs[0][1] = -0.5", id="negative"),
+    pytest.param(((0.5, 0.5), (0.0,)), "probs[1] has 1 cells", id="ragged"),
+    pytest.param(((0.5, 0.25), (0.0, 0.0)), "probs sums to 0.75", id="total"),
+])
+def test_joint_distribution_cells_are_finite_numbers(probs, named):
+    # a nan cell passed the sum check, and the hashing bounds then read nan
+    with pytest.raises(ValueError, match=re.escape(named)):
+        JointDistribution(probs)
+
+
+def test_joint_distribution_keeps_int_cells_as_floats():
+    joint = JointDistribution(((1, 0), (0, 0)))
+    assert joint.probs == ((1.0, 0.0), (0.0, 0.0))
+    assert all(type(v) is float for row in joint.probs for v in row)
+
+
+@pytest.mark.parametrize("maps, named", [
+    pytest.param(((0, 1.0),), "maps[0][1] = 1.0", id="float"),
+    pytest.param(((0, 1), (True, 0)), "maps[1][0] = True", id="bool"),
+    pytest.param(((0, 2),), "maps[0][1] = 2", id="out-of-range"),
+    pytest.param(((0, -1),), "maps[0][1] = -1", id="negative"),
+    pytest.param(((0, 1), (0,)), "maps[1] has 1 values, expected 2", id="ragged"),
+])
+def test_hash_family_values_are_output_indices(maps, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        HashFamilySpec(maps, 2)
+
 
 def test_mi_bound_rho_zero_trivial():
     res = verify_hashed_mi_bound(hand_instance_joint(), hand_instance_family(), 0.0)
@@ -265,6 +299,19 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BoundParams(C1=5, C2=5, rho=0.0).validate_for(1)
     assert BoundParams.defaults(2).C1 == 13
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    pytest.param(dict(C1=math.nan, C2=5), "C1 = nan", id="nan-C1"),
+    pytest.param(dict(C1=5, C2=math.inf), "C2 = inf", id="inf-C2"),
+    pytest.param(dict(C1=math.inf, C2=math.nan), "C1 = inf", id="inf-C1-nan-C2"),
+    pytest.param(dict(C1=5, C2=5, rho=math.nan), "rho = nan", id="nan-rho"),
+])
+def test_params_must_be_finite(kwargs, named):
+    # nan compared false against the floor and passed, so the guarantee
+    # probabilities came out nan
+    with pytest.raises(ValueError, match=re.escape(named)):
+        BoundParams(**kwargs).validate_for(1)
 
 
 def test_ub5_decreasing_in_rho_on_grid():

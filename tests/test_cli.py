@@ -97,6 +97,11 @@ def with_inline(key, value):
                  id="source-key-not-a-number"),
     pytest.param("network", inline_network({"e1": {"5": 1}}), "coding['e1']['5']",
                  id="source-key-out-of-range"),
+    # "00" used to overwrite input 0's coefficient; "٠" is a decimal digit too
+    pytest.param("network", inline_network({"e1": {"0": 1, "00": 0}}), "coding['e1']['00']",
+                 id="source-key-not-canonical"),
+    pytest.param("network", inline_network({"e1": {"\u0660": 1}}), "coding['e1']['\u0660']",
+                 id="source-key-not-ascii"),
     pytest.param("eavesdropper", statistical(
         [{"links": ["zz"], "p": -1}, {"links": ["e7"], "p": 2}]),
         "eavesdropper.distribution[0].p", id="negative-p"),
@@ -166,6 +171,13 @@ def with_inline(key, value):
                  id="source-not-string"),
     pytest.param("network", {"inline": {"nodes": ["s"]}}, "network.inline.source",
                  id="missing-source"),
+    # A repeated node hid the cycle a -> b -> a from the topological sort;
+    # simulate then failed inside global_coding_vectors.
+    pytest.param("network", {"inline": {
+        "nodes": ["s", "s", "a", "b"], "source": "s", "sinks": ["b"],
+        "links": [{"id": "e1", "tail": "s", "head": "a"}, {"id": "e2", "tail": "s", "head": "a"},
+                  {"id": "e3", "tail": "a", "head": "b"}, {"id": "e4", "tail": "b", "head": "a"}],
+    }}, "network.inline.nodes[1]", id="repeated-node"),
     # {"path": 0} used to read stdin as the network document, {"path": 1}
     # to close stdout on exit.
     pytest.param("network", {"path": 0}, "network.path", id="path-zero"),

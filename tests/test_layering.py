@@ -70,3 +70,10 @@ def test_each_library_rule_has_one_home():
     json_int = json_int[:json_int.index("\ndef ")]
     assert len(re.findall(r"\bis (not )?int\b", experiments)) == 1
     assert re.search(r"\bis not int\b", json_int)
+    # The config boundary checks JSON shapes only; each eavesdropper value
+    # rule lives in EavesdropperModel, and the network document format in
+    # experiments alone.
+    network = (SRC / "network.py").read_text()
+    for rule in ("repeats a link", "mu-subset", "read only by"):
+        assert rule not in experiments and rule in network
+    assert "from_json" not in network and "isdecimal" not in network

@@ -33,7 +33,9 @@ from muxnet.errors import (
     WrongSlotCount,
 )
 from muxnet import network
-from muxnet.network import MAX_TAP_SETS, coding_from_json, parallel_coding, parallel_network
+from muxnet.experiments import build_plan
+from muxnet.network import MAX_TAP_SETS, Link, parallel_coding, parallel_network
+from muxnet.rng import derive_rng
 
 CHI2_CRIT_DF1 = 10.828  # alpha = 0.001
 
@@ -43,25 +45,38 @@ CHI2_CRIT_DF1 = 10.828  # alpha = 0.001
 # ---------------------------------------------------------
 
 def test_cycle_detected():
-    with pytest.raises(CycleDetected):
-        Network(
-            ["a", "b"],
-            "a",
-            [{"id": "e1", "tail": "a", "head": "b"}, {"id": "e2", "tail": "b", "head": "a"}],
-            ["b"],
-        )
-    with pytest.raises(CycleDetected):
-        Network(["a"], "a", [{"id": "e1", "tail": "a", "head": "a"}], ["a"])
+    with pytest.raises(CycleDetected, match="directed cycle"):
+        Network(["a", "b"], "a", [Link("e1", "a", "b"), Link("e2", "b", "a")], ["b"])
+    with pytest.raises(CycleDetected, match=re.escape("links[0] = 'e1' loops on node 'a'")):
+        Network(["a"], "a", [Link("e1", "a", "a")], ["a"])
 
 
 def test_duplicate_link_id_rejected():
-    with pytest.raises(ValueError):
-        Network(
-            ["a", "b"],
-            "a",
-            [{"id": "e1", "tail": "a", "head": "b"}, {"id": "e1", "tail": "a", "head": "b"}],
-            ["b"],
-        )
+    with pytest.raises(ValueError, match=re.escape("links[1].id = 'e1' repeats a link id")):
+        Network(["a", "b"], "a", [Link("e1", "a", "b"), Link("e1", "a", "b")], ["b"])
+
+
+def test_repeated_node_rejected():
+    # A repeated "s" would lower a's in-degree twice and hide the cycle
+    # a -> b -> a from the topological sort.
+    links = [Link("e1", "s", "a"), Link("e2", "a", "b"), Link("e3", "b", "a")]
+    with pytest.raises(ValueError, match=re.escape("nodes[1] = 's' repeats a node")):
+        Network(["s", "s", "a", "b"], "s", links, ["b"])
+    with pytest.raises(CycleDetected):
+        Network(["s", "a", "b"], "s", links, ["b"])
+
+
+@pytest.mark.parametrize("args, named", [
+    pytest.param((["a"], "x", [], []), "source = 'x' is not a node", id="source"),
+    pytest.param((["a"], "a", [], ["a", "x"]), "sinks[1] = 'x' is not a node", id="sink"),
+    pytest.param((["a"], "a", [Link("e1", "x", "a")], []), "links[0].tail = 'x' is not a node",
+                 id="tail"),
+    pytest.param((["a"], "a", [Link("e1", "a", "x")], []), "links[0].head = 'x' is not a node",
+                 id="head"),
+])
+def test_network_errors_name_the_field(args, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Network(*args)
 
 
 # ---------------------------------------------------------
@@ -322,6 +337,12 @@ def test_statistical_sampling_uniform_chi2():
 @pytest.mark.parametrize("kwargs, named", [
     pytest.param(dict(kind="traditional", mu=True), "mu = True", id="bool-mu"),
     pytest.param(dict(kind="traditional", mu=1.0), "mu = 1.0", id="float-mu"),
+    pytest.param(dict(kind="traditional", mu=0), "mu = 0", id="zero-mu"),
+    pytest.param(dict(kind="eve", mu=1), "kind = 'eve'", id="unknown-kind"),
+    pytest.param(dict(kind="traditional", mu=2, links=("e7", "e7")),
+                 "links[1] = 'e7' repeats a link", id="repeated-link"),
+    pytest.param(dict(kind="traditional", mu=1, links=("e1", "e2")),
+                 "links = ('e1', 'e2') has 2 links, expected mu = 1", id="links-not-mu-sized"),
     pytest.param(dict(kind="statistical", mu=1, links=("e7",)), "links", id="links-on-statistical"),
     pytest.param(dict(kind="direct", mu=1, links=("e7",)), "links", id="links-on-direct"),
     pytest.param(dict(kind="traditional", mu=1, distribution=((("e7",), 1.0),)), "distribution",
@@ -329,9 +350,9 @@ def test_statistical_sampling_uniform_chi2():
     pytest.param(dict(kind="direct", mu=1, distribution=((("e7",), 1.0),)), "distribution",
                  id="distribution-on-direct"),
     pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), -1.0), (("e1",), 2.0))),
-                 "weight -1.0", id="negative-weight"),
+                 "distribution[0].p = -1.0", id="negative-weight"),
     pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), math.nan),)),
-                 "weight nan", id="nan-weight"),
+                 "distribution[0].p = nan", id="nan-weight"),
     pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), 10**400),)),
                  "is not finite", id="overflowing-weight"),
     pytest.param(dict(kind="statistical", mu=1, distribution=((("e7",), 0.0), (("e1",), 0))),
@@ -459,54 +480,61 @@ def test_statistical_support_bound(links, listed, monkeypatch):
 
 
 # ---------------------------------------------------------
-# JSON wiring
+# network documents, parsed by experiments.build_plan
 # ---------------------------------------------------------
 
+BUTTERFLY_DOCUMENT = {
+    "nodes": ["s", "a", "b", "c", "d", "t1", "t2"],
+    "source": "s",
+    "sinks": ["t1", "t2"],
+    "links": [
+        {"id": "e1", "tail": "s", "head": "a"},
+        {"id": "e2", "tail": "s", "head": "b"},
+        {"id": "e3", "tail": "a", "head": "c"},
+        {"id": "e4", "tail": "b", "head": "c"},
+        {"id": "e5", "tail": "a", "head": "t1"},
+        {"id": "e6", "tail": "b", "head": "t2"},
+        {"id": "e7", "tail": "c", "head": "d"},
+        {"id": "e8", "tail": "d", "head": "t1"},
+        {"id": "e9", "tail": "d", "head": "t2"},
+    ],
+}
+
+
+def inline_plan(coding, q=2, m=1, seed=7):
+    """build_plan of a config whose network is BUTTERFLY_DOCUMENT with `coding`."""
+    return build_plan({
+        "layout": {"q": q, "m": m, "n": 2, "T": 1, "k": [m, m]},
+        "network": {"inline": dict(BUTTERFLY_DOCUMENT, coding=coding)},
+        "eavesdropper": {"kind": "traditional", "mu": 1},
+        "seed": seed,
+    })
+
+
 def test_network_json_roundtrip_and_coding_parse():
-    doc = {
-        "nodes": ["s", "a", "b", "c", "d", "t1", "t2"],
-        "source": "s",
-        "sinks": ["t1", "t2"],
-        "links": [
-            {"id": "e1", "tail": "s", "head": "a"},
-            {"id": "e2", "tail": "s", "head": "b"},
-            {"id": "e3", "tail": "a", "head": "c"},
-            {"id": "e4", "tail": "b", "head": "c"},
-            {"id": "e5", "tail": "a", "head": "t1"},
-            {"id": "e6", "tail": "b", "head": "t2"},
-            {"id": "e7", "tail": "c", "head": "d"},
-            {"id": "e8", "tail": "d", "head": "t1"},
-            {"id": "e9", "tail": "d", "head": "t2"},
-        ],
+    coding = {
+        "e1": {"0": 1},
+        "e2": {"1": 1},
+        "e3": {"e1": 1},
+        "e4": {"e2": 1},
+        "e5": {"e1": 1},
+        "e6": {"e2": 1},
+        "e7": {"e3": 1, "e4": 1},
+        "e8": {"e7": 1},
+        "e9": {"e7": 1},
     }
-    back = Network.from_json(doc)
+    plan = inline_plan(coding)
+    back = plan.network
     assert back.link_ids() == butterfly_network().link_ids()
-    coding = coding_from_json(
-        back,
-        {
-            "e1": {"0": 1},
-            "e2": {"1": 1},
-            "e3": {"e1": 1},
-            "e4": {"e2": 1},
-            "e5": {"e1": 1},
-            "e6": {"e2": 1},
-            "e7": {"e3": 1, "e4": 1},
-            "e8": {"e7": 1},
-            "e9": {"e7": 1},
-        },
-        GF(2),
-        2,
-        1,
-    )
-    assert global_coding_vectors(back, coding, 0)["e7"] == (1, 1)
+    assert global_coding_vectors(back, plan.coding, 0)["e7"] == (1, 1)
     # coefficients must be canonical field elements, never coerced
     for link_id, key in (("e1", "0"), ("e7", "e3")):
         for val in (1.5, 1.0, True, "1", 2, -1):
             with pytest.raises(ValueError) as exc:
-                coding_from_json(back, {link_id: {key: val}}, GF(2), 2, 1)
+                inline_plan(dict(coding, **{link_id: {key: val}}))
             assert repr(link_id) in str(exc.value) and repr(key) in str(exc.value)
     with pytest.raises(ValueError, match="GF\\(3\\)"):
-        coding_from_json(back, {"e1": {"0": 7}}, GF(3), 2, 1)
+        inline_plan(dict(coding, e1={"0": 7}), q=3)
 
 
 def test_local_coding_rejects_non_field_coefficients():
@@ -522,7 +550,10 @@ def test_local_coding_rejects_non_field_coefficients():
 
 
 def test_random_coding_from_json_is_seeded():
-    net = butterfly_network()
-    c1 = coding_from_json(net, "random", GF(5), 2, 2, random.Random(42))
-    c2 = coding_from_json(net, "random", GF(5), 2, 2, random.Random(42))
+    c1 = inline_plan("random", q=5, m=2, seed=42).coding
+    c2 = inline_plan("random", q=5, m=2, seed=42).coding
     assert c1.slot_maps == c2.slot_maps
+    net = butterfly_network()
+    drawn = LocalCoding.random(net, GF(5), 2, 2, derive_rng(42, "coding"))
+    assert c1.slot_maps == drawn.slot_maps
+    assert inline_plan("random", q=5, m=2, seed=43).coding.slot_maps != c1.slot_maps
