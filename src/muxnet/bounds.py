@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
 from .fields import is_element
 from .matrix import FieldMatrix, all_vectors, enumerate_gl, sample_gl
-from .multiplex import MultiplexLayout, SubsetIndex, all_nonempty_subsets
+from .multiplex import MultiplexLayout, SubsetIndex, _FrozenRecord, all_nonempty_subsets
 from .leakage import average_over_support, worst_case_leakage
 
 REAL_TOLERANCE = 1e-12
@@ -32,20 +31,15 @@ REAL_TOLERANCE = 1e-12
 # Joint distributions and hash families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Probability table p(x, z) over {0..nx-1} x {0..nz-1}."""
+class JointDistribution(_FrozenRecord):
+    """Probability table p(x, z) over {0..nx-1} x {0..nz-1}.  Its caches
+    are not fields: they stay out of equality, hash and repr."""
 
-    probs: tuple[tuple[float, ...], ...]
-    # family -> family_statistics(self, family); filled on first use.
-    _family_stats: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # rho -> conditional_power_mean(rho); both hashing bounds read it.
-    _power_means: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # marginal_z(), filled on first use.
-    _marginal_z: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("probs", "_family_stats", "_power_means", "_marginal_z")
+    _fields = ("probs",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.probs)
+    def __init__(self, probs: tuple[tuple[float, ...], ...]):
+        rows = tuple(tuple(row) for row in probs)
         if not rows or not rows[0]:
             raise ValueError("probs is empty")
         for x, row in enumerate(rows):
@@ -57,10 +51,16 @@ class JointDistribution:
                 if not (type(v) in (int, float) and 0 <= v <= sys.float_info.max):
                     raise ValueError(f"probs[{x}][{z}] = {v!r} is not a finite number >= 0")
         rows = tuple(tuple(float(v) for v in row) for row in rows)
-        object.__setattr__(self, "probs", rows)
         total = sum(v for r in rows for v in r)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probs sums to {total}, expected 1")
+        self._set_fields(rows)
+        # family -> family_statistics(self, family); filled on first use.
+        object.__setattr__(self, "_family_stats", {})
+        # rho -> conditional_power_mean(rho); both hashing bounds read it.
+        object.__setattr__(self, "_power_means", {})
+        # marginal_z(), filled on first use.
+        object.__setattr__(self, "_marginal_z", None)
 
     @property
     def nx(self) -> int:
@@ -108,26 +108,34 @@ class JointDistribution:
         return cls(tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class HashFamilySpec:
+class HashFamilySpec(_FrozenRecord):
     """A finite family of functions {0..nx-1} -> {0..output_size-1}.
 
     `maps[f][x]` is the image of x under the f-th function.
     """
 
-    maps: tuple[tuple[int, ...], ...]
-    output_size: int
+    __slots__ = ("maps", "output_size", "_hash")
+    _fields = ("maps", "output_size")
 
-    def __post_init__(self):
-        if not self.maps:
+    def __init__(self, maps: tuple[tuple[int, ...], ...], output_size: int):
+        if not maps:
             raise ValueError("maps is empty")
-        nx = len(self.maps[0])
-        for f, fmap in enumerate(self.maps):
+        nx = len(maps[0])
+        for f, fmap in enumerate(maps):
             if len(fmap) != nx:
                 raise ValueError(f"maps[{f}] has {len(fmap)} values, expected {nx}")
             for x, s in enumerate(fmap):
-                if not is_element(s, self.output_size):
-                    raise ValueError(f"maps[{f}][{x}] = {s!r} is not an integer in [0, {self.output_size})")
+                if not is_element(s, output_size):
+                    raise ValueError(f"maps[{f}][{x}] = {s!r} is not an integer in [0, {output_size})")
+        self._set_fields(maps, output_size)
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        # kept once computed: family_statistics' cache hashes every map
+        # of the family on each lookup otherwise
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.maps, self.output_size)))
+        return self._hash
 
     @property
     def domain_size(self) -> int:
@@ -254,13 +262,16 @@ def verify_hashed_entropy_bound(joint: JointDistribution, family: HashFamilySpec
 # Bound formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(_FrozenRecord):
     """Slack constants of the guarantee bounds; both must exceed 2(2^T - 1)."""
 
-    C1: float
-    C2: float
-    rho: float = 1.0
+    __slots__ = _fields = ("C1", "C2", "rho")
+
+    def __init__(self, C1: float, C2: float, rho: float = 1.0):
+        # written out: verify's rho_argmin check builds 4,008 per run
+        object.__setattr__(self, "C1", C1)
+        object.__setattr__(self, "C2", C2)
+        object.__setattr__(self, "rho", rho)
 
     def validate_for(self, T: int) -> "BoundParams":
         floor = 2 * (2**T - 1)

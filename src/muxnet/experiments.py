@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 from .bounds import (
     REAL_TOLERANCE,
@@ -25,12 +24,13 @@ from .bounds import (
     ub8_bound,
 )
 from .errors import ConfigError, MuxnetError
-from .fields import GF
+from .fields import GF, _factor_prime_power
 from .leakage import observation_profiles
 from .matrix import sample_gl
 from .multiplex import (
     MessageTuple,
     MultiplexLayout,
+    _Record,
     all_nonempty_subsets,
     decode,
     encode,
@@ -223,17 +223,16 @@ def _network_from_document(
     return network, _built(where, LocalCoding.constant, field, n, coeffs, m)
 
 
-@dataclass
-class ExperimentPlan:
-    experiment_id: str
-    layout: MultiplexLayout
-    network: Network | None
-    coding: LocalCoding | None
-    model: EavesdropperModel
-    params: BoundParams
-    seed: int
-    trials_l: int
-    trials_b: int
+class ExperimentPlan(_Record):
+    __slots__ = _fields = ("experiment_id", "layout", "network", "coding", "model", "params",
+                           "seed", "trials_l", "trials_b")
+    __hash__ = None  # mutable
+
+    def __init__(self, experiment_id: str, layout: MultiplexLayout, network: Network | None,
+                 coding: LocalCoding | None, model: EavesdropperModel, params: BoundParams,
+                 seed: int, trials_l: int, trials_b: int):
+        self._set_fields(experiment_id, layout, network, coding, model, params, seed,
+                         trials_l, trials_b)
 
 
 def _config_header(config, allowed: set[str], where: str) -> tuple[int, str]:
@@ -270,11 +269,15 @@ def build_plan(config: dict) -> ExperimentPlan:
     for key in ("q", "m", "n", "k"):
         if key not in layout_doc:
             raise ConfigError(f"layout.{key} is required")
-    # GF checks q before any modulus; the two live in different sections
-    field = _built("layout.", GF, _json_int(layout_doc["q"], "layout.q"))
+    # q and the modulus live in different sections: q's rules are checked
+    # first, without building tables, so the one field built can only
+    # reject its modulus
+    q = _json_int(layout_doc["q"], "layout.q")
+    _built("layout.", _factor_prime_power, q)
+    modulus = None
     if "modulus" in field_doc:
         modulus = tuple(_json_ints(field_doc["modulus"], "field.modulus"))
-        field = _built("field.", GF, field.q, modulus)
+    field = _built("field.", GF, q, modulus)
     k = tuple(_json_list(layout_doc["k"], "layout.k"))
     layout = _built(
         "layout.", MultiplexLayout,

@@ -81,6 +81,11 @@ def random_symbols(rng: random.Random, q: int, n: int) -> list[int]:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, for a field size the library supports; a
+    ValueError starting `q = ` otherwise.  These are the only rules on q,
+    checked before a field builds any table."""
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"q = {q} exceeds the supported maximum {MAX_FIELD_SIZE}")
     if q < 2:
         raise ValueError(f"q = {q} is below 2")
     p = q
@@ -240,8 +245,6 @@ class FieldSpec:
     __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "byte_products")
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"q = {q} exceeds the supported maximum {MAX_FIELD_SIZE}")
         p, e = _factor_prime_power(q)
         self.q = q
         self.p = p

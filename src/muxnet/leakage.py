@@ -22,10 +22,9 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .matrix import FieldMatrix, _Echelon
-from .multiplex import MultiplexLayout, SubsetIndex, _check_map, iter_message_vectors
+from .multiplex import MultiplexLayout, SubsetIndex, _check_map, _FrozenRecord, iter_message_vectors
 from .network import (
     EavesdropperModel,
     LocalCoding,
@@ -38,14 +37,17 @@ from .network import (
 )
 
 
-@dataclass(frozen=True)
-class LeakageResult:
+class LeakageResult(_FrozenRecord):
     """Leakage of one subset under one (L, B) pair, in nats."""
 
-    k_sub: int
-    rank_b: int
-    kernel_dim: int
-    nats: float
+    __slots__ = _fields = ("k_sub", "rank_b", "kernel_dim", "nats")
+
+    def __init__(self, k_sub: int, rank_b: int, kernel_dim: int, nats: float):
+        setattr_ = object.__setattr__
+        setattr_(self, "k_sub", k_sub)
+        setattr_(self, "rank_b", rank_b)
+        setattr_(self, "kernel_dim", kernel_dim)
+        setattr_(self, "nats", nats)
 
     @property
     def bits(self) -> float:

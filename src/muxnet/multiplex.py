@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from .fields import FieldSpec, check_elements, is_element, random_symbols
@@ -21,34 +19,82 @@ from .matrix import FieldMatrix
 MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
 
 
-@dataclass(frozen=True)
-class MultiplexLayout:
+class _Record:
+    """Base of the library's value records.  A record keeps each name of
+    `_fields`, in constructor order, in a slot; the repr, value equality
+    and hash are those of a dataclass with those fields.  A record is
+    equal only to a record of its own class."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values) -> None:
+        # object.__setattr__ passes a frozen record's guard
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through its constructor
+        return self.__class__, self._values()
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields `__init__` alone sets, with `object.__setattr__`;
+    assigning or deleting one afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MultiplexLayout(_FrozenRecord):
     """Block structure (q, m, n, T, k_1..k_{T+1}) of one coding block.
 
     A bad value raises ValueError starting with its field, e.g. `k has 3
     block sizes, expected T + 1 = 2`."""
 
-    field: FieldSpec
-    m: int
-    n: int
-    T: int
-    k: tuple[int, ...]
+    __slots__ = ("field", "m", "n", "T", "k", "_coordinates")
+    _fields = ("field", "m", "n", "T", "k")
 
-    def __post_init__(self):
-        for name in ("m", "n", "T"):
-            v = getattr(self, name)
+    def __init__(self, field: FieldSpec, m: int, n: int, T: int, k: tuple[int, ...]):
+        for name, v in (("m", m), ("n", n), ("T", T)):
             if not is_element(v, math.inf) or v < 1:
                 raise ValueError(f"{name} = {v!r} is not a positive integer")
-        object.__setattr__(self, "k", tuple(self.k))
-        if len(self.k) != self.T + 1:
-            raise ValueError(f"k has {len(self.k)} block sizes, expected T + 1 = {self.T + 1}")
-        for i, v in enumerate(self.k):
+        k = tuple(k)
+        if len(k) != T + 1:
+            raise ValueError(f"k has {len(k)} block sizes, expected T + 1 = {T + 1}")
+        for i, v in enumerate(k):
             if not is_element(v, math.inf):
                 raise ValueError(f"k[{i}] = {v!r} is not a nonnegative integer")
-        if sum(self.k) != self.m * self.n:
-            raise ValueError(f"k = {self.k} sums to {sum(self.k)}, expected m*n = {self.m * self.n}")
+        if sum(k) != m * n:
+            raise ValueError(f"k = {k} sums to {sum(k)}, expected m*n = {m * n}")
+        setattr_ = object.__setattr__
+        setattr_(self, "field", field)
+        setattr_(self, "m", m)
+        setattr_(self, "n", n)
+        setattr_(self, "T", T)
+        setattr_(self, "k", k)
         # subset members -> their coordinates, filled by subset_coordinates
-        object.__setattr__(self, "_coordinates", {})
+        setattr_(self, "_coordinates", {})
 
     @property
     def q(self) -> int:
@@ -79,11 +125,12 @@ class MultiplexLayout:
         return len(self.subset_coordinates(subset))
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """Nonempty subset of the secret-message indices {1..T}."""
+class SubsetIndex(_FrozenRecord):
+    """Nonempty subset of the secret-message indices {1..T}; `label` names
+    it by its sorted members, e.g. `1+3`."""
 
-    members: frozenset[int]
+    __slots__ = ("members", "label")
+    _fields = ("members",)
 
     def __init__(self, members):
         members = list(members)
@@ -92,15 +139,13 @@ class SubsetIndex:
         for i, v in enumerate(members):
             if not is_element(v, math.inf) or v < 1:
                 raise ValueError(f"member {i} = {v!r} is not a 1-based message index")
-        object.__setattr__(self, "members", frozenset(members))
+        members = frozenset(members)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "label", "+".join(str(i) for i in sorted(members)))
 
     def validate_for(self, layout: MultiplexLayout) -> None:
         if max(self.members) > layout.T:
             raise ValueError(f"subset {self.label} exceeds T = {layout.T}")
-
-    @cached_property
-    def label(self) -> str:
-        return "+".join(str(i) for i in sorted(self.members))
 
 
 def all_nonempty_subsets(T: int) -> list[SubsetIndex]:
@@ -111,11 +156,21 @@ def all_nonempty_subsets(T: int) -> list[SubsetIndex]:
     return out
 
 
-@dataclass(frozen=True)
-class MessageTuple:
+class MessageTuple(_FrozenRecord):
     """The T+1 message blocks of one coding block."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     def concat(self) -> list[int]:
         return [v for block in self.blocks for v in block]

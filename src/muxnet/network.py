@@ -12,7 +12,6 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     CycleDetected,
@@ -25,18 +24,18 @@ from .errors import (
 )
 from .fields import FieldSpec, is_element
 from .matrix import FieldMatrix, _Echelon, sample_full_rank
-from .multiplex import MultiplexLayout
+from .multiplex import MultiplexLayout, _FrozenRecord
 
 # Largest number of tap sets enumerate_eavesdropper_sets lists, and of
 # per-slot tap schedules observation_support lists for a statistical model.
 MAX_TAP_SETS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Link:
-    id: str
-    tail: str
-    head: str
+class Link(_FrozenRecord):
+    __slots__ = _fields = ("id", "tail", "head")
+
+    def __init__(self, id: str, tail: str, head: str):
+        self._set_fields(id, tail, head)
 
 
 class Network:
@@ -56,6 +55,8 @@ class Network:
         for i, s in enumerate(self.sinks):
             if s not in node_set:
                 raise ValueError(f"sinks[{i}] = {s!r} is not a node")
+            if s in self.sinks[:i]:
+                raise ValueError(f"sinks[{i}] = {s!r} repeats a sink")
         self.links: tuple[Link, ...] = tuple(links)
         self._by_id: dict[str, Link] = {}
         for i, l in enumerate(self.links):
@@ -174,8 +175,7 @@ class LocalCoding:
         return cls(field, n, [one_slot()] * m)
 
 
-@dataclass(frozen=True)
-class EavesdropperModel:
+class EavesdropperModel(_FrozenRecord):
     """Which links the eavesdropper sees, and how that choice is drawn.
 
     kind "traditional": one fixed mu-subset, constant over the block
@@ -192,38 +192,36 @@ class EavesdropperModel:
     repeats a link`.
     """
 
-    kind: str
-    mu: int
-    links: tuple[str, ...] | None = None
-    distribution: tuple[tuple[tuple[str, ...], float], ...] | None = None
+    __slots__ = _fields = ("kind", "mu", "links", "distribution")
 
-    def __post_init__(self):
-        if self.kind not in ("traditional", "statistical", "direct"):
-            raise ValueError(f"kind = {self.kind!r} is not traditional, statistical or direct")
-        if not is_element(self.mu, math.inf) or self.mu < 1:
-            raise ValueError(f"mu = {self.mu!r} is not a positive integer")
-        for name, reader in (("links", "traditional"), ("distribution", "statistical")):
-            if getattr(self, name) is not None and self.kind != reader:
-                raise ValueError(f"{name} is read only by the {reader} kind, not {self.kind!r}")
-        if self.links is not None:
-            links = tuple(self.links)
+    def __init__(self, kind: str, mu: int, links: tuple[str, ...] | None = None,
+                 distribution: tuple[tuple[tuple[str, ...], float], ...] | None = None):
+        if kind not in ("traditional", "statistical", "direct"):
+            raise ValueError(f"kind = {kind!r} is not traditional, statistical or direct")
+        if not is_element(mu, math.inf) or mu < 1:
+            raise ValueError(f"mu = {mu!r} is not a positive integer")
+        for name, value, reader in (("links", links, "traditional"),
+                                    ("distribution", distribution, "statistical")):
+            if value is not None and kind != reader:
+                raise ValueError(f"{name} is read only by the {reader} kind, not {kind!r}")
+        if links is not None:
+            links = tuple(links)
             for i, link in enumerate(links):
                 if link in links[:i]:
                     raise DuplicateLink(f"links[{i}] = {link!r} repeats a link")
-            if len(links) != self.mu:
-                raise ValueError(f"links = {links} has {len(links)} links, expected mu = {self.mu}")
-            object.__setattr__(self, "links", links)
-        if self.distribution is not None:
-            entries = tuple((tuple(s), w) for s, w in self.distribution)
-            for i, (links, w) in enumerate(entries):
-                if len(set(links)) != len(links) or len(links) != self.mu:
-                    raise DuplicateLink(f"distribution[{i}].links = {links} is not a mu-subset")
+            if len(links) != mu:
+                raise ValueError(f"links = {links} has {len(links)} links, expected mu = {mu}")
+        if distribution is not None:
+            distribution = tuple((tuple(s), w) for s, w in distribution)
+            for i, (tap_set, w) in enumerate(distribution):
+                if len(set(tap_set)) != len(tap_set) or len(tap_set) != mu:
+                    raise DuplicateLink(f"distribution[{i}].links = {tap_set} is not a mu-subset")
                 if not (type(w) in (int, float) and 0 <= w <= sys.float_info.max):
                     raise ValueError(f"distribution[{i}].p = {w!r} is not finite and >= 0")
-            total = sum(w for _, w in entries)
+            total = sum(w for _, w in distribution)
             if not 0 < total <= sys.float_info.max:
                 raise ValueError(f"distribution weights sum to {total}, not a positive float")
-            object.__setattr__(self, "distribution", entries)
+        self._set_fields(kind, mu, links, distribution)
 
 
 def global_coding_vectors(

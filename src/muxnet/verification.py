@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -35,6 +34,7 @@ from .multiplex import (
     MessageTuple,
     MultiplexLayout,
     SubsetIndex,
+    _Record,
     all_nonempty_subsets,
     decode,
     encode,
@@ -58,16 +58,15 @@ from .network import (
 from .rng import derive_rng
 
 
-@dataclass
-class CheckResult:
-    check: str
-    instance: str
-    lhs: float
-    rhs: float
-    holds: bool
+class CheckResult(_Record):
+    __slots__ = _fields = ("check", "instance", "lhs", "rhs", "holds")
+    __hash__ = None  # mutable
+
+    def __init__(self, check: str, instance: str, lhs: float, rhs: float, holds: bool):
+        self._set_fields(check, instance, lhs, rhs, holds)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 # The rho values at which the hashing inequalities are checked.

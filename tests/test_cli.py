@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from muxnet import network
+from muxnet import GF, experiments, network
 from muxnet.cli import main
 from muxnet.errors import ConfigError
 from muxnet.experiments import (
@@ -66,6 +66,23 @@ def test_inconsistent_layout_rejected():
     bad["layout"]["k"] = [1, 1]
     with pytest.raises(ConfigError):
         build_plan(bad)
+
+
+def test_build_plan_builds_one_field(monkeypatch):
+    # q's rules are checked without a field; only GF(q, modulus) is built
+    calls = []
+
+    def counting_gf(*args):
+        calls.append(args)
+        return GF(*args)
+
+    monkeypatch.setattr(experiments, "GF", counting_gf)
+    config = json.loads(json.dumps(BUTTERFLY_CONFIG))
+    config["layout"]["q"] = 243
+    config["field"] = {"modulus": [1, 0, 0, 0, 2, 1]}  # not GF(243)'s default
+    plan = build_plan(config)
+    assert calls == [(243, (1, 0, 0, 0, 2, 1))]
+    assert plan.layout.field.modulus == (1, 0, 0, 0, 2, 1)
 
 
 def inline_network(coding):
@@ -171,6 +188,9 @@ def with_inline(key, value):
                  id="source-not-string"),
     pytest.param("network", {"inline": {"nodes": ["s"]}}, "network.inline.source",
                  id="missing-source"),
+    # simulate used to check decodability at a repeated sink twice per slot
+    pytest.param("network", with_inline("sinks", ["t", "t"]), "network.inline.sinks[1]",
+                 id="repeated-sink"),
     # A repeated node hid the cycle a -> b -> a from the topological sort;
     # simulate then failed inside global_coding_vectors.
     pytest.param("network", {"inline": {

@@ -48,6 +48,10 @@ def fresh_modules(statement):
     return set(json.loads(out.splitlines()[-1]))
 
 
+# Loaded by `dataclasses` and nothing else muxnet imports at start-up.
+DATACLASS_MACHINERY = {"dataclasses", "inspect", "ast", "dis"}
+
+
 def layers(modules):
     return {m.removeprefix("muxnet.") for m in modules if m.startswith("muxnet.")}
 
@@ -65,6 +69,7 @@ def test_codec_import_loads_only_the_codec_layers():
         "from muxnet import GF, MultiplexLayout, MessageTuple, encode, decode, sample_gl")
     assert layers(modules) == {"errors", "fields", "matrix", "multiplex"}
     assert not modules & {"fractions", "hashlib"}
+    assert not modules & DATACLASS_MACHINERY
 
 
 def test_cli_import_compiles_verification_but_no_process_pool():
@@ -72,6 +77,7 @@ def test_cli_import_compiles_verification_but_no_process_pool():
     modules = fresh_modules("from muxnet import cli")
     assert "muxnet.verification" in modules
     assert "concurrent.futures" not in modules
+    assert not modules & DATACLASS_MACHINERY
 
 
 def test_submodule_resolves_as_an_attribute():

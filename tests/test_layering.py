@@ -27,6 +27,18 @@ def relative_imports(module):
     ]
 
 
+def absolute_imports(path):
+    """The top-level package of every absolute import in `path`, at any depth."""
+    tree = ast.parse(path.read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module.split(".")[0])
+    return out
+
+
 def test_order_lists_every_module():
     modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
     assert modules == set(ORDER)
@@ -40,6 +52,13 @@ def test_imports_point_down_the_layers():
         if ORDER.index(target) >= ORDER.index(module)
     }
     assert back == ALLOWED_BACK_EDGES
+
+
+def test_no_module_imports_dataclasses():
+    # The records are plain __slots__ classes: importing dataclasses loads
+    # inspect, ast, dis and tokenize, and each decorator execs its methods.
+    for path in SRC.glob("*.py"):
+        assert "dataclasses" not in absolute_imports(path), path.name
 
 
 def test_bounds_takes_observations_from_its_caller():

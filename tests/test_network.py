@@ -69,6 +69,8 @@ def test_repeated_node_rejected():
 @pytest.mark.parametrize("args, named", [
     pytest.param((["a"], "x", [], []), "source = 'x' is not a node", id="source"),
     pytest.param((["a"], "a", [], ["a", "x"]), "sinks[1] = 'x' is not a node", id="sink"),
+    pytest.param((["a", "b"], "a", [], ["b", "b"]), "sinks[1] = 'b' repeats a sink",
+                 id="repeated-sink"),
     pytest.param((["a"], "a", [Link("e1", "x", "a")], []), "links[0].tail = 'x' is not a node",
                  id="tail"),
     pytest.param((["a"], "a", [Link("e1", "a", "x")], []), "links[0].head = 'x' is not a node",
