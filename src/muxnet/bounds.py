@@ -55,12 +55,12 @@ class JointDistribution(_FrozenRecord):
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probs sums to {total}, expected 1")
         self._set_fields(rows)
-        # family -> family_statistics(self, family); filled on first use.
+        # id(family) -> (family, family_statistics(self, family)); the entry
+        # keeps the family alive, so its id is not reused.  Filled on first use.
         object.__setattr__(self, "_family_stats", {})
         # rho -> conditional_power_mean(rho); both hashing bounds read it.
         object.__setattr__(self, "_power_means", {})
-        # marginal_z(), filled on first use.
-        object.__setattr__(self, "_marginal_z", None)
+        object.__setattr__(self, "_marginal_z", tuple(sum(col) for col in zip(*rows)))
 
     @property
     def nx(self) -> int:
@@ -71,10 +71,7 @@ class JointDistribution(_FrozenRecord):
         return len(self.probs[0])
 
     def marginal_z(self) -> tuple[float, ...]:
-        """P(Z = z) for every z, computed once per joint."""
-        if self._marginal_z is None:
-            pz = tuple(sum(self.probs[x][z] for x in range(self.nx)) for z in range(self.nz))
-            object.__setattr__(self, "_marginal_z", pz)
+        """P(Z = z) for every z, computed when the joint is built."""
         return self._marginal_z
 
     def conditional_power_mean(self, rho: float) -> float:
@@ -97,7 +94,7 @@ class JointDistribution(_FrozenRecord):
         """Symmetric Dirichlet(1): uniform over the joint simplex."""
         gammas = [[rng.expovariate(1.0) for _ in range(nz)] for _ in range(nx)]
         total = sum(v for row in gammas for v in row)
-        return cls(tuple(tuple(v / total for v in row) for row in gammas))
+        return cls([[v / total for v in row] for row in gammas])
 
     @classmethod
     def from_deterministic_z(cls, nx: int, z_of_x, nz: int) -> "JointDistribution":
@@ -105,19 +102,22 @@ class JointDistribution(_FrozenRecord):
         rows = [[0.0] * nz for _ in range(nx)]
         for x in range(nx):
             rows[x][z_of_x(x)] = 1.0 / nx
-        return cls(tuple(tuple(r) for r in rows))
+        return cls(rows)
 
 
 class HashFamilySpec(_FrozenRecord):
     """A finite family of functions {0..nx-1} -> {0..output_size-1}.
 
-    `maps[f][x]` is the image of x under the f-th function.
+    `maps[f][x]` is the image of x under the f-th function.  The distinct
+    maps, in first-seen order, and each member's index into them are found
+    once, when the family is built; they are not fields.
     """
 
-    __slots__ = ("maps", "output_size", "_hash")
+    __slots__ = ("maps", "output_size", "_distinct", "_member_index")
     _fields = ("maps", "output_size")
 
     def __init__(self, maps: tuple[tuple[int, ...], ...], output_size: int):
+        maps = tuple(map(tuple, maps))
         if not maps:
             raise ValueError("maps is empty")
         nx = len(maps[0])
@@ -128,14 +128,10 @@ class HashFamilySpec(_FrozenRecord):
                 if not is_element(s, output_size):
                     raise ValueError(f"maps[{f}][{x}] = {s!r} is not an integer in [0, {output_size})")
         self._set_fields(maps, output_size)
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        # kept once computed: family_statistics' cache hashes every map
-        # of the family on each lookup otherwise
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.maps, self.output_size)))
-        return self._hash
+        index: dict[tuple[int, ...], int] = {}
+        members = tuple(index.setdefault(fmap, len(index)) for fmap in maps)
+        object.__setattr__(self, "_distinct", tuple(index))
+        object.__setattr__(self, "_member_index", members)
 
     @property
     def domain_size(self) -> int:
@@ -163,8 +159,8 @@ class HashFamilySpec(_FrozenRecord):
                 for pos, c in enumerate(coords):
                     s_idx += img[c] * q**pos
                 fmap.append(s_idx)
-            maps.append(tuple(fmap))
-        return cls(tuple(maps), q ** len(coords))
+            maps.append(fmap)
+        return cls(maps, q ** len(coords))
 
     def is_two_universal(self) -> tuple[bool, Fraction]:
         """Exact worst-pair collision probability against 1/|S|."""
@@ -186,27 +182,24 @@ def family_statistics(
     """(I(f(X); Z), H(f(X) | Z)) in nats for every member of the family.
 
     Neither depends on rho, so the result is computed once per
-    (joint, family) pair and cached on the joint.  Members with the same
-    map share one computation: a projection family lists each map many
-    times (168 members, 7 maps for GL(3, 2)).
+    (joint, family object) pair and cached on the joint.  Each distinct
+    map is computed once: a projection family lists each map many times
+    (168 members, 7 maps for GL(3, 2)).
     """
-    cached = joint._family_stats.get(family)
+    cached = joint._family_stats.get(id(family))
     if cached is not None:
-        return cached
+        return cached[1]
     if family.domain_size != joint.nx:
         raise ValueError(
             f"family domain {family.domain_size} != joint |X| = {joint.nx}"
         )
     pz = joint.marginal_z()
-    per_map = {}
-    for fmap in family.maps:
-        if fmap not in per_map:
-            per_map[fmap] = _map_statistics(joint, fmap, family.output_size, pz)
+    per_map = [_map_statistics(joint, fmap, family.output_size, pz) for fmap in family._distinct]
     stats = (
-        tuple(per_map[fmap][0] for fmap in family.maps),
-        tuple(per_map[fmap][1] for fmap in family.maps),
+        tuple(per_map[i][0] for i in family._member_index),
+        tuple(per_map[i][1] for i in family._member_index),
     )
-    joint._family_stats[family] = stats
+    joint._family_stats[id(family)] = (family, stats)
     return stats
 
 

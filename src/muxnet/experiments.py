@@ -384,10 +384,12 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
 
     decodable = guarantee = C_E = None
     if plan.network is not None:
+        # a slot whose map equals the previous slot's has the same decodability
         decodable = all(
             check_decodability(plan.network, plan.coding, sink, t)
             for sink in plan.network.sinks
             for t in range(layout.m)
+            if t == 0 or plan.coding.slot_map(t) != plan.coding.slot_map(t - 1)
         )
         # the uniform constant tap sets, whatever the configured model
         support = observation_support(

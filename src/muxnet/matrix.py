@@ -197,7 +197,8 @@ class FieldMatrix:
         )
         ech = aug._rref_rows()
         if ech.pivots[:n] != list(range(n)):
-            raise SingularMatrix(f"matrix of rank {self.rank()} < {n} has no inverse")
+            rank = sum(pc < n for pc in ech.pivots)  # the pivots in self's columns
+            raise SingularMatrix(f"matrix of rank {rank} < {n} has no inverse")
         ech.back_substitute()
         inv = [ech.unpack_canonical(r, 2 * n)[n:] for r in ech.rows]
         self._inverse = FieldMatrix._canonical(self.field, inv, n)

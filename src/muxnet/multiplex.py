@@ -157,12 +157,12 @@ def all_nonempty_subsets(T: int) -> list[SubsetIndex]:
 
 
 class MessageTuple(_FrozenRecord):
-    """The T+1 message blocks of one coding block."""
+    """The T+1 message blocks of one coding block, as a tuple of tuples."""
 
     __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -188,11 +188,11 @@ class MessageTuple(_FrozenRecord):
         """The blocks of m*n canonical symbols the library computed itself,
         so `from_vector`'s checks are skipped."""
         offs = layout.offsets()
-        return cls(tuple(tuple(vec[offs[i]:offs[i + 1]]) for i in range(layout.T + 1)))
+        return cls([vec[offs[i]:offs[i + 1]] for i in range(layout.T + 1)])
 
     @classmethod
     def random(cls, layout: MultiplexLayout, rng: random.Random) -> "MessageTuple":
-        return cls(tuple(tuple(random_symbols(rng, layout.q, sz)) for sz in layout.k))
+        return cls([random_symbols(rng, layout.q, sz) for sz in layout.k])
 
 
 def projection_matrix(layout: MultiplexLayout, subset: SubsetIndex) -> FieldMatrix:
@@ -230,10 +230,9 @@ def decode(layout: MultiplexLayout, L: FieldMatrix, x) -> MessageTuple:
     if len(x) != layout.mn:
         raise ShapeError(f"received word length {len(x)} != m*n = {layout.mn}")
     check_elements(x, layout.q, "received symbol")
-    if not L.is_invertible():
-        raise SingularMatrix(
-            f"decoding map of rank {L.rank()} < {L.nrows} is not invertible"
-        )
+    rank = L.rank()
+    if rank != L.nrows:
+        raise SingularMatrix(f"decoding map of rank {rank} < {L.nrows} is not invertible")
     return MessageTuple._split(layout, L._mul_vector(x))  # x is checked once, above
 
 

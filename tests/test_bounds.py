@@ -205,6 +205,28 @@ def test_family_statistics_with_repeated_maps_match_per_member_loop():
                 assert verify_hashed_entropy_bound(joint, family, rho)["lhs"] == lhs_ent
 
 
+def test_list_built_families_match_tuple_built():
+    # A family is stored as tuples whatever it is given as, so a copy built
+    # from lists gives the same floats for both bounds.
+    rng = random.Random(13)
+    families = (
+        hand_instance_family(),
+        HashFamilySpec.projection_family(
+            MultiplexLayout(GF(2), 1, 3, 1, (1, 2)), SubsetIndex({1})
+        ),
+        HashFamilySpec(tuple(tuple((x + s) % 8 for x in range(8)) for s in range(8)), 8),
+    )
+    for family in families:
+        listed = HashFamilySpec([list(fmap) for fmap in family.maps], family.output_size)
+        assert listed == family
+        joint = JointDistribution.dirichlet(family.domain_size, 3, rng)
+        for rho in RHO_GRID:
+            assert verify_hashed_mi_bound(joint, listed, rho) == verify_hashed_mi_bound(joint, family, rho)
+            assert verify_hashed_entropy_bound(joint, listed, rho) == verify_hashed_entropy_bound(
+                joint, family, rho
+            )
+
+
 def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
     # Both hashing bounds read E[P(X|Z)^rho]; the joint computes it once per
     # rho, with the floats of a fresh computation.

@@ -24,7 +24,7 @@ from muxnet.experiments import (
     run_simulate,
     run_sweep,
 )
-from muxnet.network import MAX_TAP_SETS
+from muxnet.network import MAX_TAP_SETS, LocalCoding
 
 BUTTERFLY_CONFIG = {
     "id": "bf",
@@ -430,6 +430,30 @@ def test_simulate_enumerates_tap_sets_once_before_the_draws(monkeypatch):
     assert meta["C_E"] == 9
     assert calls.count("enumerate_eavesdropper_sets") == 1
     assert calls.index("enumerate_eavesdropper_sets") < calls.index("realize_eavesdropper")
+
+
+def test_simulate_checks_decodability_once_per_run_of_equal_slot_maps(monkeypatch):
+    # The default coding is slot-constant (m = 2, sinks t1 and t2): one
+    # check per sink.  A slot whose map differs is checked, and counts.
+    calls = []
+    real = experiments.check_decodability
+
+    def counting(net, coding, sink, slot):
+        calls.append((sink, slot))
+        return real(net, coding, sink, slot)
+
+    monkeypatch.setattr(experiments, "check_decodability", counting)
+    meta, _ = run_simulate(DEFAULT_CONFIG)
+    assert meta["decodable"] is True
+    assert calls == [("t1", 0), ("t2", 0)]
+    plan = build_plan(DEFAULT_CONFIG)
+    silent = {link.id: {} for link in plan.network.links}
+    plan.coding = LocalCoding(plan.layout.field, 2, [plan.coding.slot_map(0), silent])
+    monkeypatch.setattr(experiments, "build_plan", lambda config: plan)
+    calls.clear()
+    meta, _ = run_simulate(DEFAULT_CONFIG)
+    assert meta["decodable"] is False
+    assert calls == [("t1", 0), ("t1", 1)]
 
 
 def test_tap_set_bound_checked_at_the_config_boundary():

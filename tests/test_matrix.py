@@ -96,6 +96,24 @@ def test_singular_matrix_raises():
 
 
 @pytest.mark.parametrize("q", [2, 16, 256, 3, 81, 65521])
+def test_singular_inverse_reads_its_rank_off_one_elimination(q, monkeypatch):
+    # The rank in the message is read off the echelon of [A | I]: the
+    # pivots left of column n.  No second elimination runs for it.
+    f = GF(q)
+    rng = random.Random(q)
+    n = 5
+    singular = [random_matrix(f, n, r, rng) @ random_matrix(f, r, n, rng) for r in range(n)]
+    ranks = [A.rank() for A in singular]
+    calls = []
+    real = FieldMatrix._rref_rows
+    monkeypatch.setattr(FieldMatrix, "_rref_rows", lambda self: calls.append(self) or real(self))
+    for A, rank in zip(singular, ranks):
+        with pytest.raises(SingularMatrix, match=rf"^matrix of rank {rank} < {n} has no inverse$"):
+            A.inverse()
+    assert len(calls) == n
+
+
+@pytest.mark.parametrize("q", [2, 16, 256, 3, 81, 65521])
 def test_singular_solve_raises(q):
     # Forward elimination of [A | b] over a singular A either falls short of
     # a pivot inside A's columns (b in A's column space) or puts one in the

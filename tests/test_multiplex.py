@@ -142,6 +142,17 @@ def test_decode_errors():
         encode(layout, singular, MessageTuple(((1,), (0,))))
 
 
+def test_singular_decode_eliminates_once(monkeypatch):
+    layout = MultiplexLayout(GF(2), 1, 2, 1, (1, 1))
+    singular = FieldMatrix(GF(2), [[1, 0], [1, 0]])
+    calls = []
+    real = FieldMatrix._rref_rows
+    monkeypatch.setattr(FieldMatrix, "_rref_rows", lambda self: calls.append(self) or real(self))
+    with pytest.raises(SingularMatrix, match=r"^decoding map of rank 1 < 2 is not invertible$"):
+        decode(layout, singular, [1, 0])
+    assert calls == [singular]
+
+
 @pytest.mark.parametrize("symbol", [1.5, 2.0, True, False, -1, 5, 7])
 def test_symbols_must_be_field_elements(symbol):
     # The rule for matrix entries: a plain int in [0, q), named by index.

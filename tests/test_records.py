@@ -15,12 +15,15 @@ from muxnet import (
     GF,
     BoundParams,
     EavesdropperModel,
+    FieldMatrix,
     HashFamilySpec,
     JointDistribution,
     LeakageResult,
     MessageTuple,
     MultiplexLayout,
     SubsetIndex,
+    decode,
+    encode,
 )
 from muxnet.bounds import family_statistics
 from muxnet.experiments import ExperimentPlan
@@ -231,3 +234,16 @@ def test_joint_distribution_caches_stay_out_of_equality_and_repr():
     assert family_statistics(used, family) == family_statistics(used, family)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == RECORDS["JointDistribution"][4]
+
+
+def test_list_built_records_store_tuples():
+    # container fields are stored as tuples, so a record built from lists
+    # is the record built from tuples: equal, hashable, with the same repr
+    for name, built in (("HashFamilySpec", HashFamilySpec([[0, 1], [1, 0]], 2)),
+                        ("MessageTuple", MessageTuple([[0, 1], [1]]))):
+        expected = RECORDS[name][0]()
+        assert built == expected and hash(built) == hash(expected)
+        assert repr(built) == repr(expected) == RECORDS[name][4]
+    message = MessageTuple([[1], [0]])
+    L = FieldMatrix(GF(2), [[1, 1], [0, 1]])
+    assert decode(layout(), L, encode(layout(), L, message)) == message
