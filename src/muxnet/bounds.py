@@ -55,8 +55,8 @@ class JointDistribution(_FrozenRecord):
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probs sums to {total}, expected 1")
         self._set_fields(rows)
-        # id(family) -> (family, family_statistics(self, family)); the entry
-        # keeps the family alive, so its id is not reused.  Filled on first use.
+        # id(family) -> `_statistics_entry(self, family)`; the entry keeps
+        # the family alive, so its id is not reused.  Filled on first use.
         object.__setattr__(self, "_family_stats", {})
         # rho -> conditional_power_mean(rho); both hashing bounds read it.
         object.__setattr__(self, "_power_means", {})
@@ -81,11 +81,10 @@ class JointDistribution(_FrozenRecord):
             return acc
         pz = self.marginal_z()
         acc = 0.0
-        for x in range(self.nx):
-            for z in range(self.nz):
-                p = self.probs[x][z]
+        for row in self.probs:
+            for p, pzz in zip(row, pz):
                 if p > 0:
-                    acc += p * (p / pz[z]) ** rho
+                    acc += p * (p / pzz) ** rho
         self._power_means[rho] = acc
         return acc
 
@@ -186,21 +185,26 @@ def family_statistics(
     map is computed once: a projection family lists each map many times
     (168 members, 7 maps for GL(3, 2)).
     """
+    return _statistics_entry(joint, family)[2]
+
+
+def _statistics_entry(joint: JointDistribution, family: HashFamilySpec) -> tuple:
+    """The cache entry of (joint, family): the family, the (I, H) pair of
+    tuples over its distinct maps in first-seen order, and the same pair
+    over its members, `family_statistics`."""
     cached = joint._family_stats.get(id(family))
     if cached is not None:
-        return cached[1]
+        return cached
     if family.domain_size != joint.nx:
         raise ValueError(
             f"family domain {family.domain_size} != joint |X| = {joint.nx}"
         )
     pz = joint.marginal_z()
     per_map = [_map_statistics(joint, fmap, family.output_size, pz) for fmap in family._distinct]
-    stats = (
-        tuple(per_map[i][0] for i in family._member_index),
-        tuple(per_map[i][1] for i in family._member_index),
-    )
-    joint._family_stats[id(family)] = (family, stats)
-    return stats
+    distinct = tuple(zip(*per_map))
+    stats = tuple(tuple(col[i] for i in family._member_index) for col in distinct)
+    entry = joint._family_stats[id(family)] = (family, distinct, stats)
+    return entry
 
 
 def _map_statistics(
@@ -208,35 +212,36 @@ def _map_statistics(
 ) -> tuple[float, float]:
     """(I(f(X); Z), H(f(X) | Z)) in nats for the one map f = fmap."""
     log = math.log
-    table = [[0.0] * joint.nz for _ in range(output_size)]
-    for x in range(joint.nx):
-        row = joint.probs[x]
-        trow = table[fmap[x]]
-        for z in range(joint.nz):
-            trow[z] += row[z]
-    ps = [sum(trow) for trow in table]
+    table = [[0.0] * len(pz) for _ in range(output_size)]
+    for row, s in zip(joint.probs, fmap):
+        trow = table[s]
+        for z, v in enumerate(row):
+            trow[z] += v
     mi = 0.0
     h = 0.0
-    for s in range(output_size):
-        for z in range(joint.nz):
-            p = table[s][z]
+    for trow in table:
+        ps = sum(trow)
+        for p, pzz in zip(trow, pz):
             if p > 0:
-                mi += p * log(p / (ps[s] * pz[z]))
-                h -= p * log(p / pz[z])
+                mi += p * log(p / (ps * pzz))
+                h -= p * log(p / pzz)
     return max(mi, 0.0), max(h, 0.0)
 
 
-def _mean_exp(scale: float, values: tuple[float, ...]) -> float:
-    """The mean of exp(scale * v) over `values`, summed in member order."""
-    return sum(math.exp(scale * v) for v in values) / len(values)
+def _mean_exp(scale: float, distinct: tuple[float, ...], member_index: tuple[int, ...]) -> float:
+    """The mean of exp(scale * v) over the family's members, whose values
+    are `distinct[i]` for i in `member_index`: one exp per distinct map,
+    summed in member order."""
+    exps = [math.exp(scale * v) for v in distinct]
+    return sum([exps[i] for i in member_index]) / len(member_index)
 
 
 def verify_hashed_mi_bound(joint: JointDistribution, family: HashFamilySpec, rho: float) -> dict:
     """Check E_f exp(rho I(f(X);Z)) <= 1 + |S|^rho E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
-    mis = family_statistics(joint, family)[0]
-    lhs = _mean_exp(rho, mis)
+    mis = _statistics_entry(joint, family)[1][0]
+    lhs = _mean_exp(rho, mis, family._member_index)
     rhs = 1.0 + family.output_size**rho * joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + REAL_TOLERANCE}
 
@@ -245,8 +250,8 @@ def verify_hashed_entropy_bound(joint: JointDistribution, family: HashFamilySpec
     """Check E_f exp(-rho H(f(X)|Z)) <= |S|^-rho + E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
-    ents = family_statistics(joint, family)[1]
-    lhs = _mean_exp(-rho, ents)
+    ents = _statistics_entry(joint, family)[1][1]
+    lhs = _mean_exp(-rho, ents, family._member_index)
     rhs = family.output_size ** (-rho) + joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + REAL_TOLERANCE}
 

@@ -7,7 +7,10 @@ z = B x.  Subset I's blocks are L_I x, so its leakage is
 
 an integer multiple of ln q.  That rank, rank [B; L_I] - rank B, equals
 dim proj_I(ker(B L^-1)).  `brute_force_leakage`, the independent oracle,
-recomputes the leakage of each subset from the full joint distribution.
+recomputes the leakage of each subset from the full joint distribution,
+for every pair of a list of maps and a list of observations.  It
+eliminates nothing: one table per map gives each message's preimage x,
+one per observation gives B x for every x, and a pair's z's are lookups.
 
 `average_over_support` and `worst_case_leakage` are the one place that
 aggregates leakage over a list of observations (weighted mean, maximum).
@@ -22,7 +25,9 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterator
+from operator import add
 
+from .errors import SingularMatrix
 from .matrix import FieldMatrix, _Echelon
 from .multiplex import MultiplexLayout, SubsetIndex, _check_map, _FrozenRecord, iter_message_vectors
 from .network import (
@@ -73,13 +78,18 @@ def leakage_profile(
     L.inverse()  # raises SingularMatrix for a singular L; cached on L
     field = layout.field
     rank_b = len(basis.pivots)
-    residues = [basis.reduce_packed(basis.pack(row)) for row in L._rows]
+    reduce_packed, pack = basis.reduce_packed, basis.pack
+    residues = [reduce_packed(pack(row)) for row in L._rows]
     lnq = math.log(layout.q)
+    subset_coordinates = layout.subset_coordinates
     out: dict[str, LeakageResult] = {}
     for subset in subsets:
-        span = _Echelon(field)
-        coords = layout.subset_coordinates(subset)
-        kernel_dim = sum(span.insert_packed(residues[i]) for i in coords)
+        insert_packed = _Echelon(field).insert_packed
+        coords = subset_coordinates(subset)
+        kernel_dim = 0
+        for i in coords:
+            if insert_packed(residues[i]):
+                kernel_dim += 1
         k_sub = len(coords)
         out[subset.label] = LeakageResult(
             k_sub=k_sub,
@@ -107,42 +117,73 @@ def exact_leakage(
 
 
 def brute_force_leakage(
-    layout: MultiplexLayout, maps, B: FieldMatrix, subsets
-) -> list[dict[str, float]]:
+    layout: MultiplexLayout, maps, observations, subsets
+) -> list[list[dict[str, float]]]:
     """Mutual information from the explicit joint distribution, in nats:
-    for each map L of `maps`, in order, one value per subset label.
+    `out[i][j]` holds one value per subset label for map i of `maps` and
+    observation j of `observations`, both in order.
 
     Enumerates all q^(m*n) equiprobable message vectors s once per call,
-    with each subset's blocks of s and their marginal counts.  Per map it
-    computes z = B L^-1 s once per s, tabulates for each subset the joint
-    distribution of (subset blocks of s, z), and sums p * ln(p / (p_a p_z))
-    in first-seen order.  Independent of the rank-based path.
+    with each subset's blocks of s and their marginal counts.  The
+    eavesdropper's z = B L^-1 s is B w at the word w with L w = s, so the
+    call builds one table per map, the index of each s's preimage w, and
+    one per observation, B w for every w, both from row products alone,
+    and each (map, observation) pair reads its z's by list lookup.  Blocks
+    and z's are kept as first-seen integer labels.  Per pair and subset it
+    tabulates the joint counts of (blocks, z) and sums
+    p * ln(p / (p_a p_z)) in first-seen order.  No elimination: a map that
+    is not a bijection raises SingularMatrix with its rank read off its
+    image size.  Independent of the rank-based path.
     """
     messages = iter_message_vectors(layout)  # checks the enumeration bound first
-    _check_observation(layout, B)
-    total = layout.q ** layout.mn
+    q, total = layout.q, layout.q ** layout.mn
     messages = list(messages)
+    # per observation: the z label of B w for every w, and each label's
+    # count.  The library enumerated `messages` itself, so mul_vector's
+    # operand check would only repeat on every symbol.
+    z_tables = []
+    for B in observations:
+        _check_observation(layout, B)
+        seen: dict[tuple[int, ...], int] = {}
+        labels = [seen.setdefault(tuple(B._mul_vector(w)), len(seen)) for w in messages]
+        z_tables.append((labels, Counter(labels)))
+    # per map: the index of the preimage w of every s
+    index = {s: i for i, s in enumerate(messages)}
+    preimages = []
+    for L in maps:
+        _check_map(layout, L)
+        images = [index[tuple(L._mul_vector(w))] for w in messages]
+        size = len(set(images))  # q^rank: the image is a subspace
+        if size < total:
+            rank = next(r for r in range(layout.mn) if q**r == size)
+            raise SingularMatrix(f"map of rank {rank} < {layout.mn} is not a bijection")
+        pre = [0] * total
+        for w, s in enumerate(images):
+            pre[s] = w
+        preimages.append(pre)
+    # per subset: its blocks' labels a, scaled so that a * total + z keys the
+    # pair (a, z), since every z label is below total; and each a's count
     columns = []
     for sub in subsets:
         coords = layout.subset_coordinates(sub)
-        blocks = [tuple(s[c] for c in coords) for s in messages]
-        columns.append((sub.label, blocks, Counter(blocks)))
+        seen = {}
+        labels = [seen.setdefault(tuple(s[c] for c in coords), len(seen)) for s in messages]
+        columns.append((sub.label, [a * total for a in labels], Counter(labels)))
     log = math.log
     out = []
-    for L in maps:
-        _check_map(layout, L)
-        C = B @ L.inverse()
-        # the library enumerated `messages` itself, so mul_vector's operand
-        # check would only repeat on every symbol
-        zs = [tuple(C._mul_vector(s)) for s in messages]
-        marg_z = Counter(zs)
-        mis = {}
-        for label, blocks, marg_a in columns:
-            mi = 0.0
-            for (a, z), c in Counter(zip(blocks, zs)).items():
-                mi += c * (log(c * total) - log(marg_a[a] * marg_z[z]))
-            mis[label] = max(mi / total, 0.0)
-        out.append(mis)
+    for pre in preimages:
+        row = []
+        for labels, marg_z in z_tables:
+            zs = list(map(labels.__getitem__, pre))
+            mis = {}
+            for label, keys, marg_a in columns:
+                mi = 0.0
+                for key, c in Counter(map(add, keys, zs)).items():
+                    a, z = divmod(key, total)
+                    mi += c * (log(c * total) - log(marg_a[a] * marg_z[z]))
+                mis[label] = max(mi / total, 0.0)
+            row.append(mis)
+        out.append(row)
     return out
 
 

@@ -236,9 +236,6 @@ class FieldMatrix:
             x.insert(0, sub(u[n], dot(u[i + 1:n], x)))
         return x
 
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and len(self._rref_rows().pivots) == self.nrows
-
 
 # ---------------------------------------------------------------------------
 # Sampling and enumeration

@@ -245,6 +245,9 @@ def iter_message_vectors(layout: MultiplexLayout):
     return itertools.product(range(layout.q), repeat=layout.mn)
 
 
+_Fraction = None  # fractions.Fraction, once hash_collision_probability has run
+
+
 def hash_collision_probability(layout: MultiplexLayout, subset: SubsetIndex) -> Fraction:
     """Worst-case collision probability of the projected random bijection.
 
@@ -254,8 +257,9 @@ def hash_collision_probability(layout: MultiplexLayout, subset: SubsetIndex) -> 
     (#nonzero vectors killed by the projection) / (q^mn - 1), the same
     for every d.  Returned as an exact rational.
     """
-    from fractions import Fraction  # only this exact-rational path needs it
-
+    global _Fraction
+    if _Fraction is None:  # bound on the first call: the codec never loads fractions
+        from fractions import Fraction as _Fraction
     k_sub = layout.subset_length(subset)
     kernel_size = layout.q ** (layout.mn - k_sub)
-    return Fraction(kernel_size - 1, layout.q ** layout.mn - 1)
+    return _Fraction(kernel_size - 1, layout.q ** layout.mn - 1)

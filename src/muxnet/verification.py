@@ -372,22 +372,22 @@ def _check_oracle_equivalence(seed: int) -> list[CheckResult]:
             l_pool = [sample_gl(mn, f, rng) for _ in range(12)]
         subsets = all_nonempty_subsets(layout.T)
         lnq = math.log(layout.q)
-        for rows in range(1, mn + 1):
-            for _ in range(8):
-                B = random_matrix(f, rows, mn, rng)
-                basis = observation_basis(layout, B)
-                rank_b = len(basis.pivots)
-                floors = {sub.label: leakage_floor(layout, sub, rank_b) for sub in subsets}
-                oracles = brute_force_leakage(layout, l_pool, B, subsets)
-                for L, oracle in zip(l_pool, oracles, strict=True):
-                    profile = leakage_profile(layout, L, basis, subsets)
-                    for label, res in profile.items():
-                        worst = max(worst, abs(res.nats - oracle[label]))
-                        quant = abs(res.nats / lnq - round(res.nats / lnq))
-                        quant_worst = max(quant_worst, quant)
-                        if rank_b == rows:
-                            floor_margin = min(floor_margin, res.nats - floors[label])
-                        instances += 1
+        bs = [random_matrix(f, rows, mn, rng) for rows in range(1, mn + 1) for _ in range(8)]
+        oracles = brute_force_leakage(layout, l_pool, bs, subsets)
+        for j, B in enumerate(bs):
+            basis = observation_basis(layout, B)
+            rank_b = len(basis.pivots)
+            floors = {sub.label: leakage_floor(layout, sub, rank_b) for sub in subsets}
+            for L, by_b in zip(l_pool, oracles, strict=True):
+                oracle = by_b[j]
+                profile = leakage_profile(layout, L, basis, subsets)
+                for label, res in profile.items():
+                    worst = max(worst, abs(res.nats - oracle[label]))
+                    quant = abs(res.nats / lnq - round(res.nats / lnq))
+                    quant_worst = max(quant_worst, quant)
+                    if rank_b == B.nrows:
+                        floor_margin = min(floor_margin, res.nats - floors[label])
+                    instances += 1
     return [
         CheckResult("oracle_equivalence", f"{instances} (L,B,I) instances", worst, tol, worst <= tol),
         CheckResult("leakage_quantized", f"{instances} instances", quant_worst, tol, quant_worst <= tol),

@@ -79,8 +79,8 @@ def test_single_tap_identity_vs_swap():
     assert r2.nats == 0.0
     assert r2.kernel_dim == 1
     # the oracle agrees on both
-    assert brute_force_leakage(layout, [ident, swap], B, [sub]) == [
-        {"1": pytest.approx(LN2, abs=1e-12)}, {"1": pytest.approx(0.0, abs=1e-12)}
+    assert brute_force_leakage(layout, [ident, swap], [B], [sub]) == [
+        [{"1": pytest.approx(LN2, abs=1e-12)}], [{"1": pytest.approx(0.0, abs=1e-12)}]
     ]
 
 
@@ -105,7 +105,7 @@ def test_oracle_agreement_all_gl22():
     B = FieldMatrix(GF(2), [[1, 0]])
     sub = SubsetIndex({1})
     maps = enumerate_gl(2, GF(2))
-    for L, oracle in zip(maps, brute_force_leakage(layout, maps, B, [sub]), strict=True):
+    for L, (oracle,) in zip(maps, brute_force_leakage(layout, maps, [B], [sub]), strict=True):
         assert exact_leakage(layout, L, B, sub).nats == pytest.approx(
             oracle[sub.label], abs=1e-9
         )
@@ -119,7 +119,7 @@ def test_oracle_agreement_random_gf3():
         L = sample_gl(3, GF(3), rng)
         B = random_matrix(GF(3), rng.randrange(1, 4), 3, rng)
         assert exact_leakage(layout, L, B, sub).nats == pytest.approx(
-            brute_force_leakage(layout, [L], B, [sub])[0][sub.label], abs=1e-9
+            brute_force_leakage(layout, [L], [B], [sub])[0][0][sub.label], abs=1e-9
         )
 
 
@@ -131,13 +131,14 @@ def test_independent_blocks_leak_nothing():
     res = exact_leakage(layout, FieldMatrix.identity(GF(2), 3), B, SubsetIndex({1}))
     assert res.nats == 0.0
     assert brute_force_leakage(
-        layout, [FieldMatrix.identity(GF(2), 3)], B, [SubsetIndex({1})]
-    ) == [{"1": pytest.approx(0.0, abs=1e-12)}]
+        layout, [FieldMatrix.identity(GF(2), 3)], [B], [SubsetIndex({1})]
+    ) == [[{"1": pytest.approx(0.0, abs=1e-12)}]]
 
 
 def single_subset_oracle(layout, L, B, subset):
-    """The oracle one subset at a time, as it was before it took a list of
-    subsets: the reference the multi-subset oracle must match bit for bit."""
+    """The oracle for one map, one observation and one subset, through
+    B L^-1, as it was before it took lists of them: the reference the
+    table-driven oracle must match bit for bit."""
     total = layout.q ** layout.mn
     coords = layout.subset_coordinates(subset)
     C = B @ L.inverse()
@@ -165,20 +166,56 @@ def test_oracle_over_subsets_is_bit_identical_to_single_subset(q, m, n, k):
     rng = random.Random(q * 100 + layout.mn * 10 + layout.T)
     for _ in range(4):
         L = sample_gl(layout.mn, f, rng)
-        B = random_matrix(f, rng.randrange(1, layout.mn + 1), layout.mn, rng)
+        bs = [random_matrix(f, rng.randrange(1, layout.mn + 1), layout.mn, rng) for _ in range(3)]
+        bs.append(FieldMatrix.zeros(f, 0, layout.mn))  # an eavesdropper who sees nothing
         maps = [L, L.inverse()]  # a second map, with no extra RNG draw
-        # one call over several maps, each against the one-subset reference
-        for M, got in zip(maps, brute_force_leakage(layout, maps, B, subsets), strict=True):
-            assert list(got) == [sub.label for sub in subsets]
-            for sub in subsets:
-                assert got[sub.label] == single_subset_oracle(layout, M, B, sub)
+        # one call over several maps and observations, each pair against
+        # the one-subset reference
+        got = brute_force_leakage(layout, maps, bs, subsets)
+        for M, per_b in zip(maps, got, strict=True):
+            for B, mis in zip(bs, per_b, strict=True):
+                assert list(mis) == [sub.label for sub in subsets]
+                for sub in subsets:
+                    assert mis[sub.label] == single_subset_oracle(layout, M, B, sub)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_oracle_eliminates_nothing(monkeypatch, q):
+    f = GF(q)
+    layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
+    subsets = all_nonempty_subsets(1)
+    rng = random.Random(q)
+    maps = [sample_gl(2, f, rng) for _ in range(3)]
+    bs = [random_matrix(f, rows, 2, rng) for rows in (1, 1, 2)]
+    want = [[{"1": single_subset_oracle(layout, L, B, subsets[0])} for B in bs] for L in maps]
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("the oracle eliminated")
+
+    monkeypatch.setattr(FieldMatrix, "inverse", no_elimination)
+    monkeypatch.setattr(FieldMatrix, "_rref_rows", no_elimination)
+    monkeypatch.setattr(leakage._Echelon, "insert_packed", no_elimination)
+    assert brute_force_leakage(layout, maps, bs, subsets) == want
+
+
+@pytest.mark.parametrize("q, rows", [
+    (2, [[1, 1], [1, 1]]), (3, [[1, 2], [2, 1]]), (4, [[2, 3], [1, 2]]),
+], ids=["q2", "q3", "q4"])
+def test_oracle_refuses_a_singular_map_naming_its_rank(q, rows):
+    f = GF(q)
+    layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
+    L = FieldMatrix(f, rows)
+    assert L.rank() == 1
+    maps = [FieldMatrix.identity(f, 2), L]  # refused even after an invertible map
+    with pytest.raises(SingularMatrix, match="rank 1 < 2"):
+        brute_force_leakage(layout, maps, [FieldMatrix.identity(f, 2)], [SubsetIndex({1})])
 
 
 def test_brute_force_cap():
     layout = MultiplexLayout(GF(2), 5, 4, 1, (10, 10))
     B = FieldMatrix.zeros(GF(2), 1, 20)
     with pytest.raises(EnumerationTooLarge):
-        brute_force_leakage(layout, [FieldMatrix.identity(GF(2), 20)], B, [SubsetIndex({1})])
+        brute_force_leakage(layout, [FieldMatrix.identity(GF(2), 20)], [B], [SubsetIndex({1})])
 
 
 def test_brute_force_bound_checked_before_any_work(monkeypatch):
@@ -191,7 +228,7 @@ def test_brute_force_bound_checked_before_any_work(monkeypatch):
     layout = MultiplexLayout(GF(2), 1, 17, 1, (9, 8))  # 2^17 message vectors
     with pytest.raises(EnumerationTooLarge):
         brute_force_leakage(
-            layout, [FieldMatrix.identity(GF(2), 17)], FieldMatrix.zeros(GF(2), 1, 17),
+            layout, [FieldMatrix.identity(GF(2), 17)], [FieldMatrix.zeros(GF(2), 1, 17)],
             [SubsetIndex({1})],
         )
 
@@ -348,8 +385,8 @@ def test_brute_force_invertible_observation():
     rng = random.Random(12)
     B = sample_gl(2, GF(2), rng)
     L = sample_gl(2, GF(2), rng)
-    assert brute_force_leakage(layout, [L], B, [SubsetIndex({1})]) == [
-        {"1": pytest.approx(LN2, abs=1e-12)}
+    assert brute_force_leakage(layout, [L], [B], [SubsetIndex({1})]) == [
+        [{"1": pytest.approx(LN2, abs=1e-12)}]
     ]
 
 
@@ -383,7 +420,7 @@ def test_zero_size_subset_leaks_nothing():
     B = sample_gl(2, GF(2), rng)
     sub = SubsetIndex({1})
     assert exact_leakage(layout, L, B, sub).nats == 0.0
-    assert brute_force_leakage(layout, [L], B, [sub]) == [{"1": pytest.approx(0.0, abs=1e-12)}]
+    assert brute_force_leakage(layout, [L], [B], [sub]) == [[{"1": pytest.approx(0.0, abs=1e-12)}]]
 
 
 def test_worst_case_over_butterfly_taps_matches_oracle():
@@ -399,8 +436,8 @@ def test_worst_case_over_butterfly_taps_matches_oracle():
         res = worst_case_leakage(layout, L, observations, [sub])[sub.label]
         manual = max(
             brute_force_leakage(
-                layout, [L], eavesdrop_matrix(net, coding, [s], layout), [sub]
-            )[0][sub.label]
+                layout, [L], [eavesdrop_matrix(net, coding, [s], layout)], [sub]
+            )[0][0][sub.label]
             for s, _ in res["per_set"]
         )
         assert res["max_nats"] == pytest.approx(manual, abs=1e-9)

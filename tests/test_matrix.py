@@ -211,7 +211,7 @@ def test_gl_sampler_always_invertible():
     for q in (2, 3):
         f = GF(q)
         for _ in range(100):
-            assert sample_gl(2, f, rng).is_invertible()
+            assert sample_gl(2, f, rng).rank() == 2
 
 
 def test_gl22_sampling_uniform_chi2():
@@ -386,7 +386,7 @@ def test_only_readers_of_reduced_rows_back_substitute(q, monkeypatch):
 
     monkeypatch.setattr(_Echelon, "back_substitute", refuse)
     M = sample_gl(4, f, rng)
-    assert M.rank() == 4 and M.is_invertible()
+    assert M.rank() == 4 == M.nrows
     assert random_matrix(f, 3, 5, rng).rank() <= 3
     assert len(enumerate_gl(2, GF(2))) == 6
     assert len(observation_basis(layout, B).pivots) == B.rank()

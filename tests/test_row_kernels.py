@@ -323,13 +323,13 @@ def check_packed_against_reference(f, rows, ncols, rng):
     b = [rng.randrange(q) for _ in range(n)]
     ref_inv = ref_solve_right(f, rows, ident)
     if ref_inv is None:
-        assert not M.is_invertible()
+        assert M.rank() < M.nrows
         with pytest.raises(SingularMatrix):
             M.inverse()
         with pytest.raises(SingularMatrix):
             M.solve(b)
         return
-    assert M.is_invertible()
+    assert M.rank() == M.nrows
     assert M.inverse().rows_list() == ref_inv
     assert M.solve(b) == [r[0] for r in ref_solve_right(f, rows, [[v] for v in b])]
 
