@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .fields import is_element
 from .matrix import FieldMatrix, all_vectors, enumerate_gl, sample_gl
-from .multiplex import MultiplexLayout, SubsetIndex, _FrozenRecord, all_nonempty_subsets
+from .multiplex import MultiplexLayout, SubsetIndex, _FrozenRecord, _ordered_sum, all_nonempty_subsets
 from .leakage import average_over_support, worst_case_leakage
 
 REAL_TOLERANCE = 1e-12
@@ -51,24 +51,20 @@ class JointDistribution(_FrozenRecord):
                 if not (type(v) in (int, float) and 0 <= v <= sys.float_info.max):
                     raise ValueError(f"probs[{x}][{z}] = {v!r} is not a finite number >= 0")
         rows = tuple(tuple(float(v) for v in row) for row in rows)
-        total = sum(v for r in rows for v in r)
+        total = _ordered_sum(v for r in rows for v in r)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probs sums to {total}, expected 1")
         self._set_fields(rows)
-        # id(family) -> `_statistics_entry(self, family)`; the entry keeps
-        # the family alive, so its id is not reused.  Filled on first use.
+        # id(family) -> (family, `_distinct_statistics(self, family)`); the
+        # entry keeps the family alive, so its id is not reused.
         object.__setattr__(self, "_family_stats", {})
         # rho -> conditional_power_mean(rho); both hashing bounds read it.
         object.__setattr__(self, "_power_means", {})
-        object.__setattr__(self, "_marginal_z", tuple(sum(col) for col in zip(*rows)))
+        object.__setattr__(self, "_marginal_z", tuple(map(_ordered_sum, zip(*rows))))
 
     @property
     def nx(self) -> int:
         return len(self.probs)
-
-    @property
-    def nz(self) -> int:
-        return len(self.probs[0])
 
     def marginal_z(self) -> tuple[float, ...]:
         """P(Z = z) for every z, computed when the joint is built."""
@@ -92,7 +88,7 @@ class JointDistribution(_FrozenRecord):
     def dirichlet(cls, nx: int, nz: int, rng: random.Random) -> "JointDistribution":
         """Symmetric Dirichlet(1): uniform over the joint simplex."""
         gammas = [[rng.expovariate(1.0) for _ in range(nz)] for _ in range(nx)]
-        total = sum(v for row in gammas for v in row)
+        total = _ordered_sum(v for row in gammas for v in row)
         return cls([[v / total for v in row] for row in gammas])
 
     @classmethod
@@ -175,36 +171,24 @@ class HashFamilySpec(_FrozenRecord):
         return worst <= Fraction(1, self.output_size), worst
 
 
-def family_statistics(
+def _distinct_statistics(
     joint: JointDistribution, family: HashFamilySpec
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(I(f(X); Z), H(f(X) | Z)) in nats for every member of the family.
-
-    Neither depends on rho, so the result is computed once per
-    (joint, family object) pair and cached on the joint.  Each distinct
-    map is computed once: a projection family lists each map many times
-    (168 members, 7 maps for GL(3, 2)).
-    """
-    return _statistics_entry(joint, family)[2]
-
-
-def _statistics_entry(joint: JointDistribution, family: HashFamilySpec) -> tuple:
-    """The cache entry of (joint, family): the family, the (I, H) pair of
-    tuples over its distinct maps in first-seen order, and the same pair
-    over its members, `family_statistics`."""
+    """(I(f(X); Z), H(f(X) | Z)) in nats for each distinct map f of the
+    family, in first-seen order.  Neither depends on rho, so the pair is
+    computed once per (joint, family object) and cached on the joint; a
+    projection family lists each map many times (168 members, 7 maps for
+    GL(3, 2))."""
     cached = joint._family_stats.get(id(family))
     if cached is not None:
-        return cached
+        return cached[1]
     if family.domain_size != joint.nx:
-        raise ValueError(
-            f"family domain {family.domain_size} != joint |X| = {joint.nx}"
-        )
+        raise ValueError(f"family domain {family.domain_size} != joint |X| = {joint.nx}")
     pz = joint.marginal_z()
     per_map = [_map_statistics(joint, fmap, family.output_size, pz) for fmap in family._distinct]
-    distinct = tuple(zip(*per_map))
-    stats = tuple(tuple(col[i] for i in family._member_index) for col in distinct)
-    entry = joint._family_stats[id(family)] = (family, distinct, stats)
-    return entry
+    stats = tuple(zip(*per_map))
+    joint._family_stats[id(family)] = (family, stats)
+    return stats
 
 
 def _map_statistics(
@@ -220,7 +204,7 @@ def _map_statistics(
     mi = 0.0
     h = 0.0
     for trow in table:
-        ps = sum(trow)
+        ps = _ordered_sum(trow)
         for p, pzz in zip(trow, pz):
             if p > 0:
                 mi += p * log(p / (ps * pzz))
@@ -233,14 +217,14 @@ def _mean_exp(scale: float, distinct: tuple[float, ...], member_index: tuple[int
     are `distinct[i]` for i in `member_index`: one exp per distinct map,
     summed in member order."""
     exps = [math.exp(scale * v) for v in distinct]
-    return sum([exps[i] for i in member_index]) / len(member_index)
+    return _ordered_sum(map(exps.__getitem__, member_index)) / len(member_index)
 
 
 def verify_hashed_mi_bound(joint: JointDistribution, family: HashFamilySpec, rho: float) -> dict:
     """Check E_f exp(rho I(f(X);Z)) <= 1 + |S|^rho E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
-    mis = _statistics_entry(joint, family)[1][0]
+    mis = _distinct_statistics(joint, family)[0]
     lhs = _mean_exp(rho, mis, family._member_index)
     rhs = 1.0 + family.output_size**rho * joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + REAL_TOLERANCE}
@@ -250,7 +234,7 @@ def verify_hashed_entropy_bound(joint: JointDistribution, family: HashFamilySpec
     """Check E_f exp(-rho H(f(X)|Z)) <= |S|^-rho + E[P(X|Z)^rho]."""
     if not 0 <= rho <= 1:
         raise DomainError(f"rho = {rho} outside [0, 1]")
-    ents = _statistics_entry(joint, family)[1][1]
+    ents = _distinct_statistics(joint, family)[1]
     lhs = _mean_exp(-rho, ents, family._member_index)
     rhs = family.output_size ** (-rho) + joint.conditional_power_mean(rho)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + REAL_TOLERANCE}
@@ -435,12 +419,12 @@ def certify_universal_zero(
 def capacity_membership(rates, n: int) -> bool:
     """True iff all rates are nonnegative and their sum is at most n."""
     rates = list(rates)
-    return all(r >= 0 for r in rates) and sum(rates) <= n
+    return all(r >= 0 for r in rates) and _ordered_sum(rates) <= n
 
 
 def rate_leakage_floor(rates, members, n: int, mu: int) -> float:
     """Asymptotic per-slot leakage floor of one subset, in symbols."""
-    total = sum(rates[i - 1] for i in members)
+    total = _ordered_sum(rates[i - 1] for i in members)
     return max(0.0, total - (n - mu))
 
 

@@ -30,6 +30,7 @@ from .matrix import sample_gl
 from .multiplex import (
     MessageTuple,
     MultiplexLayout,
+    _ordered_sum,
     _Record,
     all_nonempty_subsets,
     decode,
@@ -550,14 +551,14 @@ def run_capacity(rates, n: int, mu: int) -> dict:
         floors.append(
             {
                 "subset": sub.label,
-                "rate_sum": sum(rates[i - 1] for i in sub.members),
+                "rate_sum": _ordered_sum(rates[i - 1] for i in sub.members),
                 "floor_symbols_per_slot": rate_leakage_floor(rates, sub.members, n, mu),
             }
         )
     return {
         "member": member,
         "rates": rates,
-        "rate_total": sum(rates),
+        "rate_total": _ordered_sum(rates),
         "n": n,
         "mu": mu,
         "floors": floors,

@@ -264,11 +264,11 @@ class _Echelon:
     """Row echelon basis of a growing row space: the one elimination engine
     behind sampling, enumeration, rank, kernel, inverse, solve and leakage.
 
-    Rows are normalized (pivot entry 1), kept in pivot-column order, and
+    Rows enter a basis only through `insert_packed`, which reduces and
+    normalizes them (pivot entry 1) and keeps them in pivot-column order,
     zero left of their pivots.  Inserting a row touches no earlier row, so
-    rank queries and `solve` pay for no reduced form.  `back_substitute`
-    replaces each row by its residue modulo the rows below it, with the
-    same loop as `reduce_packed`, which leaves the unique reduced row
+    rank queries and `solve` pay for no reduced form; `back_substitute`
+    re-inserts the rows bottom-up, which leaves the unique reduced row
     echelon form.  The residue of a vector modulo the span is the one
     member of its coset that is zero in every pivot column, so
     `reduce_packed` gives the same residue against either form.  Rows are
@@ -434,18 +434,13 @@ class _Echelon:
         return tuple(self.rows)
 
     def back_substitute(self) -> None:
-        """Replace each row, bottom-up, by its residue modulo the rows below
-        it.  Those rows are already reduced, so the residue is zero in every
-        later pivot column, and the rows left form the reduced row echelon
-        form of the span, in a new `rows` list."""
+        """Insert the rows, bottom-up, into a fresh basis, which replaces each
+        by its residue modulo the rows below it: those are already reduced,
+        so the residue keeps its pivot, and the rows left form the reduced
+        row echelon form of the span, in a new `rows` list."""
         below = _Echelon(self.field)
-        for row, pc in zip(reversed(self.rows), reversed(self.pivots)):
-            reduced = below.reduce_packed(row)
-            if self._p and reduced is not row:  # store it canonical
-                ncols = -(-reduced.bit_length() // _CELL_BITS)
-                reduced = self.pack(self.unpack(reduced, ncols))
-            below.rows.insert(0, reduced)
-            below.pivots.insert(0, pc)
+        for row in reversed(self.rows):
+            below.insert_packed(row)
         self.rows = below.rows
 
 
@@ -499,19 +494,22 @@ def enumerate_gl(dim: int, field: FieldSpec) -> list[FieldMatrix]:
     out: list[FieldMatrix] = []
     vectors = all_vectors(field, dim)
     start = _Echelon(field)
-    packed = [start.pack(v) for v in vectors]
-
-    def extend(rows: list[list[int]], ech: _Echelon) -> None:
-        if len(rows) == dim:
-            out.append(FieldMatrix._canonical(field, list(rows), dim))
-            return
-        for cand, pcand in zip(vectors, packed):
-            grown = ech.copy()
-            if grown.insert_packed(pcand):
-                rows.append(cand)
-                extend(rows, grown)
-                rows.pop()
-
-    extend([], start)
+    _extend_gl(out, list(zip(vectors, map(start.pack, vectors))), [], start, dim)
     assert len(out) == total
     return out
+
+
+def _extend_gl(out: list, candidates: list, rows: list, ech: _Echelon, dim: int) -> None:
+    """Append to `out`, in order, every invertible dim x dim matrix whose
+    first rows are `rows`, spanning `ech`; `candidates` lists each vector
+    with its packed row.  A module-level function, not a closure, so the
+    recursion leaves no reference cycle holding the matrices."""
+    if len(rows) == dim:
+        out.append(FieldMatrix._canonical(ech.field, list(rows), dim))
+        return
+    for cand, pcand in candidates:
+        grown = ech.copy()
+        if grown.insert_packed(pcand):
+            rows.append(cand)
+            _extend_gl(out, candidates, rows, grown, dim)
+            rows.pop()

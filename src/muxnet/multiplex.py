@@ -8,8 +8,10 @@ linear map L; the receiver applies L and splits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
@@ -17,6 +19,14 @@ from .fields import FieldSpec, check_elements, is_element, random_symbols
 from .matrix import FieldMatrix
 
 MAX_MESSAGE_VECTORS = 1 << 16  # largest q^(m*n) that iter_message_vectors lists
+
+
+def _ordered_sum(values):
+    """The sum of `values` added left to right from the integer 0, as
+    `sum()` adds on Python 3.10 and 3.11; from 3.12 `sum()` compensates
+    float rounding and changes last digits.  Every float total in the
+    library is this one, so a seed names one report on every Python."""
+    return functools.reduce(operator.add, values, 0)
 
 
 class _Record:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fields import FieldSpec, is_element
 from .matrix import FieldMatrix, _Echelon, sample_full_rank
-from .multiplex import MultiplexLayout, _FrozenRecord
+from .multiplex import MultiplexLayout, _FrozenRecord, _ordered_sum
 
 # Largest number of tap sets enumerate_eavesdropper_sets lists, and of
 # per-slot tap schedules observation_support lists for a statistical model.
@@ -218,7 +218,7 @@ class EavesdropperModel(_FrozenRecord):
                     raise DuplicateLink(f"distribution[{i}].links = {tap_set} is not a mu-subset")
                 if not (type(w) in (int, float) and 0 <= w <= sys.float_info.max):
                     raise ValueError(f"distribution[{i}].p = {w!r} is not finite and >= 0")
-            total = sum(w for _, w in distribution)
+            total = _ordered_sum(w for _, w in distribution)
             if not 0 < total <= sys.float_info.max:
                 raise ValueError(f"distribution weights sum to {total}, not a positive float")
         self._set_fields(kind, mu, links, distribution)
@@ -421,7 +421,7 @@ def observation_support(
         sets = enumerate_eavesdropper_sets(net, model.mu)
         per_slot = [(s, 1.0 / len(sets)) for s in sets]
     else:
-        total = sum(w for _, w in dist)
+        total = _ordered_sum(w for _, w in dist)
         per_slot = [(s, w / total) for s, w in dist]
     return [
         (eavesdrop_matrix(net, coding, [s for s, _ in combo], layout), math.prod(p for _, p in combo))

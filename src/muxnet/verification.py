@@ -34,6 +34,7 @@ from .multiplex import (
     MessageTuple,
     MultiplexLayout,
     SubsetIndex,
+    _ordered_sum,
     _Record,
     all_nonempty_subsets,
     decode,
@@ -162,7 +163,7 @@ def _check_gl_uniformity(seed: int) -> list[CheckResult]:
         counts[key] = counts.get(key, 0) + 1
     members = enumerate_gl(2, f)
     expected = n / len(members)
-    chi2 = sum(
+    chi2 = _ordered_sum(
         (counts.get(m.as_tuples(), 0) - expected) ** 2 / expected for m in members
     )
     crit = 20.515  # chi-square df=5, alpha=0.001

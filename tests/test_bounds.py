@@ -38,12 +38,20 @@ from muxnet import (
     verify_hashed_mi_bound,
     worst_case_leakage,
 )
-from muxnet.bounds import family_statistics, guarantee_probability, rho_grid_argmin
+from muxnet.bounds import _distinct_statistics, guarantee_probability, rho_grid_argmin
 from muxnet.errors import DomainError
 from muxnet.network import parallel_coding, parallel_network
 from muxnet.verification import RHO_GRID, hand_instance_family, hand_instance_joint
 
 LN2 = math.log(2)
+
+
+def added_in_order(terms):
+    """The terms added left to right from 0, the library's summation rule."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
 
 
 # ---------------------------------------------------------
@@ -157,24 +165,25 @@ def test_bounds_hold_on_random_joints():
                     assert mi == verify_hashed_mi_bound(JointDistribution(joint.probs), fam, rho)
                     assert ent == verify_hashed_entropy_bound(JointDistribution(joint.probs), fam, rho)
             for fam in same_domain:
-                assert family_statistics(joint, fam) is family_statistics(joint, fam)
+                assert _distinct_statistics(joint, fam) is _distinct_statistics(joint, fam)
 
 
-def test_family_statistics_with_repeated_maps_match_per_member_loop():
-    # Statistics are computed once per distinct map; the per-member tuples
-    # equal, float for float, a loop that recomputes every member.
+def test_hashing_bounds_with_repeated_maps_match_per_member_loop():
+    # Statistics are computed once per distinct map; both bounds' left
+    # sides equal, float for float, a loop that recomputes every member.
     def per_member(joint, family):
         pz = joint.marginal_z()
+        nz = len(pz)
         mis, ents = [], []
         for fmap in family.maps:
-            table = [[0.0] * joint.nz for _ in range(family.output_size)]
+            table = [[0.0] * nz for _ in range(family.output_size)]
             for x in range(joint.nx):
-                for z in range(joint.nz):
+                for z in range(nz):
                     table[fmap[x]][z] += joint.probs[x][z]
-            ps = [sum(row) for row in table]
+            ps = [added_in_order(row) for row in table]
             mi = h = 0.0
             for s in range(family.output_size):
-                for z in range(joint.nz):
+                for z in range(nz):
                     p = table[s][z]
                     if p > 0:
                         mi += p * math.log(p / (ps[s] * pz[z]))
@@ -195,12 +204,11 @@ def test_family_statistics_with_repeated_maps_match_per_member_loop():
         for _ in range(5):
             joint = JointDistribution.dirichlet(family.domain_size, rng.randrange(2, 9), rng)
             mis, ents = per_member(joint, family)
-            assert family_statistics(joint, family) == (mis, ents)
             # one exp per distinct statistic, summed in member order: the
             # same floats as one exp per member
             for rho in RHO_GRID:
-                lhs_mi = sum(math.exp(rho * mi) for mi in mis) / len(mis)
-                lhs_ent = sum(math.exp(-rho * h) for h in ents) / len(ents)
+                lhs_mi = added_in_order(math.exp(rho * mi) for mi in mis) / len(mis)
+                lhs_ent = added_in_order(math.exp(-rho * h) for h in ents) / len(ents)
                 assert verify_hashed_mi_bound(joint, family, rho)["lhs"] == lhs_mi
                 assert verify_hashed_entropy_bound(joint, family, rho)["lhs"] == lhs_ent
 
@@ -248,7 +256,7 @@ def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
     # the marginal itself is computed once per joint
     monkeypatch.undo()
     assert joint.marginal_z() is joint.marginal_z()
-    assert joint.marginal_z() == tuple(sum(col) for col in zip(*joint.probs))
+    assert joint.marginal_z() == tuple(added_in_order(col) for col in zip(*joint.probs))
 
 
 def test_projection_family_is_two_universal():

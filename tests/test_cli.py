@@ -662,6 +662,23 @@ def test_capacity_cli_formats(tmp_path, capsys):
     assert doc["member"] is False
 
 
+def test_capacity_report_pinned(capsys):
+    # Every total is added left to right, so the last digits are those of
+    # that order on every Python (from 3.12 `sum()` would print sum=0.6).
+    assert main(["capacity", "--rates", "0.1,0.2,0.3", "--n", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "member,true,sum=0.6000000000000001,n=2,mu=1\n"
+        "subset,rate_sum,floor_symbols_per_slot\n"
+        "1,0.1,0.0\n"
+        "2,0.2,0.0\n"
+        "3,0.3,0.0\n"
+        "1+2,0.30000000000000004,0.0\n"
+        "1+3,0.4,0.0\n"
+        "2+3,0.5,0.0\n"
+        "1+2+3,0.6000000000000001,0.0\n"
+    )
+
+
 # ---------------------------------------------------------
 # verify via CLI
 # ---------------------------------------------------------

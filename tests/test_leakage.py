@@ -485,6 +485,14 @@ def test_profile_matches_exact_leakage():
 # one evaluation per distinct row space, against the per-B path
 # ---------------------------------------------------------
 
+def added_in_order(terms):
+    """The terms added left to right from 0, the library's summation rule."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
 def per_b_average(layout, L, support, subsets, rho):
     """average_over_support's result for one map, one exact_leakage per
     listed B and the sums in the listed order."""
@@ -492,8 +500,10 @@ def per_b_average(layout, L, support, subsets, rho):
     for sub in subsets:
         samples = [exact_leakage(layout, L, B, sub).nats for B, _ in support]
         out[sub.label] = {
-            "mean_nats": sum(w * x for (_, w), x in zip(support, samples)),
-            "mean_exp_rho": sum(w * math.exp(rho * x) for (_, w), x in zip(support, samples)),
+            "mean_nats": added_in_order(w * x for (_, w), x in zip(support, samples)),
+            "mean_exp_rho": added_in_order(
+                w * math.exp(rho * x) for (_, w), x in zip(support, samples)
+            ),
             "samples": samples,
         }
     return out

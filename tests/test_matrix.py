@@ -1,5 +1,6 @@
 """Matrix algebra over GF(q): rank, kernel, inverse, GL sampling."""
 
+import gc
 import hashlib
 import random
 import re
@@ -232,6 +233,22 @@ def test_enumerate_gl_orders():
     assert gl_order(2, 3) == 48
     assert len(enumerate_gl(2, GF(3))) == 48
     assert len({m.as_tuples() for m in enumerate_gl(3, GF(2))}) == gl_order(3, 2) == 168
+
+
+def test_enumerate_gl_leaves_no_cyclic_garbage():
+    # The recursion holds no reference cycle, so the matrices are freed when
+    # the list is dropped, not at the next full collection.
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        enumerate_gl(3, GF(2))
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, FieldMatrix)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 def test_gl_enumeration_bound(monkeypatch):

@@ -378,3 +378,21 @@ def test_layout_shape_is_never_coerced(name, args):
 def test_subset_members_are_never_coerced(members):
     with pytest.raises(ValueError, match="message index|nonempty"):
         SubsetIndex(members)
+
+
+# ---------------------------------------------------------
+# float summation
+# ---------------------------------------------------------
+
+def test_ordered_sum_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so adding in order gives 0.0; a
+    # compensated sum (`sum()` from Python 3.12) or an exact one gives 1.0.
+    assert multiplex._ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    rng = random.Random(3)
+    for size in (0, 1, 2, 17, 500):
+        values = [rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-8, 8) for _ in range(size)]
+        total = 0
+        for v in values:
+            total += v
+        got = multiplex._ordered_sum(iter(values))
+        assert got == total and type(got) is type(total)

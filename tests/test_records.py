@@ -24,8 +24,8 @@ from muxnet import (
     SubsetIndex,
     decode,
     encode,
+    verify_hashed_mi_bound,
 )
-from muxnet.bounds import family_statistics
 from muxnet.experiments import ExperimentPlan
 from muxnet.network import Link
 from muxnet.verification import CheckResult
@@ -231,7 +231,7 @@ def test_joint_distribution_caches_stay_out_of_equality_and_repr():
     used.marginal_z()
     used.conditional_power_mean(0.5)
     family = HashFamilySpec(((0, 1), (1, 0)), 2)
-    assert family_statistics(used, family) == family_statistics(used, family)
+    assert verify_hashed_mi_bound(used, family, 0.5) == verify_hashed_mi_bound(used, family, 0.5)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == RECORDS["JointDistribution"][4]
 
