@@ -13,7 +13,9 @@ and the capacity-region membership predicate sum(R_i) <= n.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -35,7 +37,7 @@ class JointDistribution(_FrozenRecord):
     """Probability table p(x, z) over {0..nx-1} x {0..nz-1}.  Its caches
     are not fields: they stay out of equality, hash and repr."""
 
-    __slots__ = ("probs", "_family_stats", "_power_means", "_marginal_z")
+    __slots__ = ("probs", "_family_stats", "_power_means", "_marginal_z", "_conditionals")
     _fields = ("probs",)
 
     def __init__(self, probs: tuple[tuple[float, ...], ...]):
@@ -61,6 +63,9 @@ class JointDistribution(_FrozenRecord):
         # rho -> conditional_power_mean(rho); both hashing bounds read it.
         object.__setattr__(self, "_power_means", {})
         object.__setattr__(self, "_marginal_z", tuple(map(_ordered_sum, zip(*rows))))
+        # the p and the p / p_z of every cell with p > 0, in row order, as
+        # two tuples, filled by the first conditional_power_mean
+        object.__setattr__(self, "_conditionals", None)
 
     @property
     def nx(self) -> int:
@@ -75,12 +80,16 @@ class JointDistribution(_FrozenRecord):
         acc = self._power_means.get(rho)
         if acc is not None:
             return acc
-        pz = self.marginal_z()
-        acc = 0.0
-        for row in self.probs:
-            for p, pzz in zip(row, pz):
-                if p > 0:
-                    acc += p * (p / pzz) ** rho
+        cells = self._conditionals
+        if cells is None:
+            pz = self.marginal_z()
+            cells = tuple(zip(*[
+                (p, p / pzz) for row in self.probs for p, pzz in zip(row, pz) if p > 0
+            ]))
+            object.__setattr__(self, "_conditionals", cells)
+        probs, conds = cells
+        # the sum of p * (p / p_z)^rho, term by term in row order
+        acc = _ordered_sum(map(operator.mul, probs, map(pow, conds, itertools.repeat(rho))))
         self._power_means[rho] = acc
         return acc
 
@@ -145,16 +154,13 @@ class HashFamilySpec(_FrozenRecord):
         coords = layout.subset_coordinates(subset)
         mats = enumerate_gl(mn, layout.field)
         vectors = all_vectors(layout.field, mn)
+        weights = [(c, q**pos) for pos, c in enumerate(coords)]
         maps = []
         for L in mats:
-            fmap = []
-            for vec in vectors:
-                img = L.mul_vector(vec)
-                s_idx = 0
-                for pos, c in enumerate(coords):
-                    s_idx += img[c] * q**pos
-                fmap.append(s_idx)
-            maps.append(fmap)
+            # the library enumerated the vectors: mul_vector's check would
+            # only repeat on every symbol
+            images = map(L._mul_vector, vectors)
+            maps.append([sum(img[c] * w for c, w in weights) for img in images])
         return cls(maps, q ** len(coords))
 
     def is_two_universal(self) -> tuple[bool, Fraction]:

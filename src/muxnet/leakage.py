@@ -135,7 +135,9 @@ def brute_force_leakage(
     and each (map, observation) pair reads its z's by list lookup.  Blocks
     and z's are kept as first-seen integer labels.  Per pair and subset it
     tabulates the joint counts of (blocks, z) and sums
-    p * ln(p / (p_a p_z)) in first-seen order.  No elimination: a map that
+    p * ln(p / (p_a p_z)) in first-seen order, taking each logarithm once
+    per call: ln(c q^(m*n)) per count c, and the log of each key's marginal
+    product once per (observation, subset).  No elimination: a map that
     is not a bijection raises SingularMatrix with its rank read off its
     image size.  Independent of the rank-based path.
     """
@@ -174,17 +176,26 @@ def brute_force_leakage(
         labels = [seen.setdefault(tuple(s[c] for c in coords), len(seen)) for s in messages]
         columns.append((sub.label, [a * total for a in labels], Counter(labels)))
     log = math.log
+    # log(c * total) for every count c a pair (a, z) can reach, at most the
+    # count of its a; and per (observation, subset) the log of each key's
+    # marginal product marg_a[a] * marg_z[z], taken once for all maps
+    most = max((max(marg_a.values()) for _, _, marg_a in columns), default=0)
+    log_count = [0.0] + [log(c * total) for c in range(1, most + 1)]
+    log_marginals = [[{} for _ in columns] for _ in z_tables]
     out = []
     for pre in preimages:
         row = []
-        for labels, marg_z in z_tables:
+        for (labels, marg_z), memos in zip(z_tables, log_marginals):
             zs = list(map(labels.__getitem__, pre))
             mis = {}
-            for label, keys, marg_a in columns:
+            for (label, keys, marg_a), memo in zip(columns, memos):
                 mi = 0.0
                 for key, c in Counter(map(add, keys, zs)).items():
-                    a, z = divmod(key, total)
-                    mi += c * (log(c * total) - log(marg_a[a] * marg_z[z]))
+                    log_marginal = memo.get(key)
+                    if log_marginal is None:
+                        a, z = divmod(key, total)
+                        log_marginal = memo[key] = log(marg_a[a] * marg_z[z])
+                    mi += c * (log_count[c] - log_marginal)
                 mis[label] = max(mi / total, 0.0)
             row.append(mis)
         out.append(row)

@@ -4,11 +4,15 @@ Every elimination runs through one echelon basis, `_Echelon`.  Inserting
 rows keeps a row echelon form, which is all a rank, an invertibility test
 or a residue modulo the span needs; `_Echelon.back_substitute` turns it
 into the reduced row echelon form only where reduced rows are read
-(`kernel`, `inverse`, row-space keys), by reducing each row modulo the
-rows below it.  So one loop, `_Echelon.reduce_packed`, does every row
-subtraction.  `solve` back-substitutes its right-hand side alone, one
-scalar per row.  The reduced form is unique, so kernels and inverses are
-identical across runs.  The engine packs each row into one int over the
+(`kernel`, `inverse`, row-space keys), by re-inserting each row into a
+basis of the rows below it.  Row subtractions run in two loops of the same
+rule: `_Echelon.reduce_packed`, which returns a residue, and its copy
+inside `_Echelon.insert_packed`, which reduces, normalizes and places a
+packed row in one frame.  `solve` back-substitutes its right-hand side
+alone, one scalar per row.  The reduced form is unique, so kernels and
+inverses are identical across runs.  `sample_full_rank` keeps the
+sampled rows in a basis, or over GF(2) with few rows in the set of their
+span.  The engine packs each row into one int over the
 fields of characteristic 2 up to GF(256), one byte per column, and over
 the prime fields with p > 2, one 64-bit cell per column.  Over the former
 it subtracts c times a row with one XOR of its bytes translated through
@@ -32,6 +36,10 @@ from .errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from .fields import FieldSpec, check_elements, is_element, random_symbols
 
 MAX_GL_ENUMERATION = 100_000  # largest |GL(dim, q)| that enumerate_gl lists
+
+# Over GF(2) a sample of at most this many rows tests each candidate against
+# the set of its accepted rows' span, at most 2^4 = 16 keys, not a basis.
+_SPAN_SET_ROWS = 5
 
 # One column of a packed prime-field row.  Every p is below
 # MAX_FIELD_SIZE = 2^16, so (p - 1)^2 < 2^32, and a cell that starts below
@@ -154,10 +162,11 @@ class FieldMatrix:
         `back_substitute` first."""
         ncols = self.ncols
         ech = _Echelon(self.field)
+        pivots, insert_packed, pack = ech.pivots, ech.insert_packed, ech.pack
         for row in self._rows:
-            if len(ech.pivots) == ncols:
+            if len(pivots) == ncols:
                 break  # every later row lies in the span
-            ech.insert(row)
+            insert_packed(pack(row))
         return ech
 
     def rank(self) -> int:
@@ -266,13 +275,17 @@ class _Echelon:
 
     Rows enter a basis only through `insert_packed`, which reduces and
     normalizes them (pivot entry 1) and keeps them in pivot-column order,
-    zero left of their pivots.  Inserting a row touches no earlier row, so
-    rank queries and `solve` pay for no reduced form; `back_substitute`
-    re-inserts the rows bottom-up, which leaves the unique reduced row
-    echelon form.  The residue of a vector modulo the span is the one
-    member of its coset that is zero in every pivot column, so
-    `reduce_packed` gives the same residue against either form.  Rows are
-    replaced, never changed in place, so a copy may share them.
+    zero left of their pivots, appending a row whose pivot is the largest.
+    Over the packed forms it does so in one frame, with the subtraction
+    loop of `reduce_packed` written out, so its residue is the one
+    `reduce_packed` returns; over list rows it calls `reduce_packed`.
+    Inserting a row touches no earlier row, so rank queries and `solve` pay
+    for no reduced form; `back_substitute` re-inserts the rows bottom-up,
+    which leaves the unique reduced row echelon form.  The residue of a
+    vector modulo the span is the one member of its coset that is zero in
+    every pivot column, so `reduce_packed` gives the same residue against
+    either form.  Rows are replaced, never changed in place, so a copy may
+    share them.
 
     The basis holds its rows packed, in one of three forms:
 
@@ -287,7 +300,10 @@ class _Echelon:
       Subtracting c times a basis row is `row += (p - c) * brow`, with no
       work per cell, and the coefficient at pivot pc is cell pc mod p.
       Cells are reduced mod p only where a row is stored in the basis,
-      zero-tested, keyed or unpacked, so basis rows are canonical.  Each
+      zero-tested, keyed or unpacked, so basis rows are canonical; a
+      reduced row already canonical with lead 1, as a row `back_substitute`
+      re-inserts is when no row below subtracts from it, is stored as it
+      is.  Each
       subtraction adds at most (p - 1)^2 to a cell, and a row is reduced at
       most twice between canonical forms (a residue from `reduce_packed`
       that `insert_packed` takes), so a cell of a row of width ncols stays
@@ -383,18 +399,34 @@ class _Echelon:
         return vec
 
     def insert_packed(self, row) -> bool:
-        """`insert` for a packed row."""
-        row = self.reduce_packed(row)
-        if self._products is not None:
+        """`insert` for a packed row: reduced, normalized and placed in this
+        one frame for the packed forms, with `reduce_packed`'s subtraction
+        loop written out; over list rows through `reduce_packed`."""
+        pivots, rows = self.pivots, self.rows
+        products = self._products
+        p = self._p
+        if products is not None:
+            from_bytes = int.from_bytes
+            for pc, brow in zip(pivots, rows):
+                c = row >> (pc << 3) & 255
+                if c == 1:
+                    row ^= brow
+                elif c:
+                    data = brow.to_bytes((brow.bit_length() + 7) >> 3, "little")
+                    row ^= from_bytes(data.translate(products[c]), "little")
             if not row:
                 return False
             pc = ((row & -row).bit_length() - 1) >> 3
             lead = row >> (pc << 3) & 255
             if lead != 1:
-                row = _times(row, self._products[self.field.inv(lead)])
-        elif self._p:
-            p = self._p
-            n = -(-row.bit_length() // _CELL_BITS)  # up to the highest nonzero cell
+                row = _times(row, products[self.field.inv(lead)])
+        elif p:
+            bits, mask = _CELL_BITS, _CELL_MASK
+            for pc, brow in zip(pivots, rows):
+                c = (row >> bits * pc & mask) % p
+                if c:
+                    row += (p - c) * brow
+            n = -(-row.bit_length() // bits)  # up to the highest nonzero cell
             cells = _cells(n)
             lazy = cells.unpack(row.to_bytes(n * _CELL_BYTES, "little"))
             for pc, lead in enumerate(lazy):
@@ -403,13 +435,13 @@ class _Echelon:
                     break
             else:
                 return False
-            if lead == 1:
-                vals = [v % p for v in lazy]
-            else:
+            if lead != 1:
                 s = self.field.inv(lead)
-                vals = [s * v % p for v in lazy]
-            row = int.from_bytes(cells.pack(*vals), "little")
+                row = int.from_bytes(cells.pack(*[s * v % p for v in lazy]), "little")
+            elif max(lazy) >= p:  # a canonical row with lead 1 is stored as it is
+                row = int.from_bytes(cells.pack(*[v % p for v in lazy]), "little")
         else:
+            row = self.reduce_packed(row)
             for pc, lead in enumerate(row):
                 if lead:
                     break
@@ -419,9 +451,13 @@ class _Echelon:
                 f = self.field
                 row[pc] = 1
                 row[pc + 1:] = f.row_scale(f.inv(lead), row[pc + 1:])
-        at = bisect.bisect(self.pivots, pc)
-        self.pivots.insert(at, pc)
-        self.rows.insert(at, row)
+        if not pivots or pc > pivots[-1]:
+            pivots.append(pc)
+            rows.append(row)
+        else:
+            at = bisect.bisect(pivots, pc)
+            pivots.insert(at, pc)
+            rows.insert(at, row)
         return True
 
     def space_key(self) -> tuple:
@@ -451,17 +487,55 @@ def sample_full_rank(
 
     Rows are drawn uniformly and redrawn while they fall inside the span of
     the earlier rows, which keeps the distribution exactly uniform; each
-    redraw accepts with probability at least 1 - 1/q.
+    redraw accepts with probability at least 1 - 1/q.  Candidates are drawn
+    as `random_symbols` draws them, call for call, and a candidate is
+    rejected exactly when it lies in the span, so the matrix and the state
+    `rng` is left in depend on neither test: over GF(2) with at most
+    `_SPAN_SET_ROWS` rows the span is a set of packed rows, otherwise an
+    `_Echelon`, and the last row is only reduced, never stored.
     """
     if nrows > ncols:
         raise ShapeError(f"no full-rank {nrows}x{ncols} matrix exists")
-    ech = _Echelon(field)
-    rows = []
-    while len(rows) < nrows:
-        cand = random_symbols(rng, field.q, ncols)
-        if ech.insert(cand):
-            rows.append(cand)
-    return FieldMatrix._canonical(field, rows, ncols)
+    rows: list[list[int]] = []
+    if nrows <= 0:
+        return FieldMatrix._canonical(field, rows, ncols)
+    q = field.q
+    k = q.bit_length()
+    getrandbits = rng.getrandbits
+    from_bytes = int.from_bytes
+    if q == 2 and nrows <= _SPAN_SET_ROWS:
+        span = {0}
+    else:
+        span = None
+        ech = _Echelon(field)
+        insert_packed, reduce_packed, pack, unpack = (
+            ech.insert_packed, ech.reduce_packed, ech.pack, ech.unpack
+        )
+        xor_rows = ech._products is not None  # a residue is zero iff it is 0
+    last = nrows - 1
+    while True:
+        cand = []  # `random_symbols(rng, q, ncols)`, written out
+        for _ in range(ncols):
+            r = getrandbits(k)
+            while r >= q:
+                r = getrandbits(k)
+            cand.append(r)
+        if span is not None:
+            key = from_bytes(bytes(cand), "little")
+            if key in span:
+                continue
+        elif len(rows) < last:
+            if not insert_packed(pack(cand)):
+                continue
+        else:
+            residue = reduce_packed(pack(cand))
+            if not (residue if xor_rows else any(unpack(residue, ncols))):
+                continue
+        rows.append(cand)
+        if len(rows) == nrows:
+            return FieldMatrix._canonical(field, rows, ncols)
+        if span is not None:
+            span |= {key ^ s for s in span}
 
 
 def sample_gl(dim: int, field: FieldSpec, rng: random.Random) -> FieldMatrix:

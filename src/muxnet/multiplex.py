@@ -82,7 +82,7 @@ class MultiplexLayout(_FrozenRecord):
     A bad value raises ValueError starting with its field, e.g. `k has 3
     block sizes, expected T + 1 = 2`."""
 
-    __slots__ = ("field", "m", "n", "T", "k", "_coordinates")
+    __slots__ = ("field", "m", "n", "T", "k", "mn", "_offsets", "_coordinates")
     _fields = ("field", "m", "n", "T", "k")
 
     def __init__(self, field: FieldSpec, m: int, n: int, T: int, k: tuple[int, ...]):
@@ -103,6 +103,13 @@ class MultiplexLayout(_FrozenRecord):
         setattr_(self, "n", n)
         setattr_(self, "T", T)
         setattr_(self, "k", k)
+        # m*n and the block offsets follow from the fields: computed here
+        # once, they are not fields themselves
+        setattr_(self, "mn", m * n)
+        offsets = [0]
+        for v in k:
+            offsets.append(offsets[-1] + v)
+        setattr_(self, "_offsets", tuple(offsets))
         # subset members -> their coordinates, filled by subset_coordinates
         setattr_(self, "_coordinates", {})
 
@@ -110,15 +117,9 @@ class MultiplexLayout(_FrozenRecord):
     def q(self) -> int:
         return self.field.q
 
-    @property
-    def mn(self) -> int:
-        return self.m * self.n
-
     def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for v in self.k:
-            out.append(out[-1] + v)
-        return tuple(out)
+        """Where each block starts in the concatenation, then m*n."""
+        return self._offsets
 
     def subset_coordinates(self, subset: "SubsetIndex") -> tuple[int, ...]:
         """The subset's block coordinates, computed once per subset and kept

@@ -252,9 +252,22 @@ def test_conditional_power_mean_computed_once_per_rho(monkeypatch):
         verify_hashed_mi_bound(joint, fam, rho)
         verify_hashed_entropy_bound(joint, fam, rho)
     assert [joint.conditional_power_mean(rho) for rho in grid] == fresh
-    assert len(calls) == len(grid) + 1  # once per rho, once for the family
-    # the marginal itself is computed once per joint
+    # once for the (p, p / p_z) cells every rho reads, once for the family
+    assert len(calls) == 2
+    # the floats of the per-cell formula, p / p_z divided afresh for every
+    # rho, also on a joint with empty cells
     monkeypatch.undo()
+    sparse = JointDistribution(((0.25, 0.0, 0.125), (0.0, 0.5, 0.125)))
+    for dist in (joint, sparse):
+        pz = dist.marginal_z()
+        for rho in grid:
+            ref = 0.0
+            for row in dist.probs:
+                for p, pzz in zip(row, pz):
+                    if p > 0:
+                        ref += p * (p / pzz) ** rho
+            assert dist.conditional_power_mean(rho) == ref
+    # the marginal itself is computed once per joint
     assert joint.marginal_z() is joint.marginal_z()
     assert joint.marginal_z() == tuple(added_in_order(col) for col in zip(*joint.probs))
 

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -683,6 +685,10 @@ def test_capacity_report_pinned(capsys):
 # verify via CLI
 # ---------------------------------------------------------
 
+# sha256 of the default `muxnet verify` report
+VERIFY_DEFAULT_SHA256 = "4ec2d82bb3967d6b3ff0e538b5908b9ebcdb2c8a95a1c33a9161cf25a6f23c71"
+
+
 def test_verify_default_config_exits_zero(tmp_path):
     # The shipped defaults must pass the full battery.
     out = tmp_path / "default.csv"
@@ -692,7 +698,22 @@ def test_verify_default_config_exits_zero(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
     # The report bytes are pinned: speed-ups must not change a single digit.
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "4ec2d82bb3967d6b3ff0e538b5908b9ebcdb2c8a95a1c33a9161cf25a6f23c71"
+    assert digest == VERIFY_DEFAULT_SHA256
+
+
+def test_verify_repeated_in_process_matches_a_fresh_interpreter(tmp_path):
+    # What verify computes once per object (layout offsets, a joint's
+    # conditional cells, the oracle's log tables) lives on objects each run
+    # builds, so no run leaves state behind for the next: two runs in this
+    # process and one in a new interpreter write the pinned bytes.
+    outs = [tmp_path / f"verify{i}.csv" for i in range(3)]
+    for out in outs[:2]:
+        assert main(["verify", "--out", str(out)]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "muxnet", "verify", "--out", str(outs[2])],
+                   env=env, check=True)
+    assert [hashlib.sha256(out.read_bytes()).hexdigest() for out in outs] == [VERIFY_DEFAULT_SHA256] * 3
 
 
 def test_verify_seed_11_report_pinned(tmp_path):

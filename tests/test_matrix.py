@@ -7,10 +7,13 @@ import re
 
 import pytest
 
-from muxnet import GF, FieldMatrix, enumerate_gl, random_matrix, sample_full_rank, sample_gl
+from muxnet import (
+    GF, EavesdropperModel, FieldMatrix, MultiplexLayout, enumerate_gl, random_matrix,
+    realize_eavesdropper, sample_full_rank, sample_gl,
+)
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
 from muxnet.fields import is_element, random_symbols
-from muxnet.matrix import MAX_GL_ENUMERATION, gl_order
+from muxnet.matrix import _SPAN_SET_ROWS, MAX_GL_ENUMERATION, _Echelon, gl_order
 
 CHI2_CRIT_DF5 = 20.515  # alpha = 0.001
 
@@ -268,6 +271,51 @@ def test_sample_full_rank_rectangular():
         assert M.rank() == 2
     with pytest.raises(ShapeError):
         sample_full_rank(GF(2), 3, 2, rng)
+
+
+def reference_full_rank(f, nrows, ncols, rng):
+    """sample_full_rank as a plain loop: whole candidates from
+    `random_symbols`, each kept when a basis of the rows kept so far
+    accepts it."""
+    ech, rows = _Echelon(f), []
+    while len(rows) < nrows:
+        cand = random_symbols(rng, f.q, ncols)
+        if ech.insert(cand):
+            rows.append(cand)
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 81, 256, 65521])
+def test_sample_full_rank_matches_the_reference_loop(q):
+    # The sampler draws in place, tests the last row by its residue alone
+    # and, over GF(2) with at most _SPAN_SET_ROWS rows, against a set of
+    # span keys: the matrices and the RNG state must be the reference's.
+    # Narrow GF(2) shapes reject often, so they get more seeds.
+    f = GF(q)
+    assert _SPAN_SET_ROWS == 5  # nrows 1-6 cover both sides of the GF(2) rule
+    for nrows in range(0, 7):
+        for ncols in range(max(nrows, 1), 18):
+            for seed in range(12 if q == 2 and ncols < 8 else 2):
+                ours, ref = random.Random(seed), random.Random(seed)
+                got = sample_full_rank(f, nrows, ncols, ours)
+                assert (got.nrows, got.ncols) == (nrows, ncols)
+                assert got.rows_list() == reference_full_rank(f, nrows, ncols, ref)
+                assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("q", [2, 3, 256])
+@pytest.mark.parametrize("mu", [1, 2])
+def test_direct_eavesdropper_draws_match_the_reference_loop(q, mu):
+    # the direct model's B is a sample_full_rank draw of mu*m rows (3 or 6
+    # here, so both GF(2) tests run), the draws DRAW_DIGEST pins
+    f = GF(q)
+    layout = MultiplexLayout(f, 3, 2, 1, (3, 3))
+    model = EavesdropperModel("direct", mu)
+    ours, ref = random.Random(q), random.Random(q)
+    for _ in range(20):
+        B = realize_eavesdropper(model, None, None, layout, ours)
+        assert B.rows_list() == reference_full_rank(f, mu * layout.m, layout.mn, ref)
+    assert ours.getstate() == ref.getstate()
 
 
 def test_non_integer_entries_rejected():

@@ -462,3 +462,142 @@ def test_prime_cells_match_reference_at_full_width(p):
     assert second.pivots == second_ref.pivots
     assert [second.unpack(r, n) for r in second.rows] == second_ref.rows
     assert second.space_key() == tuple(second.pack(r) for r in second_ref.rows)
+
+
+# ---------------------------------------------------------
+# the one-frame insert against the per-cell reference
+# ---------------------------------------------------------
+
+# Fields of every row form: bytes (2, 16, 256), 64-bit cells (3, 251,
+# 65521) and lists (9, 512).
+INSERT_FIELDS = (2, 16, 256, 3, 251, 65521, 9, 512)
+
+
+def rows_with_pivots(f, rng, ncols, pivots):
+    """One row per listed pivot column: zero left of it, a nonzero lead
+    (1 in every third row), random cells right of it."""
+    rows = []
+    for i, pc in enumerate(pivots):
+        lead = 1 if i % 3 == 0 else rng.randrange(1, f.q)
+        rows.append([0] * pc + [lead] + seeded_rows(f, rng, ncols - pc - 1))
+    return rows
+
+
+def check_insert(f, rows, ncols):
+    """Insert rows one by one into an _Echelon and a RefEchelon: the same
+    verdicts and pivots, each stored row the normalized residue that
+    `reduce_packed` gives, and the same reduced form at the end."""
+    ech, ref = _Echelon(f), RefEchelon(f)
+    for vec in rows:
+        residue = ech.unpack(ech.reduce_packed(ech.pack(vec)), ncols)
+        assert residue == ref.reduce(vec)
+        before = set(ech.pivots)
+        accepted = ech.insert(vec)
+        assert accepted == ref.insert(vec) == any(residue)
+        assert ech.pivots == ref.pivots == sorted(ech.pivots)
+        if accepted:
+            (pc,) = set(ech.pivots) - before
+            stored = ech.unpack_canonical(ech.rows[ech.pivots.index(pc)], ncols)
+            s = f.inv(residue[pc])
+            assert stored == [f.mul(s, v) for v in residue]
+    # every stored row is canonical: reading its cells reduced changes nothing
+    assert [ech.unpack_canonical(r, ncols) for r in ech.rows] == [ech.unpack(r, ncols) for r in ech.rows]
+    ech.back_substitute()
+    assert [ech.unpack(r, ncols) for r in ech.rows] == ref.rows
+    return ech
+
+
+@pytest.mark.parametrize("q", INSERT_FIELDS)
+def test_insert_places_rows_arriving_in_any_pivot_order(q):
+    # ascending pivots take the append, descending and shuffled ones the
+    # bisect; repeated pivots make rows that reduce to a new pivot or to 0
+    f = GF(q)
+    rng = random.Random(3000 + q)
+    ncols = 9
+    shuffled = list(range(ncols))
+    rng.shuffle(shuffled)
+    orders = (list(range(ncols)), list(range(ncols - 1, -1, -1)), shuffled,
+              [4, 1, 7, 1, 4, 0, 8, 8, 2, 6, 3, 5, 0])
+    for pivots in orders:
+        check_insert(f, rows_with_pivots(f, rng, ncols, pivots), ncols)
+    for _ in range(5):
+        M = random_matrix(f, 5, 3, rng) @ random_matrix(f, 3, ncols, rng)
+        check_insert(f, M.rows_list() + [seeded_rows(f, rng, ncols) for _ in range(4)], ncols)
+
+
+@pytest.mark.parametrize("q", INSERT_FIELDS)
+def test_insert_keeps_canonical_rows_with_lead_1(q):
+    # back_substitute re-inserts canonical rows with lead 1, bottom-up: the
+    # rows of a reduced basis, in either order, are stored as they are
+    f = GF(q)
+    rng = random.Random(4000 + q)
+    ncols = 8
+    M = random_matrix(f, 6, ncols, rng)
+    reduced = check_insert(f, M.rows_list(), ncols)
+    canonical = [reduced.unpack(r, ncols) for r in reduced.rows]
+    assert all(row[pc] == 1 for row, pc in zip(canonical, reduced.pivots))
+    for rows in (canonical, canonical[::-1]):
+        ech = check_insert(f, rows, ncols)
+        assert [ech.unpack(r, ncols) for r in ech.rows] == canonical
+        again = _Echelon(f)
+        for r in reversed(reduced.rows):
+            assert again.insert_packed(r)
+        assert again.rows == reduced.rows and again.pivots == reduced.pivots
+
+
+@pytest.mark.parametrize("p", [3, 251, 65521])
+def test_prime_insert_stores_canonical_lead_1_rows_without_repacking(p, monkeypatch):
+    from muxnet import matrix
+
+    f = GF(p)
+    rng = random.Random(p)
+    ncols = 7
+    basis = random_matrix(f, 5, ncols, rng)._rref_rows()
+    basis.back_substitute()
+    packs = []
+
+    class CountingCells:
+        def __init__(self, cells):
+            self.cells = cells
+
+        def unpack(self, data):
+            return self.cells.unpack(data)
+
+        def pack(self, *values):
+            packs.append(values)
+            return self.cells.pack(*values)
+
+    monkeypatch.setattr(matrix, "_cells", lambda n: CountingCells(_cells(n)))
+    fresh = _Echelon(f)
+    for row in reversed(basis.rows):
+        assert fresh.insert_packed(row)
+    assert packs == []
+    assert all(a is b for a, b in zip(fresh.rows, basis.rows))
+    # a row with lead 2 is normalized, so it is packed again
+    assert _Echelon(f).insert_packed(2 * basis.rows[0])
+    assert len(packs) == 1
+
+
+@pytest.mark.parametrize("q", INSERT_FIELDS)
+def test_insert_residue_equals_reduce_packed(q):
+    # a residue from reduce_packed, lazy over the primes, inserted into a
+    # second basis as leakage_profile does: the same verdict and row as
+    # inserting the reduced vector itself
+    f = GF(q)
+    rng = random.Random(5000 + q)
+    ncols = 10
+    first = _Echelon(f)
+    for row in random_matrix(f, 4, ncols, rng).rows_list():
+        first.insert(row)
+    for _ in range(6):
+        second = _Echelon(f)
+        for row in random_matrix(f, 3, ncols, rng).rows_list():
+            second.insert(row)
+        vec = seeded_rows(f, rng, ncols)
+        residue = first.reduce_packed(first.pack(vec))
+        plain = second.copy()
+        via_residue = second.copy()
+        assert via_residue.insert_packed(residue) == plain.insert(first.unpack(residue, ncols))
+        assert via_residue.pivots == plain.pivots
+        assert [via_residue.unpack_canonical(r, ncols) for r in via_residue.rows] == [
+            plain.unpack_canonical(r, ncols) for r in plain.rows]
