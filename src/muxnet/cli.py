@@ -123,8 +123,16 @@ def _parse_values(raw: str, flag: str) -> list[float]:
     return out
 
 
+# built by the first `main` call and reused: each parser is a reference
+# cycle that only a full collection frees
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "verify":
             seed = verify_seed(_load_config(args))

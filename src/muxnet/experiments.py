@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .errors import ConfigError, MuxnetError
 from .fields import GF, _factor_prime_power
-from .leakage import observation_profiles
+from .leakage import leakage_table
 from .matrix import sample_gl
 from .multiplex import (
     MessageTuple,
@@ -42,7 +42,6 @@ from .network import (
     Link,
     LocalCoding,
     Network,
-    ObservationSpaces,
     butterfly_coding,
     butterfly_network,
     check_decodability,
@@ -417,7 +416,7 @@ def run_simulate(config: dict, param: str = "", value="") -> tuple[dict, list[di
         for _ in range(plan.trials_b)
     ]
     subsets = all_nonempty_subsets(layout.T)
-    profiles = observation_profiles(layout, L, ObservationSpaces(layout, draws), subsets)
+    profiles = next(leakage_table(layout, [L], draws, subsets))
 
     rows = []
     for sub in subsets:

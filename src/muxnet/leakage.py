@@ -12,11 +12,14 @@ for every pair of a list of maps and a list of observations.  It
 eliminates nothing: one table per map gives each message's preimage x,
 one per observation gives B x for every x, and a pair's z's are lookups.
 
-`average_over_support` and `worst_case_leakage` are the one place that
-aggregates leakage over a list of observations (weighted mean, maximum).
-Leakage depends on B only through rowspace B, so both evaluate one
-`leakage_profile` per distinct row space and fill the per-B results back
-in the listed order.
+`leakage_table` is the rank path in the oracle's shape: the
+`leakage_profile` of every (map, observation) pair, map by map.  Leakage
+depends on B only through rowspace B, so it reduces each observation once,
+keys its row space by the unique reduced form, and evaluates one profile
+per map and distinct row space; no other function keys row spaces.
+`average_over_support` and `worst_case_leakage`, the one place that
+aggregates leakage over a list of observations (weighted mean, maximum),
+simulate's report and verify's oracle check all read leakage through it.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ from .network import (
     EavesdropperModel,
     LocalCoding,
     Network,
-    ObservationSpaces,
     _check_observation,
-    observation_basis,
     observation_support,
     realize_eavesdropper,
 )
@@ -69,21 +70,23 @@ def leakage_profile(
 ) -> dict[str, LeakageResult]:
     """exact_leakage for several subsets, reducing L modulo B's row space once.
 
-    B is an observation matrix, or the echelon basis of its row space built
-    for this layout by `network.observation_basis` or an
-    `ObservationSpaces`.  The residues
-    stay packed in the engine's form, and a subset's rank is the number of
-    its residues a fresh basis accepts.
+    B is an observation matrix, or the echelon basis of its row space that
+    `leakage_table` built for this layout.  Only the rows of blocks 1..T
+    are reduced: no subset reads the random block's.  The residues stay
+    packed in the engine's form, and a subset's rank is the number of its
+    residues a fresh basis accepts.
     """
     _check_map(layout, L)
-    basis = observation_basis(layout, B) if isinstance(B, FieldMatrix) else B
+    if isinstance(B, FieldMatrix):
+        _check_observation(layout, B)
+        B = B._rref_rows()
     # raises SingularMatrix for a singular L.  Cached on L, which meets many
     # row spaces, it costs less than `L.rank()` per call (measured in verify)
     L.inverse()
     field = layout.field
-    rank_b = len(basis.pivots)
-    reduce_packed, pack = basis.reduce_packed, basis.pack
-    residues = [reduce_packed(pack(row)) for row in L._rows]
+    rank_b = len(B.pivots)
+    reduce_packed, pack = B.reduce_packed, B.pack
+    residues = [reduce_packed(pack(row)) for row in L._rows[:layout.offsets()[layout.T]]]
     lnq = math.log(layout.q)
     subset_coordinates = layout.subset_coordinates
     out: dict[str, LeakageResult] = {}
@@ -104,13 +107,32 @@ def leakage_profile(
     return out
 
 
-def observation_profiles(
-    layout: MultiplexLayout, L: FieldMatrix, spaces: ObservationSpaces, subsets
-) -> list[dict[str, LeakageResult]]:
-    """leakage_profile for every listed observation of `spaces`, in order,
-    evaluated once per distinct row space."""
-    distinct = [leakage_profile(layout, L, basis, subsets) for basis in spaces.bases]
-    return [distinct[i] for i in spaces.index]
+def leakage_table(
+    layout: MultiplexLayout, maps, observations, subsets
+) -> Iterator[list[dict[str, LeakageResult]]]:
+    """leakage_profile for every pair of a map of `maps` and an observation
+    of `observations`, in the shape of `brute_force_leakage`: for each map,
+    in order, one profile per observation, in order.
+
+    A generator, so maps may stream.  Before the first map it checks and
+    reduces each observation once and keys its row space by
+    `_Echelon.space_key`, the unique reduced form; each map then takes one
+    profile per distinct row space, which every observation of that space
+    shares.
+    """
+    bases: list[_Echelon] = []
+    index: list[int] = []
+    seen: dict[tuple, int] = {}
+    for B in observations:
+        _check_observation(layout, B)
+        basis = B._rref_rows()
+        at = seen.setdefault(basis.space_key(), len(bases))
+        if at == len(bases):
+            bases.append(basis)
+        index.append(at)
+    for L in maps:
+        distinct = [leakage_profile(layout, L, basis, subsets) for basis in bases]
+        yield [distinct[i] for i in index]
 
 
 def exact_leakage(
@@ -209,13 +231,10 @@ def average_over_support(
     `mean_exp_rho`, the leakage and exp(rho * leakage) averaged over
     `support`, a list of (B, weight) pairs, and the per-B leakage `samples`.
 
-    A generator.  The support's row spaces are reduced once, before the
-    first map, and each map takes one leakage_profile per distinct space.
+    A generator over `leakage_table`'s rows, so maps may stream.
     """
-    spaces = ObservationSpaces(layout, [B for B, _ in support])
     weights = [w for _, w in support]
-    for L in maps:
-        profiles = observation_profiles(layout, L, spaces, subsets)
+    for profiles in leakage_table(layout, maps, [B for B, _ in support], subsets):
         out = {}
         for sub in subsets:
             samples = [prof[sub.label].nats for prof in profiles]
@@ -262,10 +281,9 @@ def worst_case_leakage(
 ) -> dict[str, dict]:
     """Per subset label: `max_nats`, the largest leakage over `observations`,
     a list of (tap set, B) pairs; `argmax`, the first tap set attaining it;
-    and `per_set`, the (tap set, nats) pairs in order.  One leakage_profile
-    per distinct row space."""
-    spaces = ObservationSpaces(layout, [B for _, B in observations])
-    profiles = observation_profiles(layout, L, spaces, subsets)
+    and `per_set`, the (tap set, nats) pairs in order, read from
+    `leakage_table`."""
+    profiles = next(leakage_table(layout, [L], [B for _, B in observations], subsets))
     out = {}
     for sub in subsets:
         per_set = [(s, prof[sub.label].nats) for (s, _), prof in zip(observations, profiles)]

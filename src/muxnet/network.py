@@ -4,6 +4,8 @@ Global coding vectors are propagated in topological order from the source,
 receiver decodability is a rank check on a sink's incoming vectors, and an
 eavesdropper tapping mu links per slot observes the block-diagonal matrix
 stacking the tapped links' global vectors, one mu x n block per time slot.
+The module builds observation matrices and their distributions and
+reduces none of them: `leakage.leakage_table` keys their row spaces.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     WrongSlotCount,
 )
 from .fields import FieldSpec, is_element
-from .matrix import FieldMatrix, _Echelon, sample_full_rank
+from .matrix import FieldMatrix, sample_full_rank
 from .multiplex import MultiplexLayout, _FrozenRecord, _ordered_sum
 
 # Largest number of tap sets enumerate_eavesdropper_sets lists, and of
@@ -319,38 +321,6 @@ def _check_observation(layout: MultiplexLayout, B: FieldMatrix) -> None:
     """B observes words of `layout`: m*n columns over its field."""
     if B.field != layout.field or B.ncols != layout.mn:
         raise ShapeError(f"B must have m*n = {layout.mn} columns over GF({layout.q})")
-
-
-def observation_basis(layout: MultiplexLayout, B: FieldMatrix) -> _Echelon:
-    """The row echelon basis of rowspace B, for B observing words of
-    `layout`; shared bases are read, never changed."""
-    _check_observation(layout, B)
-    return B._rref_rows()
-
-
-class ObservationSpaces:
-    """A list of observation matrices with each distinct row space reduced
-    once.
-
-    What an eavesdropper learns from z = B x depends on B only through
-    rowspace B, which `_Echelon.space_key` keys by its unique reduced form.
-    `bases` holds one back-substituted `observation_basis` per distinct row
-    space, in first-seen order, and `index[i]` is the position in `bases`
-    of the i-th listed matrix's row space.
-    """
-
-    __slots__ = ("bases", "index")
-
-    def __init__(self, layout: MultiplexLayout, matrices):
-        self.bases: list[_Echelon] = []
-        self.index: list[int] = []
-        seen: dict[tuple, int] = {}
-        for B in matrices:
-            basis = observation_basis(layout, B)
-            at = seen.setdefault(basis.space_key(), len(self.bases))
-            if at == len(self.bases):
-                self.bases.append(basis)
-            self.index.append(at)
 
 
 def realize_eavesdropper(

@@ -28,7 +28,7 @@ from .bounds import (
     verify_hashed_mi_bound,
 )
 from .fields import GF, _factor_prime_power
-from .leakage import brute_force_leakage, leakage_profile
+from .leakage import brute_force_leakage, leakage_profile, leakage_table
 from .matrix import FieldMatrix, enumerate_gl, random_matrix, sample_gl
 from .multiplex import (
     MessageTuple,
@@ -53,7 +53,6 @@ from .network import (
     eavesdrop_matrix,
     enumerate_eavesdropper_sets,
     global_coding_vectors,
-    observation_basis,
     observation_support,
 )
 from .rng import derive_rng
@@ -374,20 +373,18 @@ def _check_oracle_equivalence(seed: int) -> list[CheckResult]:
         subsets = all_nonempty_subsets(layout.T)
         lnq = math.log(layout.q)
         bs = [random_matrix(f, rows, mn, rng) for rows in range(1, mn + 1) for _ in range(8)]
+        # the floor of each subset at each rank of B
+        floors = [{sub.label: leakage_floor(layout, sub, r) for sub in subsets} for r in range(mn + 1)]
         oracles = brute_force_leakage(layout, l_pool, bs, subsets)
-        for j, B in enumerate(bs):
-            basis = observation_basis(layout, B)
-            rank_b = len(basis.pivots)
-            floors = {sub.label: leakage_floor(layout, sub, rank_b) for sub in subsets}
-            for L, by_b in zip(l_pool, oracles, strict=True):
-                oracle = by_b[j]
-                profile = leakage_profile(layout, L, basis, subsets)
+        table = leakage_table(layout, l_pool, bs, subsets)
+        for by_b, profiles in zip(oracles, table, strict=True):
+            for B, oracle, profile in zip(bs, by_b, profiles, strict=True):
                 for label, res in profile.items():
                     worst = max(worst, abs(res.nats - oracle[label]))
                     quant = abs(res.nats / lnq - round(res.nats / lnq))
                     quant_worst = max(quant_worst, quant)
-                    if rank_b == B.nrows:
-                        floor_margin = min(floor_margin, res.nats - floors[label])
+                    if res.rank_b == B.nrows:
+                        floor_margin = min(floor_margin, res.nats - floors[res.rank_b][label])
                     instances += 1
     return [
         CheckResult("oracle_equivalence", f"{instances} (L,B,I) instances", worst, tol, worst <= tol),

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: determinism, formats, exit codes."""
 
+import gc
 import hashlib
 import json
 import math
@@ -714,6 +715,22 @@ def test_verify_repeated_in_process_matches_a_fresh_interpreter(tmp_path):
     subprocess.run([sys.executable, "-m", "muxnet", "verify", "--out", str(outs[2])],
                    env=env, check=True)
     assert [hashlib.sha256(out.read_bytes()).hexdigest() for out in outs] == [VERIFY_DEFAULT_SHA256] * 3
+
+
+def test_verify_op_leaves_no_cyclic_garbage():
+    # main builds its parser once per process, so after a warm-up op a
+    # verify op frees everything it builds by reference counting alone.
+    assert main(["verify", "--out", os.devnull]) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["verify", "--out", os.devnull]) == 0
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == 0
 
 
 def test_verify_seed_11_report_pinned(tmp_path):

@@ -82,7 +82,7 @@ def test_cli_import_compiles_verification_but_no_process_pool():
 
 def test_submodule_resolves_as_an_attribute():
     modules = fresh_modules(
-        "import muxnet\nassert muxnet.leakage.ObservationSpaces is muxnet.network.ObservationSpaces")
+        "import muxnet\nassert muxnet.leakage.observation_support is muxnet.network.observation_support")
     assert {"leakage", "network"} <= layers(modules)
 
 

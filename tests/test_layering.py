@@ -65,13 +65,20 @@ def test_bounds_takes_observations_from_its_caller():
     assert "network" not in relative_imports("bounds")
 
 
-def test_observation_spaces_reduce_below_leakage():
-    # network reduces observations with matrix's engine and never reaches
-    # up to the leakage layer or the bounds that consume the reduced spaces.
+def test_network_imports_no_echelon():
+    # network builds observation matrices and never reaches up to the
+    # leakage layer or the bounds.  Their row spaces are reduced and keyed
+    # in one place: leakage_table is the one caller of space_key outside
+    # matrix.
     imports = set(relative_imports("network"))
     assert "matrix" in imports
     assert not imports & {"leakage", "bounds"}
-    assert muxnet.leakage.ObservationSpaces is muxnet.network.ObservationSpaces
+    assert "_Echelon" not in (SRC / "network.py").read_text()
+    assert modules_matching(r"\.space_key\(") == {"leakage"}
+    leakage = (SRC / "leakage.py").read_text()
+    table = leakage[leakage.index("def leakage_table("):]
+    table = table[:table.index("\ndef ")]
+    assert len(re.findall(r"\.space_key\(", leakage)) == 1 == table.count(".space_key(")
 
 
 def modules_matching(pattern):

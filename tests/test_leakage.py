@@ -33,7 +33,8 @@ from muxnet import (
 )
 from muxnet import experiments, leakage
 from muxnet.errors import EnumerationTooLarge, ShapeError, SingularMatrix
-from muxnet.leakage import leakage_profile
+from muxnet.leakage import leakage_profile, leakage_table
+from muxnet.matrix import _Echelon
 
 LN2 = math.log(2)
 
@@ -604,6 +605,101 @@ def test_simulate_draws_take_one_profile_per_row_space(profile_calls):
     config = dict(experiments.DEFAULT_CONFIG, trials={"L": 2, "B": 30})
     experiments.run_simulate(config)
     assert len(profile_calls) == 3 + 3 * 2
+
+
+# ---------------------------------------------------------
+# leakage_table against the oracle, pair for pair
+# ---------------------------------------------------------
+
+def same_row_space(U, V):
+    return U.rank() == V.rank() == FieldMatrix(U.field, U.rows_list() + V.rows_list(), ncols=U.ncols).rank()
+
+
+def table_observations(f, mn, rng):
+    """Observations with repeated row spaces, a zero row space in two
+    shapes and rank-deficient matrices."""
+    B = random_matrix(f, 2, mn, rng)
+    first, second = B.rows_list()
+    return [
+        B,
+        sample_gl(2, f, rng) @ B,  # B's row space from other rows
+        FieldMatrix(f, [first, second, [f.add(a, b) for a, b in zip(first, second)]]),
+        FieldMatrix.zeros(f, 2, mn),
+        random_matrix(f, 1, mn, rng),
+        FieldMatrix.zeros(f, 0, mn),
+        FieldMatrix.identity(f, mn),
+        B,
+    ]
+
+
+@pytest.mark.parametrize("q, m, n, k", [
+    (2, 2, 2, (1, 2, 1)), (3, 2, 2, (2, 1, 1)), (4, 1, 3, (1, 1, 1)), (5, 1, 3, (1, 2, 0)),
+], ids=["q2", "q3", "q4", "q5"])
+def test_leakage_table_equals_the_oracle_pair_for_pair(q, m, n, k, profile_calls):
+    f = GF(q)
+    layout = MultiplexLayout(f, m, n, len(k) - 1, k)
+    subsets = all_nonempty_subsets(layout.T)
+    rng = random.Random(q)
+    maps = [sample_gl(layout.mn, f, rng) for _ in range(3)]
+    observations = table_observations(f, layout.mn, rng)
+    table = list(leakage_table(layout, maps, observations, subsets))
+    oracle = brute_force_leakage(layout, maps, observations, subsets)
+    assert len(table) == len(oracle) == len(maps)
+    for profiles, mis_row in zip(table, oracle, strict=True):
+        assert len(profiles) == len(mis_row) == len(observations)
+        for B, profile, mis in zip(observations, profiles, mis_row, strict=True):
+            assert list(profile) == list(mis) == [sub.label for sub in subsets]
+            for label, res in profile.items():
+                assert res.rank_b == B.rank()
+                assert abs(res.nats - mis[label]) <= 1e-9
+    # one profile per map and distinct row space
+    distinct = []
+    for B in observations:
+        if not any(same_row_space(B, D) for D in distinct):
+            distinct.append(B)
+    assert len(distinct) < len(observations) - 3
+    assert len(profile_calls) == len(maps) * len(distinct)
+
+
+def test_leakage_table_streams_its_maps():
+    # guarantee_experiment streams up to a million maps through the table
+    f = GF(3)
+    layout = MultiplexLayout(f, 1, 2, 1, (1, 1))
+    rng = random.Random(3)
+    maps = (sample_gl(2, f, rng) for _ in itertools.count())
+    table = leakage_table(layout, maps, [FieldMatrix.identity(f, 2)], [SubsetIndex({1})])
+    for _ in range(3):
+        assert next(table)[0]["1"].nats == pytest.approx(math.log(3))
+
+
+@pytest.mark.parametrize("k", [(1, 9), (2, 3, 5), (4, 0, 6)], ids=str)
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_profile_reduces_only_the_message_blocks(q, k, monkeypatch):
+    # No subset reads the random block, so only the k_1 + ... + k_T rows of
+    # blocks 1..T are reduced modulo B's row space.
+    f = GF(q)
+    layout = MultiplexLayout(f, 2, 5, len(k) - 1, k)
+    subsets = all_nonempty_subsets(layout.T)
+    rng = random.Random(q * 10 + len(k))
+    basis, calls = None, []
+    real = _Echelon.reduce_packed
+
+    def counting(self, row):
+        if self is basis:
+            calls.append(row)
+        return real(self, row)
+
+    monkeypatch.setattr(_Echelon, "reduce_packed", counting)
+    for _ in range(6):
+        L = sample_gl(layout.mn, f, rng)
+        B = random_matrix(f, rng.randrange(1, layout.mn + 1), layout.mn, rng)
+        basis = B._rref_rows()
+        calls.clear()
+        profile = leakage_profile(layout, L, basis, subsets)
+        assert len(calls) == sum(k[:-1])
+        for sub in subsets:
+            assert profile[sub.label].kernel_dim == projected_kernel_dim(layout, L, B, sub)
+            assert profile[sub.label].rank_b == B.rank()
 
 
 # ---------------------------------------------------------

@@ -431,15 +431,15 @@ def test_only_readers_of_reduced_rows_back_substitute(q, monkeypatch):
     # Ranks, invertibility tests, sampling, enumeration, leakage span
     # counts and solve need only the echelon form (solve back-substitutes
     # its right-hand side alone); kernel, inverse and the row-space keys of
-    # ObservationSpaces read reduced rows.
-    from muxnet.leakage import leakage_profile
+    # leakage_table read reduced rows.
+    from muxnet.leakage import leakage_profile, leakage_table
     from muxnet.matrix import _Echelon
     from muxnet.multiplex import MultiplexLayout, all_nonempty_subsets
-    from muxnet.network import ObservationSpaces, observation_basis
 
     f = GF(q)
     rng = random.Random(q)
     layout = MultiplexLayout(f, 2, 2, 1, (1, 3))
+    subsets = all_nonempty_subsets(1)
     B = random_matrix(f, 3, 4, rng)
     L = sample_gl(4, f, rng)
     L.inverse()  # leakage_profile's singular-map check reads this cache
@@ -454,20 +454,21 @@ def test_only_readers_of_reduced_rows_back_substitute(q, monkeypatch):
     assert M.rank() == 4 == M.nrows
     assert random_matrix(f, 3, 5, rng).rank() <= 3
     assert len(enumerate_gl(2, GF(2))) == 6
-    assert len(observation_basis(layout, B).pivots) == B.rank()
-    leakage_profile(layout, L, B, all_nonempty_subsets(1))
+    leakage_profile(layout, L, B, subsets)
     assert M.mul_vector(M.solve([1, 0, 0, 0])) == [1, 0, 0, 0]
 
     calls = []
     monkeypatch.setattr(_Echelon, "back_substitute", lambda self: calls.append(1) or real(self))
-    for read in (
-        M.kernel,
-        M.inverse,
-        lambda: ObservationSpaces(layout, [B]),
-    ):
+    for read in (M.kernel, M.inverse):
         before = len(calls)
         read()
         assert len(calls) == before + 1
+    # one key per listed observation, however many maps read the table
+    # (M's inverse is cached above)
+    before = len(calls)
+    observations = [B, random_matrix(f, 2, 4, rng), B]
+    assert len(list(leakage_table(layout, [L, M], observations, subsets))) == 2
+    assert len(calls) == before + len(observations)
 
 
 # ---------------------------------------------------------

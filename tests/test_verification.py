@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from muxnet.experiments import DEFAULT_CONFIG, VERIFY_COLUMNS, rows_to_csv
+from muxnet.matrix import _Echelon
 from muxnet.verification import run_verification
 
 TESTS = Path(__file__).resolve().parent
@@ -70,6 +71,17 @@ def test_tampered_tolerance_fails_named_checks(monkeypatch):
     rows = run_verification(DEFAULT_CONFIG["seed"])
     failing = {r.check for r in rows if not r.holds}
     assert "hash_bound_pinned" in failing or "hash_bounds_random" in failing
+
+
+def test_merged_row_space_keys_fail_oracle_equivalence(monkeypatch):
+    # A key that drops the last reduced row merges row spaces that differ
+    # only there.  The oracle row reads leakage through the same table as
+    # simulate, the guarantee and certification, so verify catches it.
+    real = _Echelon.space_key
+    monkeypatch.setattr(_Echelon, "space_key", lambda self: real(self)[:-1])
+    rows = run_verification(DEFAULT_CONFIG["seed"])
+    failing = {r.check for r in rows if not r.holds}
+    assert "oracle_equivalence" in failing
 
 
 def test_battery_is_deterministic(battery):
